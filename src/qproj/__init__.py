@@ -19,8 +19,8 @@ from .gf import FieldElement, FiniteField, factor_prime_power, make_field
 from .linalg import (MatrixFq, SubspaceCanonical, count_independent_tuples,
                      enumerate_subspaces, orthogonal_complement, rref,
                      span_canonical, subspace_join, subspace_meet)
-from .geometry import (AxiomReport, CensusReport, DerivedPropertiesReport,
-                       IncidenceGeometry, PointCountCheck,
+from .geometry import (AxiomReport, CensusReport, Check,
+                       DerivedPropertiesReport, IncidenceGeometry, PointCountCheck,
                        affine_decomposition, build_boolean_geometry,
                        build_projective_space, check_derived_properties,
                        collineation_order, geometry_from_json,

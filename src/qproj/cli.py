@@ -58,6 +58,8 @@ def _load_json(path: str):
         raise GeometryFormatError(f"cannot read {path}: {e.strerror}") from e
     except json.JSONDecodeError as e:
         raise GeometryFormatError(f"{path}: invalid JSON at line {e.lineno}") from e
+    except RecursionError as e:
+        raise GeometryFormatError(f"{path}: JSON nested too deeply") from e
 
 
 # --- subcommand handlers: return (exit_code, text_lines, payload) -----------
@@ -369,6 +371,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def run(argv: list[str]) -> CommandResult:
     """Parse and execute; printing is left to main()."""
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)  # exact orders can pass 4300 digits
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

@@ -29,7 +29,9 @@ scope and rejected at input validation.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from array import array
+from dataclasses import asdict, dataclass
+from functools import cached_property
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import BudgetExceeded, GeometryFormatError
@@ -85,12 +87,28 @@ class IncidenceGeometry:
         names = ",".join(self.subspace_point_names(i))
         return f"{{{names}}}(dim {self.dims[i]})"
 
+    @cached_property
+    def _lattice(self) -> "_Lattice":
+        """The containment lattice and meet/join table, built on first use."""
+        return _Lattice(self)
+
 
 # ---------------------------------------------------------------------------
 # lattice machinery
 
+LATTICE_CAP = 1 << 16
+_NO_INDEX = LATTICE_CAP - 1  # table entry for a missing meet or join
+
+
 class _Lattice:
-    """Containment structure of a subspace family, with meet/join search.
+    """Containment structure of a subspace family, with its meet/join table.
+
+    Built once per geometry (IncidenceGeometry._lattice).  For i <= j the
+    2-byte arrays meets and joins hold at row[i] + j the index of the meet
+    and join of subspaces i and j, or _NO_INDEX; that width is why |L|
+    stays below LATTICE_CAP, which also bounds the O(|L|^2) pair pass.
+    Rows are filled in order on demand, so an axiom check that stops at
+    its witnesses leaves the rest of the pass undone.
 
     The greatest lower bound of S and T, when it exists, must equal the
     union of all lower bounds (it is a lower bound dominating the rest),
@@ -102,16 +120,16 @@ class _Lattice:
     """
 
     def __init__(self, g: IncidenceGeometry):
-        self.g = g
-        self.masks = g.subspaces
-        self.dims = g.dims
-        ns = len(self.masks)
+        self.masks = masks = g.subspaces
+        ns = len(masks)
+        if ns >= LATTICE_CAP:
+            raise BudgetExceeded(
+                f"|L| = {ns} subspaces; the lattice cap is |L| < {LATTICE_CAP} (2^16)")
         self.index_of: dict[int, int] = {}
-        for idx, m in enumerate(self.masks):
+        for idx, m in enumerate(masks):
             self.index_of.setdefault(m, idx)
         containers: list[list[int]] = [[] for _ in range(ns)]
         contained: list[list[int]] = [[] for _ in range(ns)]
-        masks = self.masks
         for i in range(ns):
             mi = masks[i]
             for j in range(ns):
@@ -120,53 +138,76 @@ class _Lattice:
                     contained[j].append(i)
         self.containers = containers
         self.contained = contained
+        self.row = [i * (2 * ns - i - 1) // 2 for i in range(ns)]
+        self.meets = array("H")
+        self.joins = array("H")
+        self.filled = 0  # rows of the table computed so far
 
-    def meet_index(self, i: int, j: int) -> int | None:
-        masks = self.masks
-        inter = masks[i] & masks[j]
-        idx = self.index_of.get(inter)
-        if idx is not None:
-            return idx
-        mj = masks[j]
-        union = 0
-        for k in self.contained[i]:
-            mk = masks[k]
-            if mk & mj == mk:
-                union |= mk
-        # union of all lower bounds: the meet iff it is itself in L
-        # (when no lower bound exists, union is 0 and 0 is in L only if
-        # the empty set is, in which case it would have been a lower bound)
-        return self.index_of.get(union)
+    def fill(self, last: int) -> None:
+        """Compute the table rows up to and including row last."""
+        masks, get = self.masks, self.index_of.get
+        containers, contained = self.containers, self.contained
+        meets, joins = self.meets, self.joins
+        for i in range(self.filled, last + 1):
+            mi = masks[i]
+            for j in range(i, len(masks)):
+                mj = masks[j]
+                k = get(mi & mj)
+                if k is None:
+                    union = 0
+                    for lower in contained[i]:
+                        ml = masks[lower]
+                        if ml & mj == ml:
+                            union |= ml
+                    # union of all lower bounds: the meet iff it is itself in L
+                    # (when no lower bound exists, union is 0 and 0 is in L only if
+                    # the empty set is, in which case it would have been a lower bound)
+                    k = get(union, _NO_INDEX)
+                meets.append(k)
+                uni = mi | mj
+                k = get(uni)
+                if k is None:
+                    ci, cj = containers[i], containers[j]
+                    inter = -1  # all bits: with no upper bound, matches nothing in L
+                    for upper in ci if len(ci) <= len(cj) else cj:
+                        mu = masks[upper]
+                        if mu & uni == uni:
+                            inter &= mu
+                    k = get(inter, _NO_INDEX)
+                joins.append(k)
+        self.filled = max(self.filled, last + 1)
 
-    def join_index(self, i: int, j: int) -> int | None:
-        masks = self.masks
-        uni = masks[i] | masks[j]
-        idx = self.index_of.get(uni)
-        if idx is not None:
-            return idx
-        ci, cj = self.containers[i], self.containers[j]
-        scan = ci if len(ci) <= len(cj) else cj
-        inter = None
-        for k in scan:
-            mk = masks[k]
-            if mk & uni == uni:
-                inter = mk if inter is None else inter & mk
-        if inter is None:
-            return None
-        return self.index_of.get(inter)
+    def lookup(self, table: array, i: int, j: int) -> int | None:
+        """The entry of a filled table (meets or joins) for the pair {i, j}, or None."""
+        k = table[self.row[min(i, j)] + max(i, j)]
+        return None if k == _NO_INDEX else k
 
 
 @dataclass(frozen=True)
-class AxiomResult:
+class Check:
+    """One numbered check of a report; a failed check carries a witness."""
+
     number: int
     description: str
     passed: bool
     witness: str | None = None
 
 
+def _checks(descriptions: dict[int, str],
+            witnesses: dict[int, str | None]) -> tuple[Check, ...]:
+    return tuple(Check(k, text, witnesses[k] is None, witnesses[k])
+                 for k, text in descriptions.items())
+
+
+def _report_dict(key: str, checks: tuple[Check, ...], **fields) -> dict:
+    """JSON form of a report: its checks under key, then fields and the verdict."""
+    return {key: [asdict(c) for c in checks], **fields,
+            "passed": all(c.passed for c in checks)}
+
+
 @dataclass(frozen=True)
 class AxiomReport:
-    axioms: tuple[AxiomResult, ...]
+    axioms: tuple[Check, ...]
     order: int | None       # inferred from line sizes, else the claimed order
     dimension: int | None   # dim of the full point set, if it is in L
 
@@ -175,16 +216,8 @@ class AxiomReport:
         return all(a.passed for a in self.axioms)
 
     def as_dict(self) -> dict:
-        return {
-            "axioms": [
-                {"number": a.number, "description": a.description,
-                 "passed": a.passed, "witness": a.witness}
-                for a in self.axioms
-            ],
-            "order": self.order,
-            "dimension": self.dimension,
-            "passed": self.passed,
-        }
+        return _report_dict("axioms", self.axioms,
+                            order=self.order, dimension=self.dimension)
 
 
 _AXIOM_DESCRIPTIONS = {
@@ -197,11 +230,28 @@ _AXIOM_DESCRIPTIONS = {
 }
 
 
-def _inferred_order(g: IncidenceGeometry) -> int | None:
-    for i, d in enumerate(g.dims):
-        if d == 1:
-            return g.subspaces[i].bit_count() - 1
-    return g.claimed_order
+def _line_order(g: IncidenceGeometry, members: Sequence[int],
+                claimed: int | None) -> tuple[int | None, str | None]:
+    """Order from the first line among members (else claimed) and axiom 6's witness."""
+    masks, dims = g.subspaces, g.dims
+    lines = [i for i in members if dims[i] == 1]
+    if not lines:
+        return claimed, None
+    first = lines[0]
+    first_size = masks[first].bit_count()
+    order = first_size - 1
+    for i in lines:
+        size = masks[i].bit_count()
+        if size != first_size:
+            return order, (f"line {g.describe_subspace(i)} has {size} points but "
+                           f"line {g.describe_subspace(first)} has {first_size}")
+    if order < 1:
+        return order, (f"line {g.describe_subspace(first)} has {first_size} "
+                       f"point(s); inferred order {order} is out of scope")
+    if claimed is not None and claimed != order:
+        return order, (f"lines have {first_size} points (order {order}) but "
+                       f"the claimed order is {claimed}")
+    return order, None
 
 
 def _geometry_dimension(g: IncidenceGeometry) -> int | None:
@@ -212,26 +262,29 @@ def _geometry_dimension(g: IncidenceGeometry) -> int | None:
     return None
 
 
-def validate_axioms(g: IncidenceGeometry) -> AxiomReport:
-    """Check all six axioms; failures are reported with a witness, never thrown.
+def _axiom_witnesses(g: IncidenceGeometry, members: Sequence[int], top: int,
+                     claimed: int | None) -> tuple[dict[int, str | None], int | None]:
+    """Witness (or None) of each axiom on members, and the order from _line_order.
 
-    Witnesses are the first counterexample in canonical order (subspace
-    index order, pairs with i <= j), so reports are deterministic.
+    members are increasing subspace indices: all of L, or for derived
+    property 1 the interval [empty set, S] with top the point set of S.
     """
-    lat = _Lattice(g)
+    lat = g._lattice
     masks, dims = g.subspaces, g.dims
-    ns = len(masks)
+    meets, joins, row = lat.meets, lat.joins, lat.row
 
     # axioms 1 and 5 share the pair loop
     ax1_witness = None
     ax5_witness = None
-    for i in range(ns):
-        for j in range(i, ns):
-            meet = lat.meet_index(i, j)
-            join = lat.join_index(i, j)
-            if (meet is None or join is None):
+    for a, i in enumerate(members):
+        lat.fill(i)
+        r = row[i]
+        for j in members[a:]:
+            meet = meets[r + j]
+            join = joins[r + j]
+            if meet == _NO_INDEX or join == _NO_INDEX:
                 if ax1_witness is None:
-                    missing = "meet" if meet is None else "join"
+                    missing = "meet" if meet == _NO_INDEX else "join"
                     ax1_witness = (f"no {missing} in L for S={g.describe_subspace(i)}"
                                    f" and T={g.describe_subspace(j)}")
             elif ax5_witness is None:
@@ -246,9 +299,10 @@ def validate_axioms(g: IncidenceGeometry) -> AxiomReport:
             break
 
     ax2_witness = None
-    for i in range(ns):
+    for i in members:
         for j in lat.containers[i]:
-            if masks[i] != masks[j] and dims[i] >= dims[j]:
+            mj = masks[j]
+            if mj & top == mj and masks[i] != mj and dims[i] >= dims[j]:
                 ax2_witness = (f"{g.describe_subspace(i)} is properly contained in "
                                f"{g.describe_subspace(j)} but dim does not increase")
                 break
@@ -260,91 +314,76 @@ def validate_axioms(g: IncidenceGeometry) -> AxiomReport:
         ax3_witness = "the empty set is not in L"
     else:
         for b, name in enumerate(g.points):
-            if (1 << b) not in lat.index_of:
+            if top >> b & 1 and (1 << b) not in lat.index_of:
                 ax3_witness = f"singleton {{{name}}} is not in L"
                 break
 
     ax4_witness = None
-    for i in range(ns):
+    for i in members:
         size = masks[i].bit_count()
         if (dims[i] == -1) != (size == 0) or (dims[i] == 0) != (size == 1):
             ax4_witness = f"{g.describe_subspace(i)} has {size} point(s)"
             break
 
-    ax6_witness = None
-    line_sizes = [(i, masks[i].bit_count()) for i in range(ns) if dims[i] == 1]
-    inferred = None
-    if line_sizes:
-        first_i, first_size = line_sizes[0]
-        inferred = first_size - 1
-        for i, size in line_sizes:
-            if size != first_size:
-                ax6_witness = (f"line {g.describe_subspace(i)} has {size} points but "
-                               f"line {g.describe_subspace(first_i)} has {first_size}")
-                break
-        if ax6_witness is None and inferred < 1:
-            ax6_witness = (f"line {g.describe_subspace(first_i)} has {first_size} "
-                           f"point(s); inferred order {inferred} is out of scope")
-        if ax6_witness is None and g.claimed_order is not None \
-                and g.claimed_order != inferred:
-            ax6_witness = (f"lines have {first_size} points (order {inferred}) but "
-                           f"the claimed order is {g.claimed_order}")
-
+    order, ax6_witness = _line_order(g, members, claimed)
     witnesses = {1: ax1_witness, 2: ax2_witness, 3: ax3_witness,
                  4: ax4_witness, 5: ax5_witness, 6: ax6_witness}
-    axioms = tuple(
-        AxiomResult(k, _AXIOM_DESCRIPTIONS[k], witnesses[k] is None, witnesses[k])
-        for k in range(1, 7))
-    order = inferred if line_sizes else g.claimed_order
-    return AxiomReport(axioms=axioms, order=order, dimension=_geometry_dimension(g))
+    return witnesses, order
+
+
+def validate_axioms(g: IncidenceGeometry) -> AxiomReport:
+    """Check all six axioms; failures are reported with a witness, never thrown.
+
+    Witnesses are the first counterexample in canonical order (subspace
+    index order, pairs with i <= j), so reports are deterministic.  Raises
+    BudgetExceeded when |L| reaches LATTICE_CAP (2^16), the size bound of
+    the meet/join table.
+    """
+    full = (1 << len(g.points)) - 1
+    witnesses, order = _axiom_witnesses(g, range(len(g.subspaces)), full,
+                                        g.claimed_order)
+    return AxiomReport(_checks(_AXIOM_DESCRIPTIONS, witnesses), order,
+                       _geometry_dimension(g))
 
 
 # ---------------------------------------------------------------------------
 # consequences of the axioms (checked exhaustively on a validated geometry)
 
 @dataclass(frozen=True)
-class PropertyResult:
-    number: int
-    description: str
-    passed: bool
-    witness: str | None = None
-
-
-@dataclass(frozen=True)
 class DerivedPropertiesReport:
-    properties: tuple[PropertyResult, ...]
+    properties: tuple[Check, ...]
 
     @property
     def passed(self) -> bool:
         return all(p.passed for p in self.properties)
 
     def as_dict(self) -> dict:
-        return {
-            "properties": [
-                {"number": p.number, "description": p.description,
-                 "passed": p.passed, "witness": p.witness}
-                for p in self.properties
-            ],
-            "passed": self.passed,
-        }
+        return _report_dict("properties", self.properties)
 
 
-def _restriction(g: IncidenceGeometry, i: int,
-                 claimed: int | None) -> IncidenceGeometry:
-    mask = g.subspaces[i]
-    bits = [b for b in range(len(g.points)) if mask >> b & 1]
-    reindex = {b: t for t, b in enumerate(bits)}
-    sub_points = tuple(g.points[b] for b in bits)
-    sub_masks, sub_dims = [], []
-    for j, mj in enumerate(g.subspaces):
-        if mj & mask == mj:
-            nm = 0
-            for b in range(len(g.points)):
-                if mj >> b & 1:
-                    nm |= 1 << reindex[b]
-            sub_masks.append(nm)
-            sub_dims.append(g.dims[j])
-    return IncidenceGeometry(sub_points, tuple(sub_masks), tuple(sub_dims), claimed)
+_PROPERTY_DESCRIPTIONS = {
+    1: "every subspace induces a projective geometry of the same order",
+    2: "meet coincides with set intersection",
+    3: "two distinct points lie on one line; two lines share at most one point",
+    4: "joining one outside point raises dimension by exactly one",
+    5: "a hyperplane contains T or meets it one dimension down",
+}
+
+
+def _unique_line_witness(points: Sequence[str],
+                         line_masks: Iterable[int]) -> str | None:
+    """Witness for the first pair of distinct points not on exactly one line."""
+    npts = len(points)
+    pair_lines: dict[tuple[int, int], int] = {}
+    for m in line_masks:
+        bits = [b for b in range(npts) if m >> b & 1]
+        for pair in itertools.combinations(bits, 2):
+            pair_lines[pair] = pair_lines.get(pair, 0) + 1
+    for a, b in itertools.combinations(range(npts), 2):
+        c = pair_lines.get((a, b), 0)
+        if c != 1:
+            return f"points {points[a]} and {points[b]} lie on {c} lines"
+    return None
 
 
 def check_derived_properties(g: IncidenceGeometry) -> DerivedPropertiesReport:
@@ -362,28 +401,34 @@ def check_derived_properties(g: IncidenceGeometry) -> DerivedPropertiesReport:
       4. for S in L and a point x outside S, dim(S join {x}) = dim(S)+1;
       5. for a hyperplane S (dim = dim(P)-1) and any T, either T is
          contained in S or dim(T meet S) = dim(T) - 1.
+
+    Property 1 checks the six axioms on each interval [empty set, S],
+    reading the geometry's one meet/join table.  That matches validating
+    the restriction to S as a geometry of its own whenever L has a join
+    for every pair, as axiom 1 guarantees: an interval's meets are those
+    of L, and so are its joins where L has them.
     """
-    lat = _Lattice(g)
+    lat = g._lattice
     masks, dims = g.subspaces, g.dims
     ns = len(masks)
     npts = len(g.points)
-    order = _inferred_order(g)
+    lat.fill(ns - 1)
+    order, _ = _line_order(g, range(ns), g.claimed_order)
     n = _geometry_dimension(g)
 
     w1 = None
     for i in range(ns):
-        sub = _restriction(g, i, order)
-        rep = validate_axioms(sub)
-        if not rep.passed:
-            failed = next(a for a in rep.axioms if not a.passed)
+        witnesses, _ = _axiom_witnesses(g, lat.contained[i], masks[i], order)
+        failed = next((k for k, w in witnesses.items() if w is not None), None)
+        if failed is not None:
             w1 = (f"restriction to {g.describe_subspace(i)} fails axiom "
-                  f"{failed.number}: {failed.witness}")
+                  f"{failed}: {witnesses[failed]}")
             break
 
     w2 = None
     for i in range(ns):
         for j in range(i, ns):
-            meet = lat.meet_index(i, j)
+            meet = lat.lookup(lat.meets, i, j)
             if meet is None or masks[meet] != masks[i] & masks[j]:
                 w2 = (f"meet of {g.describe_subspace(i)} and {g.describe_subspace(j)}"
                       f" is not their intersection")
@@ -391,19 +436,8 @@ def check_derived_properties(g: IncidenceGeometry) -> DerivedPropertiesReport:
         if w2:
             break
 
-    w3 = None
     lines = [i for i in range(ns) if dims[i] == 1]
-    pair_lines: dict[tuple[int, int], int] = {}
-    for i in lines:
-        bits = [b for b in range(npts) if masks[i] >> b & 1]
-        for pair in itertools.combinations(bits, 2):
-            pair_lines[pair] = pair_lines.get(pair, 0) + 1
-    for pair in itertools.combinations(range(npts), 2):
-        c = pair_lines.get(pair, 0)
-        if c != 1:
-            w3 = (f"points {g.points[pair[0]]} and {g.points[pair[1]]} lie on "
-                  f"{c} lines")
-            break
+    w3 = _unique_line_witness(g.points, [masks[i] for i in lines])
     if w3 is None:
         for i, j in itertools.combinations(lines, 2):
             common = (masks[i] & masks[j]).bit_count()
@@ -413,15 +447,14 @@ def check_derived_properties(g: IncidenceGeometry) -> DerivedPropertiesReport:
                 break
 
     w4 = None
-    singleton_index = {b: lat.index_of.get(1 << b) for b in range(npts)}
     for i in range(ns):
         for b in range(npts):
             if masks[i] >> b & 1:
                 continue
-            si = singleton_index[b]
+            si = lat.index_of.get(1 << b)
             if si is None:
                 continue  # axiom 3 failure, reported there
-            join = lat.join_index(i, si)
+            join = lat.lookup(lat.joins, i, si)
             if join is None or dims[join] != dims[i] + 1:
                 got = "missing" if join is None else f"dim {dims[join]}"
                 w4 = (f"join of {g.describe_subspace(i)} with point "
@@ -437,7 +470,7 @@ def check_derived_properties(g: IncidenceGeometry) -> DerivedPropertiesReport:
             for j in range(ns):
                 if masks[j] & masks[i] == masks[j]:
                     continue
-                meet = lat.meet_index(j, i)
+                meet = lat.lookup(lat.meets, j, i)
                 if meet is None or dims[meet] != dims[j] - 1:
                     got = "missing" if meet is None else f"dim {dims[meet]}"
                     w5 = (f"hyperplane {g.describe_subspace(i)} meets "
@@ -447,17 +480,8 @@ def check_derived_properties(g: IncidenceGeometry) -> DerivedPropertiesReport:
             if w5:
                 break
 
-    descriptions = {
-        1: "every subspace induces a projective geometry of the same order",
-        2: "meet coincides with set intersection",
-        3: "two distinct points lie on one line; two lines share at most one point",
-        4: "joining one outside point raises dimension by exactly one",
-        5: "a hyperplane contains T or meets it one dimension down",
-    }
     witnesses = {1: w1, 2: w2, 3: w3, 4: w4, 5: w5}
-    return DerivedPropertiesReport(tuple(
-        PropertyResult(k, descriptions[k], witnesses[k] is None, witnesses[k])
-        for k in range(1, 6)))
+    return DerivedPropertiesReport(_checks(_PROPERTY_DESCRIPTIONS, witnesses))
 
 
 # ---------------------------------------------------------------------------
@@ -470,7 +494,7 @@ class PointCountCheck(NamedTuple):
 
 
 def _resolved_order(g: IncidenceGeometry) -> int:
-    order = _inferred_order(g)
+    order, _ = _line_order(g, range(len(g.dims)), g.claimed_order)
     return order if order is not None else 1
 
 

@@ -62,10 +62,8 @@ def sl_order(n: int, q: int) -> int:
 
 
 def pgl_order(n: int, q: int) -> int:
-    """|PGL_n(F_q)|; the center of GL is the q - 1 scalar matrices."""
-    order = gl_order(n, q)
-    assert order % (q - 1) == 0
-    return order // (q - 1)
+    """|PGL_n(F_q)|; the center of GL is the q - 1 scalar matrices, so |PGL| = |SL|."""
+    return sl_order(n, q)
 
 
 def psl_order(n: int, q: int) -> int:

@@ -64,17 +64,20 @@ def enumerate_paths(m: int, n: int,
     return [LatticePath(steps, (m, n)) for steps in _iter_step_tuples(m, n)]
 
 
-def path_area(p: LatticePath) -> int:
-    """Area enclosed with the bottom and right walls of the box."""
-    m, _ = p.box
+def _area(steps: tuple[str, ...], m: int) -> int:
     x = 0
     area = 0
-    for step in p.steps:
+    for step in steps:
         if step == RIGHT:
             x += 1
         else:
             area += m - x
     return area
+
+
+def path_area(p: LatticePath) -> int:
+    """Area enclosed with the bottom and right walls of the box."""
+    return _area(p.steps, p.box[0])
 
 
 def area_generating_function(m: int, n: int,
@@ -87,13 +90,6 @@ def area_generating_function(m: int, n: int,
     _check_box(m, n, max_steps)
     counts = [0] * (m * n + 1)
     for steps in _iter_step_tuples(m, n):
-        x = 0
-        area = 0
-        for step in steps:
-            if step == RIGHT:
-                x += 1
-            else:
-                area += m - x
-        counts[area] += 1
+        counts[_area(steps, m)] += 1
     assert sum(counts) == math.comb(m + n, m)
     return QPoly(counts)

@@ -19,7 +19,8 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import DimensionMismatch, GeometryFormatError
-from .geometry import IncidenceGeometry
+from .geometry import (IncidenceGeometry, _geometry_dimension,
+                       _unique_line_witness)
 
 
 @dataclass(frozen=True)
@@ -91,23 +92,7 @@ def validate_plane(p: PlaneStructure) -> PlaneReport:
         j = next(i for i, s in enumerate(sizes) if s != sizes[0])
         w_uniform = f"line 0 has {sizes[0]} points but line {j} has {sizes[j]}"
 
-    w_pairs = None
-    pair_count: dict[tuple[int, int], int] = {}
-    for m in masks:
-        bits = [b for b in range(npts) if m >> b & 1]
-        for a in range(len(bits)):
-            for b in range(a + 1, len(bits)):
-                key = (bits[a], bits[b])
-                pair_count[key] = pair_count.get(key, 0) + 1
-    for a in range(npts):
-        for b in range(a + 1, npts):
-            c = pair_count.get((a, b), 0)
-            if c != 1:
-                w_pairs = (f"points {p.points[a]} and {p.points[b]} lie on "
-                           f"{c} lines")
-                break
-        if w_pairs:
-            break
+    w_pairs = _unique_line_witness(p.points, masks)
 
     w_meets = None
     for i in range(len(masks)):
@@ -170,12 +155,7 @@ def bruck_ryser(order: int) -> BruckRyserVerdict:
 
 def plane_from_geometry(g: IncidenceGeometry) -> PlaneStructure:
     """Extract the lines of a 2-dimensional geometry as a plane structure."""
-    full = (1 << len(g.points)) - 1
-    dim_p = None
-    for i, m in enumerate(g.subspaces):
-        if m == full:
-            dim_p = g.dims[i]
-            break
+    dim_p = _geometry_dimension(g)
     if dim_p != 2:
         raise DimensionMismatch(
             f"geometry has dimension {dim_p}, need 2 to extract a plane")

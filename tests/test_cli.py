@@ -1,8 +1,10 @@
+import itertools
 import json
 
 import pytest
 
 from qproj.cli import run
+from qproj.groups import gl_order
 
 
 def _write(tmp_path, name, doc):
@@ -132,6 +134,26 @@ class TestGeometry:
         res = run(["geometry", "check", "/nonexistent/g.json"])
         assert res.exit_code == 2
 
+    def test_deeply_nested_json_is_format_error(self, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        res = run(["geometry", "check", str(path)])
+        assert res.exit_code == 2
+        assert res.error.startswith("format error:")
+
+    def test_lattice_cap_exit_code(self, tmp_path):
+        # 2^16 subspaces (empty set, singletons, pairs of 362 points)
+        points = [str(i) for i in range(362)]
+        subsets = itertools.chain([()], ((p,) for p in points),
+                                  itertools.combinations(points, 2))
+        subspaces = [{"dim": len(s) - 1, "points": list(s)}
+                     for s in itertools.islice(subsets, 1 << 16)]
+        path = _write(tmp_path, "huge.json",
+                      {"points": points, "subspaces": subspaces})
+        res = run(["geometry", "check", path])
+        assert res.exit_code == 3
+        assert "65536" in res.error and "2^16" in res.error
+
     def test_collineations(self, tmp_path):
         res = run(["geometry", "build", "--projective", "2", "2"])
         path = tmp_path / "fano.json"
@@ -217,6 +239,11 @@ class TestGroup:
         res = run(["group", "order", "PSL", "2", "3", "--brute-force"])
         assert res.exit_code == 0
         assert "brute force: 12 - MATCH" in res.text
+
+    def test_order_past_default_int_str_digit_limit(self):
+        res = run(["group", "order", "GL", "300", "9"])
+        assert res.exit_code == 0
+        assert res.text == f"|GL_300(F_9)| = {gl_order(300, 9)}"
 
     def test_brute_force_cap(self):
         res = run(["group", "order", "PSL", "3", "4", "--brute-force"])

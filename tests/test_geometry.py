@@ -8,6 +8,7 @@ from qproj import (BudgetExceeded, GeometryFormatError, NotAPrimePower,
                    collineation_order, evaluate, geometry_from_json,
                    geometry_to_json, point_count_check, q_integer,
                    subspace_census, validate_axioms)
+from qproj import geometry
 from qproj.geometry import IncidenceGeometry
 
 from util import delete_point, drop_subspace, perturb_dim, standard_mutations
@@ -197,6 +198,26 @@ class TestLatticeEdges:
         g = self._geometry("ab", [(-1, ""), (0, "a"), (0, "b")])
         ax1 = validate_axioms(g).axioms[0]
         assert not ax1.passed
+
+    def test_lattice_cap(self):
+        g = build_boolean_geometry(16, cap=16)  # |L| = 2^16
+        with pytest.raises(BudgetExceeded) as err:
+            validate_axioms(g)
+        assert "65536" in str(err.value) and "2^16" in str(err.value)
+
+    def test_one_lattice_per_geometry(self, monkeypatch):
+        built = []
+
+        class CountingLattice(geometry._Lattice):
+            def __init__(self, g):
+                built.append(g)
+                super().__init__(g)
+
+        monkeypatch.setattr(geometry, "_Lattice", CountingLattice)
+        g = build_projective_space(2, 3)
+        assert validate_axioms(g).passed
+        assert check_derived_properties(g).passed
+        assert built == [g]
 
 
 class TestDerivedProperties:
