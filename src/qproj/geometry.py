@@ -147,7 +147,7 @@ class _Lattice:
         """Compute the table rows up to and including row last."""
         masks, get = self.masks, self.index_of.get
         containers, contained = self.containers, self.contained
-        meets, joins = self.meets, self.joins
+        put_meet, put_join = self.meets.append, self.joins.append
         for i in range(self.filled, last + 1):
             mi = masks[i]
             for j in range(i, len(masks)):
@@ -163,7 +163,7 @@ class _Lattice:
                     # (when no lower bound exists, union is 0 and 0 is in L only if
                     # the empty set is, in which case it would have been a lower bound)
                     k = get(union, _NO_INDEX)
-                meets.append(k)
+                put_meet(k)
                 uni = mi | mj
                 k = get(uni)
                 if k is None:
@@ -174,7 +174,7 @@ class _Lattice:
                         if mu & uni == uni:
                             inter &= mu
                     k = get(inter, _NO_INDEX)
-                joins.append(k)
+                put_join(k)
         self.filled = max(self.filled, last + 1)
 
     def lookup(self, table: array, i: int, j: int) -> int | None:
@@ -278,23 +278,23 @@ def _axiom_witnesses(g: IncidenceGeometry, members: Sequence[int], top: int,
     ax5_witness = None
     for a, i in enumerate(members):
         lat.fill(i)
-        r = row[i]
+        r, di = row[i], dims[i]
         for j in members[a:]:
-            meet = meets[r + j]
-            join = joins[r + j]
+            meet, join = meets[r + j], joins[r + j]
             if meet == _NO_INDEX or join == _NO_INDEX:
                 if ax1_witness is None:
                     missing = "meet" if meet == _NO_INDEX else "join"
                     ax1_witness = (f"no {missing} in L for S={g.describe_subspace(i)}"
                                    f" and T={g.describe_subspace(j)}")
-            elif ax5_witness is None:
-                if dims[i] + dims[j] != dims[meet] + dims[join]:
-                    ax5_witness = (
-                        f"S={g.describe_subspace(i)}, T={g.describe_subspace(j)}: "
-                        f"{dims[i]} + {dims[j]} != {dims[meet]} + {dims[join]} "
-                        f"(meet {g.describe_subspace(meet)}, join {g.describe_subspace(join)})")
-            if ax1_witness and ax5_witness:
-                break
+                    if ax5_witness:
+                        break
+            elif ax5_witness is None and di + dims[j] != dims[meet] + dims[join]:
+                ax5_witness = (
+                    f"S={g.describe_subspace(i)}, T={g.describe_subspace(j)}: "
+                    f"{di} + {dims[j]} != {dims[meet]} + {dims[join]} "
+                    f"(meet {g.describe_subspace(meet)}, join {g.describe_subspace(join)})")
+                if ax1_witness:
+                    break
         if ax1_witness and ax5_witness:
             break
 
