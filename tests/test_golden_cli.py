@@ -104,6 +104,7 @@ def _run_case(name, tmp_path):
     return {"exit_code": res.exit_code, "text": res.text, "error": res.error}
 
 
+@functools.cache
 def _golden():
     return json.loads(GOLDEN.read_text(encoding="utf-8"))
 
