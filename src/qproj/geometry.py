@@ -144,38 +144,47 @@ class _Lattice:
         self.filled = 0  # rows of the table computed so far
 
     def fill(self, last: int) -> None:
-        """Compute the table rows up to and including row last."""
+        """Compute the table rows up to and including row last.
+
+        A row takes the fast path for every pair, then resolves the misses.
+        Meet misses are rare, since in a geometry every intersection is a
+        member, so each is searched on its own.  Join misses are the rule
+        in a projective space, so a row with any recomputes all its joins
+        at once by intersecting each upper bound of i into every member it
+        contains.
+        """
         masks, get = self.masks, self.index_of.get
-        containers, contained = self.containers, self.contained
-        put_meet, put_join = self.meets.append, self.joins.append
         for i in range(self.filled, last + 1):
             mi = masks[i]
-            for j in range(i, len(masks)):
-                mj = masks[j]
-                k = get(mi & mj)
-                if k is None:
-                    union = 0
-                    for lower in contained[i]:
-                        ml = masks[lower]
-                        if ml & mj == ml:
-                            union |= ml
-                    # union of all lower bounds: the meet iff it is itself in L
-                    # (when no lower bound exists, union is 0 and 0 is in L only if
-                    # the empty set is, in which case it would have been a lower bound)
-                    k = get(union, _NO_INDEX)
-                put_meet(k)
-                uni = mi | mj
-                k = get(uni)
-                if k is None:
-                    ci, cj = containers[i], containers[j]
-                    inter = -1  # all bits: with no upper bound, matches nothing in L
-                    for upper in ci if len(ci) <= len(cj) else cj:
-                        mu = masks[upper]
-                        if mu & uni == uni:
-                            inter &= mu
-                    k = get(inter, _NO_INDEX)
-                put_join(k)
+            meets = [get(mi & mj) for mj in masks[i:]]
+            if None in meets:
+                for t, k in enumerate(meets):
+                    if k is None:
+                        meets[t] = self._meet_of_lower_bounds(i, i + t)
+            joins = [get(mi | mj) for mj in masks[i:]]
+            if None in joins:
+                inter = [-1] * len(masks)  # stays all bits where no upper bound exists
+                for k in self.containers[i]:
+                    mk = masks[k]
+                    for j in self.contained[k]:
+                        inter[j] &= mk
+                joins = [get(m, _NO_INDEX) for m in inter[i:]]
+            self.meets.extend(meets)
+            self.joins.extend(joins)
         self.filled = max(self.filled, last + 1)
+
+    def _meet_of_lower_bounds(self, i: int, j: int) -> int:
+        masks = self.masks
+        mj = masks[j]
+        union = 0
+        for k in self.contained[i]:
+            mk = masks[k]
+            if mk & mj == mk:
+                union |= mk
+        # union of all lower bounds: the meet iff it is itself in L
+        # (when no lower bound exists, union is 0 and 0 is in L only if
+        # the empty set is, in which case it would have been a lower bound)
+        return self.index_of.get(union, _NO_INDEX)
 
     def lookup(self, table: array, i: int, j: int) -> int | None:
         """The entry of a filled table (meets or joins) for the pair {i, j}, or None."""
