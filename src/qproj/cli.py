@@ -155,8 +155,7 @@ def _cmd_geometry_check(args):
     lines.append(f"census: {'PASS' if census.passed else 'FAIL'}")
     payload.update({
         "derived_properties": derived.as_dict(),
-        "point_count": {"expected": pc.expected, "actual": pc.actual,
-                        "passed": pc.passed},
+        "point_count": pc._asdict(),
         "census": census.as_dict(),
     })
     ok = derived.passed and pc.passed and census.passed

@@ -107,8 +107,6 @@ class _Lattice:
     2-byte arrays meets and joins hold at row[i] + j the index of the meet
     and join of subspaces i and j, or _NO_INDEX; that width is why |L|
     stays below LATTICE_CAP, which also bounds the O(|L|^2) pair pass.
-    Rows are filled in order on demand, so an axiom check that stops at
-    its witnesses leaves the rest of the pass undone.
 
     The greatest lower bound of S and T, when it exists, must equal the
     union of all lower bounds (it is a lower bound dominating the rest),
@@ -128,16 +126,12 @@ class _Lattice:
         self.index_of: dict[int, int] = {}
         for idx, m in enumerate(masks):
             self.index_of.setdefault(m, idx)
-        containers: list[list[int]] = [[] for _ in range(ns)]
-        contained: list[list[int]] = [[] for _ in range(ns)]
-        for i in range(ns):
-            mi = masks[i]
-            for j in range(ns):
-                if mi & masks[j] == mi:
-                    containers[i].append(j)
-                    contained[j].append(i)
-        self.containers = containers
-        self.contained = contained
+        # containers[i] lists the members containing i, contained[j] those inside j
+        self.containers = [[j for j, mj in enumerate(masks) if mi & mj == mi] for mi in masks]
+        self.contained: list[list[int]] = [[] for _ in range(ns)]
+        for i, above in enumerate(self.containers):
+            for j in above:
+                self.contained[j].append(i)
         self.row = [i * (2 * ns - i - 1) // 2 for i in range(ns)]
         self.meets = array("H")
         self.joins = array("H")
@@ -146,12 +140,11 @@ class _Lattice:
     def fill(self, last: int) -> None:
         """Compute the table rows up to and including row last.
 
-        A row takes the fast path for every pair, then resolves the misses.
-        Meet misses are rare, since in a geometry every intersection is a
-        member, so each is searched on its own.  Join misses are the rule
-        in a projective space, so a row with any recomputes all its joins
-        at once by intersecting each upper bound of i into every member it
-        contains.
+        Rows are filled in order on demand, so an axiom check that stops at
+        its witnesses leaves the rest undone.  Meet misses of the fast path
+        are rare (a geometry's intersections are members) and searched one
+        by one; a row with join misses, the rule in a projective space,
+        intersects each upper bound of i into every member it contains.
         """
         masks, get = self.masks, self.index_of.get
         for i in range(self.filled, last + 1):
@@ -208,12 +201,6 @@ def _checks(descriptions: dict[int, str],
                  for k, text in descriptions.items())
 
 
-def _report_dict(key: str, checks: tuple[Check, ...], **fields) -> dict:
-    """JSON form of a report: its checks under key, then fields and the verdict."""
-    return {key: [asdict(c) for c in checks], **fields,
-            "passed": all(c.passed for c in checks)}
-
-
 @dataclass(frozen=True)
 class AxiomReport:
     axioms: tuple[Check, ...]
@@ -225,8 +212,8 @@ class AxiomReport:
         return all(a.passed for a in self.axioms)
 
     def as_dict(self) -> dict:
-        return _report_dict("axioms", self.axioms,
-                            order=self.order, dimension=self.dimension)
+        return {"axioms": [asdict(a) for a in self.axioms], "order": self.order,
+                "dimension": self.dimension, "passed": self.passed}
 
 
 _AXIOM_DESCRIPTIONS = {
@@ -367,7 +354,8 @@ class DerivedPropertiesReport:
         return all(p.passed for p in self.properties)
 
     def as_dict(self) -> dict:
-        return _report_dict("properties", self.properties)
+        return {"properties": [asdict(p) for p in self.properties],
+                "passed": self.passed}
 
 
 _PROPERTY_DESCRIPTIONS = {
