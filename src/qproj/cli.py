@@ -16,6 +16,7 @@ With --json every payload is wrapped uniformly as
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 from dataclasses import dataclass
@@ -48,6 +49,25 @@ def _poly_text(p: QPoly) -> str:
     if not p:
         return "0"
     return " ".join(str(c) for c in p.coeffs)
+
+
+@contextlib.contextmanager
+def _unlimited_int_digits():
+    """Lift Python's int-to-str digit limit (4300 by default) for printing.
+
+    Exact group orders can pass the limit.  It is lifted only where output
+    is formatted and restored afterwards, so parsing input keeps the guard
+    against quadratic str-to-int conversion.
+    """
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(old)
 
 
 def _load_json(path: str):
@@ -233,7 +253,8 @@ def _cmd_paths_gf(args):
 
 def _cmd_group_order(args):
     report = group_order(args.family, args.n, args.q)
-    lines = [f"|{report.family}_{report.n}(F_{report.q})| = {report.order}"]
+    with _unlimited_int_digits():
+        lines = [f"|{report.family}_{report.n}(F_{report.q})| = {report.order}"]
     payload = {"family": report.family, "n": report.n, "q": report.q,
                "order": report.order, "method": report.method}
     if args.brute_force:
@@ -370,8 +391,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def run(argv: list[str]) -> CommandResult:
     """Parse and execute; printing is left to main()."""
-    if hasattr(sys, "set_int_max_str_digits"):
-        sys.set_int_max_str_digits(0)  # exact orders can pass 4300 digits
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
@@ -391,7 +410,8 @@ def run(argv: list[str]) -> CommandResult:
         command = args.command + (
             f" {args.subcommand}" if getattr(args, "subcommand", None) else "")
         wrapped = {"command": command, "ok": exit_code == EXIT_OK, "data": payload}
-        return CommandResult(exit_code, json.dumps(wrapped, indent=2))
+        with _unlimited_int_digits():
+            return CommandResult(exit_code, json.dumps(wrapped, indent=2))
     return CommandResult(exit_code, "\n".join(lines))
 
 

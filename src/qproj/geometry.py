@@ -118,7 +118,7 @@ class _Lattice:
     """
 
     def __init__(self, g: IncidenceGeometry):
-        self.masks = masks = g.subspaces
+        masks = g.subspaces
         ns = len(masks)
         if ns >= LATTICE_CAP:
             raise BudgetExceeded(
@@ -133,30 +133,24 @@ class _Lattice:
             for j in above:
                 self.contained[j].append(i)
         self.row = [i * (2 * ns - i - 1) // 2 for i in range(ns)]
+        # A row with misses of the fast path, the rule for joins in a
+        # projective space, gathers for every j at once the union of the
+        # lower bounds (resp. the intersection of the upper bounds) of i and j.
         self.meets = array("H")
         self.joins = array("H")
-        self.filled = 0  # rows of the table computed so far
-
-    def fill(self, last: int) -> None:
-        """Compute the table rows up to and including row last.
-
-        Rows are filled in order on demand, so an axiom check that stops at
-        its witnesses leaves the rest undone.  Meet misses of the fast path
-        are rare (a geometry's intersections are members) and searched one
-        by one; a row with join misses, the rule in a projective space,
-        intersects each upper bound of i into every member it contains.
-        """
-        masks, get = self.masks, self.index_of.get
-        for i in range(self.filled, last + 1):
-            mi = masks[i]
+        get = self.index_of.get
+        for i, mi in enumerate(masks):
             meets = [get(mi & mj) for mj in masks[i:]]
             if None in meets:
-                for t, k in enumerate(meets):
-                    if k is None:
-                        meets[t] = self._meet_of_lower_bounds(i, i + t)
+                union = [0] * ns  # stays empty where no lower bound exists
+                for k in self.contained[i]:
+                    mk = masks[k]
+                    for j in self.containers[k]:
+                        union[j] |= mk
+                meets = [get(m, _NO_INDEX) for m in union[i:]]
             joins = [get(mi | mj) for mj in masks[i:]]
             if None in joins:
-                inter = [-1] * len(masks)  # stays all bits where no upper bound exists
+                inter = [-1] * ns  # stays all bits where no upper bound exists
                 for k in self.containers[i]:
                     mk = masks[k]
                     for j in self.contained[k]:
@@ -164,25 +158,6 @@ class _Lattice:
                 joins = [get(m, _NO_INDEX) for m in inter[i:]]
             self.meets.extend(meets)
             self.joins.extend(joins)
-        self.filled = max(self.filled, last + 1)
-
-    def _meet_of_lower_bounds(self, i: int, j: int) -> int:
-        masks = self.masks
-        mj = masks[j]
-        union = 0
-        for k in self.contained[i]:
-            mk = masks[k]
-            if mk & mj == mk:
-                union |= mk
-        # union of all lower bounds: the meet iff it is itself in L
-        # (when no lower bound exists, union is 0 and 0 is in L only if
-        # the empty set is, in which case it would have been a lower bound)
-        return self.index_of.get(union, _NO_INDEX)
-
-    def lookup(self, table: array, i: int, j: int) -> int | None:
-        """The entry of a filled table (meets or joins) for the pair {i, j}, or None."""
-        k = table[self.row[min(i, j)] + max(i, j)]
-        return None if k == _NO_INDEX else k
 
 
 @dataclass(frozen=True)
@@ -273,7 +248,6 @@ def _axiom_witnesses(g: IncidenceGeometry, members: Sequence[int], top: int,
     ax1_witness = None
     ax5_witness = None
     for a, i in enumerate(members):
-        lat.fill(i)
         r, di = row[i], dims[i]
         for j in members[a:]:
             meet, join = meets[r + j], joins[r + j]
@@ -403,13 +377,16 @@ def check_derived_properties(g: IncidenceGeometry) -> DerivedPropertiesReport:
     reading the geometry's one meet/join table.  That matches validating
     the restriction to S as a geometry of its own whenever L has a join
     for every pair, as axiom 1 guarantees: an interval's meets are those
-    of L, and so are its joins where L has them.
+    of L, and so are its joins where L has them.  Where L lacks a join
+    that an interval has (S and T inside two upper bounds whose
+    intersection is not in L), property 1 reports L's missing join on
+    the first such interval, so it is only meaningful once axiom 1 passes.
     """
     lat = g._lattice
     masks, dims = g.subspaces, g.dims
     ns = len(masks)
     npts = len(g.points)
-    lat.fill(ns - 1)
+    meets, joins, row = lat.meets, lat.joins, lat.row
     order, _ = _line_order(g, range(ns), g.claimed_order)
     n = _geometry_dimension(g)
 
@@ -425,8 +402,8 @@ def check_derived_properties(g: IncidenceGeometry) -> DerivedPropertiesReport:
     w2 = None
     for i in range(ns):
         for j in range(i, ns):
-            meet = lat.lookup(lat.meets, i, j)
-            if meet is None or masks[meet] != masks[i] & masks[j]:
+            meet = meets[row[i] + j]
+            if meet == _NO_INDEX or masks[meet] != masks[i] & masks[j]:
                 w2 = (f"meet of {g.describe_subspace(i)} and {g.describe_subspace(j)}"
                       f" is not their intersection")
                 break
@@ -451,9 +428,9 @@ def check_derived_properties(g: IncidenceGeometry) -> DerivedPropertiesReport:
             si = lat.index_of.get(1 << b)
             if si is None:
                 continue  # axiom 3 failure, reported there
-            join = lat.lookup(lat.joins, i, si)
-            if join is None or dims[join] != dims[i] + 1:
-                got = "missing" if join is None else f"dim {dims[join]}"
+            join = joins[row[min(i, si)] + max(i, si)]
+            if join == _NO_INDEX or dims[join] != dims[i] + 1:
+                got = "missing" if join == _NO_INDEX else f"dim {dims[join]}"
                 w4 = (f"join of {g.describe_subspace(i)} with point "
                       f"{g.points[b]} is {got}, expected dim {dims[i] + 1}")
                 break
@@ -467,9 +444,9 @@ def check_derived_properties(g: IncidenceGeometry) -> DerivedPropertiesReport:
             for j in range(ns):
                 if masks[j] & masks[i] == masks[j]:
                     continue
-                meet = lat.lookup(lat.meets, j, i)
-                if meet is None or dims[meet] != dims[j] - 1:
-                    got = "missing" if meet is None else f"dim {dims[meet]}"
+                meet = meets[row[min(i, j)] + max(i, j)]
+                if meet == _NO_INDEX or dims[meet] != dims[j] - 1:
+                    got = "missing" if meet == _NO_INDEX else f"dim {dims[meet]}"
                     w5 = (f"hyperplane {g.describe_subspace(i)} meets "
                           f"{g.describe_subspace(j)} in {got}, expected dim "
                           f"{dims[j] - 1}")

@@ -1,9 +1,10 @@
 import itertools
 import json
+import sys
 
 import pytest
 
-from qproj.cli import run
+from qproj.cli import _unlimited_int_digits, run
 from qproj.groups import gl_order
 
 
@@ -141,6 +142,16 @@ class TestGeometry:
         assert res.exit_code == 2
         assert res.error.startswith("format error:")
 
+    @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                        reason="interpreter has no int-to-str digit limit")
+    def test_huge_integer_literal_is_usage_error(self, tmp_path):
+        # parsing keeps Python's guard against quadratic str-to-int conversion
+        path = tmp_path / "huge_int.json"
+        path.write_text('{"points": ["a"], "subspaces": [{"dim": 1'
+                        + "0" * 5000 + ', "points": []}]}')
+        res = run(["geometry", "check", str(path)])
+        assert res.exit_code == 2
+
     def test_lattice_cap_exit_code(self, tmp_path):
         # 2^16 subspaces (empty set, singletons, pairs of 362 points)
         points = [str(i) for i in range(362)]
@@ -241,9 +252,13 @@ class TestGroup:
         assert "brute force: 12 - MATCH" in res.text
 
     def test_order_past_default_int_str_digit_limit(self):
+        limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
         res = run(["group", "order", "GL", "300", "9"])
         assert res.exit_code == 0
-        assert res.text == f"|GL_300(F_9)| = {gl_order(300, 9)}"
+        assert run(["group", "order", "GL", "300", "9", "--json"]).exit_code == 0
+        assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+        with _unlimited_int_digits():
+            assert res.text == f"|GL_300(F_9)| = {gl_order(300, 9)}"
 
     def test_brute_force_cap(self):
         res = run(["group", "order", "PSL", "3", "4", "--brute-force"])

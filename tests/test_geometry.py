@@ -232,6 +232,16 @@ class TestDerivedProperties:
         assert all(m.bit_count() == 2 for m in lines)
         assert len(lines) == 6
 
+    def test_property_one_reports_a_join_missing_from_L(self):
+        # {a} and {b} lie on two lines, so L has no join for them, while the
+        # interval below either line does; property 1 reads L's table
+        g = IncidenceGeometry.from_point_sets(
+            "abcd", [(-1, ""), (0, "a"), (0, "b"), (0, "c"), (0, "d"),
+                     (1, "abc"), (1, "abd")])
+        prop1 = check_derived_properties(g).properties[0]
+        assert prop1.witness == ("restriction to {a,b,c}(dim 1) fails axiom 1: "
+                                 "no join in L for S={a}(dim 0) and T={b}(dim 0)")
+
     def test_witness_on_corrupted_geometry(self, fano):
         line = next(i for i, d in enumerate(fano.dims) if d == 1)
         report = check_derived_properties(drop_subspace(fano, line))
