@@ -8,6 +8,8 @@ Exit codes are a contract so shell pipelines can tell outcomes apart:
        two-route mismatch, oracle mismatch), witness printed
     2  usage or input-format error
     3  an enumeration budget or cap was exceeded
+    4  internal error: an exception no handler expects, which is a bug,
+       never a verdict
 
 With --json every payload is wrapped uniformly as
 {"command": ..., "ok": ..., "data": {...}}.
@@ -35,6 +37,7 @@ EXIT_OK = 0
 EXIT_VERIFY = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
+EXIT_INTERNAL = 4
 
 
 @dataclass
@@ -121,11 +124,10 @@ def _cmd_subspaces(args):
     payload = {"q": args.q, "n": args.n, "k": args.k,
                "count": len(subs), "expected": expected, "matches": ok}
     if args.list:
-        basis_rows = [s.basis_codes() for s in subs]
-        for rows in basis_rows:
-            lines.append("; ".join(" ".join(str(c) for c in row) for row in rows)
+        for s in subs:
+            lines.append("; ".join(" ".join(str(c) for c in row) for row in s.basis)
                          or "(empty basis)")
-        payload["subspaces"] = [[list(row) for row in rows] for rows in basis_rows]
+        payload["subspaces"] = [[list(row) for row in s.basis] for s in subs]
     if not ok:
         lines.append("MISMATCH: enumeration disagrees with the Gaussian binomial")
         return EXIT_VERIFY, lines, payload
@@ -406,6 +408,9 @@ def run(argv: list[str]) -> CommandResult:
         return CommandResult(EXIT_USAGE, error=f"error: {e}")
     except BudgetExceeded as e:
         return CommandResult(EXIT_BUDGET, error=f"budget exceeded: {e}")
+    except Exception as e:  # a crash must not read as exit 1, "the math disagrees"
+        return CommandResult(EXIT_INTERNAL,
+                             error=f"internal error: {type(e).__name__}: {e}")
     if getattr(args, "json", False):
         command = args.command + (
             f" {args.subcommand}" if getattr(args, "subcommand", None) else "")

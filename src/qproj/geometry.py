@@ -35,7 +35,7 @@ from functools import cached_property
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import BudgetExceeded, GeometryFormatError
-from .gf import FiniteField, make_field
+from .gf import make_field
 from .linalg import SubspaceCanonical, enumerate_subspaces
 from .qcalc import q_binomial_recurrence, q_integer
 
@@ -96,8 +96,8 @@ class IncidenceGeometry:
 # ---------------------------------------------------------------------------
 # lattice machinery
 
-LATTICE_CAP = 1 << 16
-_NO_INDEX = LATTICE_CAP - 1  # table entry for a missing meet or join
+LATTICE_CAP = 4096
+_NO_INDEX = 0xFFFF  # table entry for a missing meet or join
 
 
 class _Lattice:
@@ -105,8 +105,9 @@ class _Lattice:
 
     Built once per geometry (IncidenceGeometry._lattice).  For i <= j the
     2-byte arrays meets and joins hold at row[i] + j the index of the meet
-    and join of subspaces i and j, or _NO_INDEX; that width is why |L|
-    stays below LATTICE_CAP, which also bounds the O(|L|^2) pair pass.
+    and join of subspaces i and j, or _NO_INDEX.  LATTICE_CAP bounds the
+    O(|L|^2) pair pass: at |L| = 4096 (Boolean(12)) the derived properties
+    already take most of a minute.
 
     The greatest lower bound of S and T, when it exists, must equal the
     union of all lower bounds (it is a lower bound dominating the rest),
@@ -120,9 +121,10 @@ class _Lattice:
     def __init__(self, g: IncidenceGeometry):
         masks = g.subspaces
         ns = len(masks)
-        if ns >= LATTICE_CAP:
+        if ns > LATTICE_CAP:
             raise BudgetExceeded(
-                f"|L| = {ns} subspaces; the lattice cap is |L| < {LATTICE_CAP} (2^16)")
+                f"|L| = {ns} subspaces ({ns * (ns + 1) // 2} pairs) exceeds "
+                f"the lattice cap of |L| <= {LATTICE_CAP}")
         self.index_of: dict[int, int] = {}
         for idx, m in enumerate(masks):
             self.index_of.setdefault(m, idx)
@@ -306,8 +308,8 @@ def validate_axioms(g: IncidenceGeometry) -> AxiomReport:
 
     Witnesses are the first counterexample in canonical order (subspace
     index order, pairs with i <= j), so reports are deterministic.  Raises
-    BudgetExceeded when |L| reaches LATTICE_CAP (2^16), the size bound of
-    the meet/join table.
+    BudgetExceeded when |L| is over LATTICE_CAP, which bounds the
+    meet/join table and its pair pass.
     """
     full = (1 << len(g.points)) - 1
     witnesses, order = _axiom_witnesses(g, range(len(g.subspaces)), full,
@@ -539,13 +541,12 @@ def subspace_census(g: IncidenceGeometry) -> CensusReport:
 # ---------------------------------------------------------------------------
 # constructors
 
-def _canonical_coeff_vectors(field: FiniteField, k: int):
-    # all length-k vectors whose first nonzero entry is 1: one per
-    # 1-dimensional subspace of the coefficient space
-    elems = field.elements()
+def _canonical_coeff_vectors(q: int, k: int):
+    # all length-k code vectors over F_q whose first nonzero entry is 1:
+    # one per 1-dimensional subspace of the coefficient space
     for lead in range(k):
-        head = (field.zero,) * lead + (field.one,)
-        for tail in itertools.product(elems, repeat=k - lead - 1):
+        head = (0,) * lead + (1,)
+        for tail in itertools.product(range(q), repeat=k - lead - 1):
             yield head + tail
 
 
@@ -558,13 +559,15 @@ def _subspace_points(sub: SubspaceCanonical) -> list[tuple[int, ...]]:
     canonical form, once.
     """
     field = sub.field
+    add, mul = field.add_table, field.mul_table
     pts = []
-    for coeffs in _canonical_coeff_vectors(field, sub.dim):
-        v = [field.zero] * sub.ambient
+    for coeffs in _canonical_coeff_vectors(field.q, sub.dim):
+        v = [0] * sub.ambient
         for c, row in zip(coeffs, sub.basis):
             if c:
-                v = [a + c * b for a, b in zip(v, row)]
-        pts.append(tuple(e.code for e in v))
+                times = mul[c]
+                v = [add[a][times[b]] for a, b in zip(v, row)]
+        pts.append(tuple(v))
     return pts
 
 
@@ -589,7 +592,7 @@ def build_projective_space(q: int, n: int,
         raise BudgetExceeded(f"{total} subspaces exceed the budget of {budget}")
 
     point_subs = enumerate_subspaces(q, n + 1, 1, budget)
-    point_coords = [tuple(e.code for e in s.basis[0]) for s in point_subs]
+    point_coords = [s.basis[0] for s in point_subs]
     point_index = {coords: i for i, coords in enumerate(point_coords)}
     points = tuple(_point_name(c) for c in point_coords)
 

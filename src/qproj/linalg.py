@@ -8,12 +8,15 @@ pattern and filling the free entries, so each subspace is produced
 exactly once with no dedup bookkeeping.  The span-and-dedupe route is
 deliberately NOT used here; it lives in the test suite as the
 independent oracle.
+
+Vectors are tuples of element codes, indexed straight into the field's
+tables; boxed field elements are accepted only by span_canonical and
+contains, which check that each entry belongs to the field.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import BudgetExceeded, DimensionMismatch, FieldMismatch
@@ -23,88 +26,78 @@ from .qcalc import q_binomial_recurrence
 DEFAULT_SUBSPACE_BUDGET = 10 ** 6
 
 
-@dataclass(frozen=True)
-class MatrixFq:
-    """Dense matrix over a finite field; rows of FieldElement tuples."""
+def rref(field: FiniteField, rows: Sequence[Sequence[int]]
+         ) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """Reduced row echelon form and rank of a matrix of element codes.
 
-    field: FiniteField
-    rows: tuple[tuple[FieldElement, ...], ...]
-
-    def __post_init__(self):
-        for row in self.rows:
-            for e in row:
-                if e.field.key != self.field.key:
-                    raise FieldMismatch("matrix entry from a different field")
-        if len({len(r) for r in self.rows}) > 1:
+    Exact Gaussian elimination, indexing the field's tables directly.
+    """
+    add, mul, neg, inv = field.add_table, field.mul_table, field.neg_table, field.inv_table
+    rows = [list(r) for r in rows]
+    nrows, ncols = len(rows), len(rows[0]) if rows else 0
+    for row in rows:
+        if len(row) != ncols:
             raise ValueError("ragged rows")
-
-    @property
-    def nrows(self) -> int:
-        return len(self.rows)
-
-    @property
-    def ncols(self) -> int:
-        return len(self.rows[0]) if self.rows else 0
-
-    def codes(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(tuple(e.code for e in row) for row in self.rows)
-
-    @classmethod
-    def from_codes(cls, field: FiniteField, codes: Iterable[Iterable[int]]) -> "MatrixFq":
-        return cls(field, tuple(tuple(field.element(c) for c in row) for row in codes))
-
-
-def rref(m: MatrixFq) -> tuple[MatrixFq, int]:
-    """Reduced row echelon form and rank, by exact Gaussian elimination."""
-    field = m.field
-    rows = [list(r) for r in m.rows]
-    nrows, ncols = len(rows), m.ncols
+        if row and (min(row) < 0 or max(row) >= field.q):
+            raise ValueError(f"matrix entry is not a code of F_{field.q}")
     r = 0
     for col in range(ncols):
         pivot = next((i for i in range(r, nrows) if rows[i][col]), None)
         if pivot is None:
             continue
         rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = rows[r][col].inverse()
-        rows[r] = [e * inv for e in rows[r]]
+        scale = mul[inv[rows[r][col]]]
+        rows[r] = [scale[c] for c in rows[r]]
         for i in range(nrows):
             if i != r and rows[i][col]:
-                f = rows[i][col]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+                times = mul[neg[rows[i][col]]]
+                rows[i] = [add[a][times[b]] for a, b in zip(rows[i], rows[r])]
         r += 1
         if r == nrows:
             break
-    return MatrixFq(field, tuple(tuple(row) for row in rows)), r
+    return tuple(tuple(row) for row in rows), r
+
+
+def _codes(field: FiniteField, ambient: int,
+           vector: Sequence[FieldElement]) -> list[int]:
+    """The element codes of a vector of length ambient over field."""
+    if len(vector) != ambient:
+        raise DimensionMismatch("vector length differs from ambient dimension")
+    for e in vector:
+        if e.field.key != field.key:
+            raise FieldMismatch("vector entry from a different field")
+    return [e.code for e in vector]
 
 
 class SubspaceCanonical:
-    """A subspace of F_q^n held as its unique full-rank RREF basis."""
+    """A subspace of F_q^n held as its unique full-rank RREF basis of code rows."""
 
-    __slots__ = ("field", "ambient", "basis", "pivots", "_key")
+    __slots__ = ("field", "ambient", "basis", "pivots")
 
     def __init__(self, field: FiniteField, ambient: int,
-                 basis: tuple[tuple[FieldElement, ...], ...]):
+                 basis: tuple[tuple[int, ...], ...]):
         self.field = field
         self.ambient = ambient
         self.basis = basis
-        pivots = []
-        for i, row in enumerate(basis):
+        pivots: list[int] = []
+        for row in basis:
             if len(row) != ambient:
                 raise ValueError("basis row of wrong length")
-            piv = next((j for j, e in enumerate(row) if e), None)
-            if piv is None:
+            if not any(row):
                 raise ValueError("zero row in a canonical basis")
-            if row[piv].code != 1:
+            if min(row) < 0 or max(row) >= field.q:
+                raise ValueError(f"basis entry is not a code of F_{field.q}")
+            piv = next(itertools.compress(itertools.count(), row))
+            if row[piv] != 1:
                 raise ValueError("pivot entry must be 1")
             if pivots and piv <= pivots[-1]:
                 raise ValueError("pivot columns must strictly increase")
             pivots.append(piv)
+        # a row is zero before its own pivot, so only later pivot columns can fail
         for i, row in enumerate(basis):
-            for l, pj in enumerate(pivots):
-                if l != i and row[pj]:
-                    raise ValueError("nonzero entry in a pivot column")
+            if any(map(row.__getitem__, pivots[i + 1:])):
+                raise ValueError("nonzero entry in a pivot column")
         self.pivots = tuple(pivots)
-        self._key = (field.key, ambient, tuple(tuple(e.code for e in r) for r in basis))
 
     @property
     def dim(self) -> int:
@@ -112,39 +105,38 @@ class SubspaceCanonical:
 
     def contains(self, vector: Sequence[FieldElement]) -> bool:
         """Membership test by reducing the vector against the basis."""
-        v = list(vector)
-        if len(v) != self.ambient:
-            raise DimensionMismatch("vector length differs from ambient dimension")
+        field = self.field
+        v = _codes(field, self.ambient, vector)
+        add, mul, neg = field.add_table, field.mul_table, field.neg_table
         for row, piv in zip(self.basis, self.pivots):
             if v[piv]:
-                f = v[piv]
-                v = [a - f * b for a, b in zip(v, row)]
+                times = mul[neg[v[piv]]]
+                v = [add[a][times[b]] for a, b in zip(v, row)]
         return not any(v)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SubspaceCanonical):
             return NotImplemented
-        return self._key == other._key
+        return (self.basis == other.basis and self.ambient == other.ambient
+                and self.field.key == other.field.key)
 
     def __hash__(self) -> int:
-        return hash(self._key)
-
-    def basis_codes(self) -> tuple[tuple[int, ...], ...]:
-        return self._key[2]
+        return hash((self.ambient, self.basis))
 
     def __repr__(self) -> str:
-        return f"SubspaceCanonical(dim={self.dim}, ambient={self.ambient}, rows={self.basis_codes()})"
+        return f"SubspaceCanonical(dim={self.dim}, ambient={self.ambient}, rows={self.basis})"
+
+
+def _span(field: FiniteField, ambient: int,
+          rows: Sequence[Sequence[int]]) -> SubspaceCanonical:
+    reduced, rank = rref(field, rows)
+    return SubspaceCanonical(field, ambient, reduced[:rank])
 
 
 def span_canonical(field: FiniteField, ambient: int,
                    vectors: Iterable[Sequence[FieldElement]]) -> SubspaceCanonical:
     """Canonical representative of the span of the given vectors."""
-    rows = tuple(tuple(v) for v in vectors)
-    for v in rows:
-        if len(v) != ambient:
-            raise DimensionMismatch("vector length differs from ambient dimension")
-    reduced, rank = rref(MatrixFq(field, rows))
-    return SubspaceCanonical(field, ambient, reduced.rows[:rank])
+    return _span(field, ambient, [_codes(field, ambient, v) for v in vectors])
 
 
 def count_independent_tuples(q: int, n: int, k: int) -> int:
@@ -177,20 +169,23 @@ def enumerate_subspaces(q: int, n: int, k: int,
     if projected > budget:
         raise BudgetExceeded(
             f"{projected} subspaces exceed the budget of {budget}")
-    elems = field.elements()
-    zero, one = field.zero, field.one
     out: list[SubspaceCanonical] = []
     for pivots in itertools.combinations(range(n), k):
-        pivot_set = set(pivots)
-        free_pos = [(i, j) for i in range(k)
-                    for j in range(pivots[i] + 1, n) if j not in pivot_set]
-        for fill in itertools.product(elems, repeat=len(free_pos)):
-            rows = [[zero] * n for _ in range(k)]
-            for i, p in enumerate(pivots):
-                rows[i][p] = one
-            for (i, j), e in zip(free_pos, fill):
-                rows[i][j] = e
-            out.append(SubspaceCanonical(field, n, tuple(tuple(r) for r in rows)))
+        # the free entries of different rows vary independently, so the
+        # matrices are the product of each row's fillings, last row fastest
+        choices = []
+        for p in pivots:
+            free = [j for j in range(p + 1, n) if j not in pivots]
+            fillings = []
+            for fill in itertools.product(range(q), repeat=len(free)):
+                row = [0] * n
+                row[p] = 1
+                for j, c in zip(free, fill):
+                    row[j] = c
+                fillings.append(tuple(row))
+            choices.append(fillings)
+        out.extend(SubspaceCanonical(field, n, rows)
+                   for rows in itertools.product(*choices))
     return out
 
 
@@ -204,7 +199,7 @@ def _check_compatible(a: SubspaceCanonical, b: SubspaceCanonical) -> None:
 def subspace_join(a: SubspaceCanonical, b: SubspaceCanonical) -> SubspaceCanonical:
     """Span of the two subspaces (their least upper bound)."""
     _check_compatible(a, b)
-    return span_canonical(a.field, a.ambient, a.basis + b.basis)
+    return _span(a.field, a.ambient, a.basis + b.basis)
 
 
 def orthogonal_complement(s: SubspaceCanonical) -> SubspaceCanonical:
@@ -215,17 +210,17 @@ def orthogonal_complement(s: SubspaceCanonical) -> SubspaceCanonical:
     that is all the meet computation below needs.
     """
     n = s.ambient
-    field = s.field
+    neg = s.field.neg_table
     pivot_set = set(s.pivots)
     free_cols = [j for j in range(n) if j not in pivot_set]
     vectors = []
     for f in free_cols:
-        v = [field.zero] * n
-        v[f] = field.one
+        v = [0] * n
+        v[f] = 1
         for row, piv in zip(s.basis, s.pivots):
-            v[piv] = -row[f]
-        vectors.append(tuple(v))
-    return span_canonical(field, n, vectors)
+            v[piv] = neg[row[f]]
+        vectors.append(v)
+    return _span(s.field, n, vectors)
 
 
 def subspace_meet(a: SubspaceCanonical, b: SubspaceCanonical) -> SubspaceCanonical:

@@ -16,7 +16,13 @@ from __future__ import annotations
 import functools
 from typing import Iterable, Iterator
 
-from .errors import InexactDivision
+from .errors import BudgetExceeded, InexactDivision
+
+# Largest n for [n]!, [n choose k] and the (x+y)^n expansion.  Their
+# polynomials grow like n^2 in degree and far faster in coefficient size,
+# so n = 120 already takes seconds (the quotient route about 10 s), and
+# the memoized recursions must stay well inside Python's recursion limit.
+MAX_Q_SERIES_N = 120
 
 
 class QPoly:
@@ -194,6 +200,12 @@ def _as_poly(x: "QPoly | int") -> QPoly:
     raise TypeError(f"cannot mix QPoly with {type(x).__name__}")
 
 
+def over_q_series_cap(n: int, size: str) -> BudgetExceeded:
+    """The error for a q-series of size n over MAX_Q_SERIES_N; size says why it costs."""
+    return BudgetExceeded(
+        f"n = {n} ({size}) exceeds the q-series cap of n <= {MAX_Q_SERIES_N}")
+
+
 def q_integer(n: int) -> QPoly:
     """[n] = 1 + q + ... + q^(n-1); the empty sum for n = 0."""
     if n < 0:
@@ -208,6 +220,8 @@ def q_factorial(n: int) -> QPoly:
         raise ValueError("n must be nonnegative")
     if n == 0:
         return QPoly.one()
+    if n > MAX_Q_SERIES_N:
+        raise over_q_series_cap(n, f"[{n}]! has degree {n * (n - 1) // 2}")
     return q_factorial(n - 1) * q_integer(n)
 
 
@@ -226,6 +240,8 @@ def q_binomial_recurrence(n: int, k: int) -> QPoly:
         return QPoly.zero()
     if k == 0 or k == n:
         return QPoly.one()
+    if n > MAX_Q_SERIES_N:
+        raise over_q_series_cap(n, f"[{n} choose {k}] has degree {k * (n - k)}")
     return q_binomial_recurrence(n - 1, k) + q_binomial_recurrence(n - 1, k - 1).shift(n - k)
 
 
@@ -234,10 +250,13 @@ def q_binomial_quotient(n: int, k: int) -> QPoly:
 
     Computed by exact polynomial division.  That the quotient is a
     polynomial at all is not obvious from this formula; a nonzero
-    remainder would raise InexactDivision and flag a bug.
+    remainder would raise InexactDivision and flag a bug.  Over the
+    q-series cap, q_factorial(n) raises BudgetExceeded before any work.
     """
     if n < 0 or k < 0 or k > n:
         raise ValueError("requires 0 <= k <= n")
+    if k == 0 or k == n:
+        return QPoly.one()
     return q_factorial(n).divide_exact(q_factorial(k) * q_factorial(n - k))
 
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import Iterator, Mapping
 
-from .qcalc import QPoly
+from .qcalc import MAX_Q_SERIES_N, QPoly, over_q_series_cap
 
 
 class NoncommPoly:
@@ -108,6 +108,8 @@ def expand_binomial(n: int) -> NoncommPoly:
     """(x + y)^n expanded to normal order; n + 1 terms with keys (k, n-k)."""
     if n < 0:
         raise ValueError("n must be nonnegative")
+    if n > MAX_Q_SERIES_N:
+        raise over_q_series_cap(n, f"(x + y)^{n} has {n + 1} terms")
     xy = NoncommPoly.x() + NoncommPoly.y()
     result = NoncommPoly.one()
     for _ in range(n):

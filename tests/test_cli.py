@@ -3,9 +3,13 @@ import json
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from qproj import cli
 from qproj.cli import _unlimited_int_digits, run
 from qproj.groups import gl_order
+from qproj.qcalc import MAX_Q_SERIES_N
 
 
 def _write(tmp_path, name, doc):
@@ -163,7 +167,7 @@ class TestGeometry:
                       {"points": points, "subspaces": subspaces})
         res = run(["geometry", "check", path])
         assert res.exit_code == 3
-        assert "65536" in res.error and "2^16" in res.error
+        assert "65536" in res.error and "4096" in res.error
 
     def test_collineations(self, tmp_path):
         res = run(["geometry", "build", "--projective", "2", "2"])
@@ -285,3 +289,87 @@ class TestUsage:
 
     def test_help_is_success(self):
         assert run(["--help"]).exit_code == 0
+
+
+class TestQSeriesCap:
+    @pytest.mark.parametrize("argv", [["qbinom", "1200", "1"],
+                                      ["group", "order", "PSL", "1100", "2"],
+                                      ["expand", "121"]])
+    def test_over_cap_is_budget_exit(self, argv):
+        # these used to end in a RecursionError traceback with exit 1
+        res = run(argv)
+        assert res.exit_code == 3
+        assert res.error.startswith("budget exceeded:")
+        assert f"cap of n <= {MAX_Q_SERIES_N}" in res.error
+
+    def test_at_cap_is_answered(self):
+        res = run(["qbinom", str(MAX_Q_SERIES_N), "1"])
+        assert res.exit_code == 0
+        assert res.text == " ".join(["1"] * MAX_Q_SERIES_N)
+
+
+def test_unexpected_exception_is_internal_error(monkeypatch):
+    def broken(args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "_cmd_qbinom", broken)
+    res = run(["qbinom", "4", "2"])
+    assert res.exit_code == cli.EXIT_INTERNAL == 4
+    assert res.error == "internal error: RuntimeError: boom"
+
+
+# --- argv fuzzing: every subcommand, small ints, junk tokens and files -------
+
+# each command with the kinds of its positionals: n a number, f a file, g a family
+_FUZZ_COMMANDS = [(["qbinom"], "nn"), (["expand"], "n"), (["subspaces"], "nnn"),
+                  (["geometry", "build"], ""), (["geometry", "check"], "f"),
+                  (["geometry", "collineations"], "f"), (["geometry", "affine"], "nn"),
+                  (["plane", "check"], "f"), (["plane", "bruck-ryser"], "n"),
+                  (["paths", "gf"], "nn"), (["group", "order"], "gnn"),
+                  (["group", "an"], "n")]
+_FUZZ_FLAGS = ["--json", "--list", "--at", "--budget", "--projective", "--boolean",
+               "--max-points", "--max-steps", "--brute-force", "--help"]
+_FUZZ_JUNK = ["", "x", "-", "--", "1.5", "0x10", "nan", "1e3", "-7", "10000000"]
+
+
+@pytest.fixture(scope="module")
+def fuzz_files(tmp_path_factory):
+    d = tmp_path_factory.mktemp("fuzz")
+    fano = run(["geometry", "build", "--projective", "2", "2"]).text
+    docs = {
+        "fano.json": fano,
+        "fano_minus_line.json": json.dumps(
+            {**json.loads(fano), "subspaces": [
+                s for s in json.loads(fano)["subspaces"] if s["dim"] != 1][:-1]}),
+        "b3.json": run(["geometry", "build", "--boolean", "3"]).text,
+        "plane.json": json.dumps({
+            "points": [f"n{i}" for i in range(7)],
+            "lines": [[f"n{i}", f"n{(i + 1) % 7}", f"n{(i + 3) % 7}"]
+                      for i in range(7)]}),
+        "not_json.json": "geometry?",
+        "deep.json": "[" * 5000 + "]" * 5000,
+        "wrong_shape.json": json.dumps({"points": 3, "lines": {"a": 1}}),
+        "empty_list.json": "[]",
+        "null.json": "null",
+        "bad_dims.json": json.dumps({"points": ["a"], "subspaces": [
+            {"dim": "x", "points": ["a"]}, {"dim": None, "points": None}]}),
+    }
+    for name, text in docs.items():
+        (d / name).write_text(text)
+    return [str(d / name) for name in docs] + [str(d / "missing.json")]
+
+
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_fuzzed_argv_exits_with_a_documented_code(fuzz_files, data):
+    number = st.integers(-2, 4).map(str)
+    kinds = {"n": number, "f": st.sampled_from(fuzz_files),
+             "g": st.sampled_from(["PSL", "gl", "SL", "pgl", "AN"])}
+    command, shape = data.draw(st.sampled_from(_FUZZ_COMMANDS))
+    argv = command + [data.draw(kinds[k]) for k in shape]
+    option = st.tuples(st.sampled_from(_FUZZ_FLAGS), st.lists(number, max_size=2))
+    junk = st.tuples(st.sampled_from(_FUZZ_JUNK + fuzz_files), st.just([]))
+    for flag, values in data.draw(st.lists(st.one_of(option, junk), max_size=3)):
+        argv += [flag, *values]
+    res = run(argv)
+    assert res.exit_code in (0, 1, 2, 3), (argv, res.error)

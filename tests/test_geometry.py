@@ -203,7 +203,13 @@ class TestLatticeEdges:
         g = build_boolean_geometry(16, cap=16)  # |L| = 2^16
         with pytest.raises(BudgetExceeded) as err:
             validate_axioms(g)
-        assert "65536" in str(err.value) and "2^16" in str(err.value)
+        assert "65536" in str(err.value) and "4096" in str(err.value)
+        # one subspace over the cap: 4097 masks over 13 points
+        over = IncidenceGeometry(tuple(f"p{i}" for i in range(13)),
+                                 tuple(range(4097)), (0,) * 4097)
+        with pytest.raises(BudgetExceeded) as err:
+            validate_axioms(over)
+        assert all(s in str(err.value) for s in ("4097", "8394753", "4096"))
 
     def test_one_lattice_per_geometry(self, monkeypatch):
         built = []

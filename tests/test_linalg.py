@@ -4,15 +4,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qproj import (BudgetExceeded, DimensionMismatch, FieldMismatch, MatrixFq,
+from qproj import (BudgetExceeded, DimensionMismatch, FieldMismatch,
                    SubspaceCanonical, count_independent_tuples,
                    enumerate_subspaces, evaluate, make_field,
                    orthogonal_complement, q_binomial_recurrence, rref,
                    span_canonical, subspace_join, subspace_meet)
-
-
-def _mat(q, rows):
-    return MatrixFq.from_codes(make_field(q), rows)
 
 
 # --- independent oracle: span every k-subset of nonzero vectors, dedupe ----
@@ -37,38 +33,44 @@ def spanning_oracle(q, n, k):
 
 class TestRref:
     def test_identity_fixed(self):
-        m = _mat(2, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
-        r, rank = rref(m)
-        assert r.codes() == m.codes()
+        m = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+        r, rank = rref(make_field(2), m)
+        assert r == m
         assert rank == 3
 
     def test_zero_matrix(self):
-        m = _mat(3, [[0, 0], [0, 0]])
-        r, rank = rref(m)
-        assert r.codes() == m.codes()
+        m = ((0, 0), (0, 0))
+        r, rank = rref(make_field(3), m)
+        assert r == m
         assert rank == 0
 
     def test_dependent_rows_over_f3(self):
         # (2,1) = 2 * (1,2) over F_3, so rank 1
-        m = _mat(3, [[1, 2], [2, 1]])
-        r, rank = rref(m)
+        r, rank = rref(make_field(3), [[1, 2], [2, 1]])
         assert rank == 1
-        assert r.codes() == ((1, 2), (0, 0))
+        assert r == ((1, 2), (0, 0))
 
     def test_full_rank_over_f5(self):
-        m = _mat(5, [[2, 1], [1, 1]])
-        r, rank = rref(m)
+        r, rank = rref(make_field(5), [[2, 1], [1, 1]])
         assert rank == 2
-        assert r.codes() == ((1, 0), (0, 1))
+        assert r == ((1, 0), (0, 1))
+
+    def test_malformed_rows_rejected(self):
+        with pytest.raises(ValueError):
+            rref(make_field(2), [[1, 0], [1]])  # ragged
+        with pytest.raises(ValueError):
+            rref(make_field(3), [[1, 3]])  # 3 is not a code of F_3
+        with pytest.raises(ValueError):
+            rref(make_field(3), [[-1, 0]])
 
     @given(st.integers(0, 3 ** 6 - 1))
     @settings(max_examples=60, deadline=None)
     def test_idempotent(self, seed):
         codes = [(seed // 3 ** i) % 3 for i in range(6)]
-        m = _mat(3, [codes[:3], codes[3:]])
-        r1, rank1 = rref(m)
-        r2, rank2 = rref(r1)
-        assert r1.codes() == r2.codes()
+        f = make_field(3)
+        r1, rank1 = rref(f, [codes[:3], codes[3:]])
+        r2, rank2 = rref(f, r1)
+        assert r1 == r2
         assert rank1 == rank2
 
 
@@ -81,7 +83,7 @@ class TestSpanCanonical:
     def test_full_plane_over_f2(self):
         f = make_field(2)
         s = span_canonical(f, 2, [(f.one, f.one), (f.zero, f.one)])
-        assert s.basis_codes() == ((1, 0), (0, 1))
+        assert s.basis == ((1, 0), (0, 1))
 
     def test_collinear_vectors_over_f5(self):
         f = make_field(5)
@@ -89,15 +91,28 @@ class TestSpanCanonical:
         v2 = tuple(f.element(c) for c in (2, 4, 0))
         s = span_canonical(f, 3, [v1, v2])
         assert s.dim == 1
-        assert s.basis_codes() == ((1, 2, 0),)
+        assert s.basis == ((1, 2, 0),)
 
     def test_canonical_invariants_enforced(self):
         f = make_field(2)
         with pytest.raises(ValueError):
-            SubspaceCanonical(f, 2, ((f.zero, f.zero),))  # zero row
+            SubspaceCanonical(f, 2, ((0, 0),))  # zero row
         with pytest.raises(ValueError):
             # pivot columns not increasing
-            SubspaceCanonical(f, 2, ((f.zero, f.one), (f.one, f.zero)))
+            SubspaceCanonical(f, 2, ((0, 1), (1, 0)))
+        with pytest.raises(ValueError):
+            SubspaceCanonical(f, 2, ((1, 2),))  # 2 is not a code of F_2
+
+    def test_vector_from_another_field_rejected(self):
+        f2, f3 = make_field(2), make_field(3)
+        mixed = (f2.one, f3.one)
+        with pytest.raises(FieldMismatch):
+            span_canonical(f2, 2, [mixed])
+        s = span_canonical(f2, 2, [(f2.one, f2.zero)])
+        with pytest.raises(FieldMismatch):
+            s.contains(mixed)
+        with pytest.raises(FieldMismatch):
+            s.contains((f3.zero, f3.zero))  # no arithmetic would touch it
 
 
 class TestEnumeration:
@@ -126,7 +141,7 @@ class TestEnumeration:
     def test_deterministic_order(self):
         a = enumerate_subspaces(3, 4, 2)
         b = enumerate_subspaces(3, 4, 2)
-        assert [s.basis_codes() for s in a] == [s.basis_codes() for s in b]
+        assert [s.basis for s in a] == [s.basis for s in b]
 
     def test_budget(self):
         with pytest.raises(BudgetExceeded):
@@ -166,7 +181,7 @@ class TestMeetJoin:
         e1 = span_canonical(f, 3, [tuple(f.element(c) for c in (1, 0, 0))])
         e2 = span_canonical(f, 3, [tuple(f.element(c) for c in (0, 1, 0))])
         j = subspace_join(e1, e2)
-        assert j.basis_codes() == ((1, 0, 0), (0, 1, 0))
+        assert j.basis == ((1, 0, 0), (0, 1, 0))
 
     def test_planes_in_f2_cubed_meet_in_lines(self):
         planes = enumerate_subspaces(2, 3, 2)

@@ -4,8 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qproj import (InexactDivision, QPoly, evaluate, q_binomial_quotient,
-                   q_binomial_recurrence, q_factorial, q_integer)
+from qproj import (BudgetExceeded, InexactDivision, QPoly, evaluate,
+                   expand_binomial, q_binomial_quotient, q_binomial_recurrence,
+                   q_factorial, q_integer)
+from qproj.qcalc import MAX_Q_SERIES_N
 
 
 class TestQPoly:
@@ -159,3 +161,27 @@ def count_subspaces_product_formula(q, n, k):
         den *= q ** (k - i) - 1
     assert num % den == 0
     return num // den
+
+
+class TestQSeriesCap:
+    @pytest.mark.parametrize("call", [
+        lambda n: q_factorial(n),
+        lambda n: q_binomial_recurrence(n, 3),
+        lambda n: q_binomial_quotient(n, 3),
+        lambda n: expand_binomial(n),
+    ])
+    def test_over_cap_raises_naming_n_and_cap(self, call):
+        n = MAX_Q_SERIES_N + 1
+        with pytest.raises(BudgetExceeded) as err:
+            call(n)
+        assert f"n = {n}" in str(err.value)
+        assert f"cap of n <= {MAX_Q_SERIES_N}" in str(err.value)
+
+    def test_trivial_cases_answered_over_cap(self):
+        assert q_factorial(0) == QPoly.one()
+        for k in (0, 1000):
+            assert q_binomial_recurrence(1000, k) == QPoly.one()
+            assert q_binomial_quotient(1000, k) == QPoly.one()
+        assert q_binomial_recurrence(1000, 1001) == QPoly.zero()
+        with pytest.raises(ValueError):
+            q_binomial_quotient(1000, 1001)
