@@ -587,9 +587,14 @@ def build_projective_space(q: int, n: int,
     if n < 0:
         raise ValueError("n must be nonnegative")
     make_field(q)  # raise NotAPrimePower / BudgetExceeded before any work
-    total = sum(q_binomial_recurrence(n + 1, k).evaluate(q) for k in range(n + 2))
-    if total > budget:
-        raise BudgetExceeded(f"{total} subspaces exceed the budget of {budget}")
+    # a running subspace count; the points go one power of q at a time, so
+    # a large n is refused before any q-binomial is formed
+    for total in itertools.accumulate(itertools.chain(
+            [1], (q ** e for e in range(n + 1)),
+            (q_binomial_recurrence(n + 1, k).evaluate(q) for k in range(2, n + 2)))):
+        if total > budget:
+            raise BudgetExceeded(f"P^{n}(F_{q}) has at least {total} subspaces, "
+                                 f"over the budget of {budget}")
 
     point_subs = enumerate_subspaces(q, n + 1, 1, budget)
     point_coords = [s.basis[0] for s in point_subs]

@@ -8,20 +8,19 @@ is the empty vector).  Everything here is exact; no floats anywhere.
 Gaussian binomial coefficients are computed by two independent routes:
 the Pascal-style recurrence and the q-factorial quotient.  Their
 agreement is one of the identities this package exists to check, so the
-two routes share no code beyond plain polynomial arithmetic.
+two routes share no code beyond plain polynomial arithmetic.  Both are
+plain loops, with no recursion and no memo.
 """
 
 from __future__ import annotations
 
-import functools
 from typing import Iterable, Iterator
 
 from .errors import BudgetExceeded, InexactDivision
 
 # Largest n for [n]!, [n choose k] and the (x+y)^n expansion.  Their
-# polynomials grow like n^2 in degree and far faster in coefficient size,
-# so n = 120 already takes seconds (the quotient route about 10 s), and
-# the memoized recursions must stay well inside Python's recursion limit.
+# polynomials grow like n^2 in degree and far faster in coefficient size;
+# at n = 120 the (x+y)^n expansion still takes seconds.
 MAX_Q_SERIES_N = 120
 
 
@@ -43,13 +42,6 @@ class QPoly:
     @classmethod
     def one(cls) -> "QPoly":
         return cls((1,))
-
-    @classmethod
-    def monomial(cls, k: int, c: int = 1) -> "QPoly":
-        """c * q^k"""
-        if k < 0:
-            raise ValueError("negative exponent")
-        return cls((0,) * k + (c,))
 
     @property
     def coeffs(self) -> tuple[int, ...]:
@@ -126,38 +118,6 @@ class QPoly:
             return self
         return QPoly((0,) * k + self._coeffs)
 
-    def divide_exact(self, divisor: "QPoly") -> "QPoly":
-        """Exact polynomial long division over the integers.
-
-        Raises InexactDivision if the remainder is nonzero or any
-        coefficient step fails to divide; either means an arithmetic bug
-        upstream, since every division performed here is of a product by
-        one of its factors.
-        """
-        if not divisor:
-            raise InexactDivision("division by the zero polynomial")
-        rem = list(self._coeffs)
-        d = divisor._coeffs
-        lead = d[-1]
-        qdeg = len(rem) - len(d)
-        if qdeg < 0:
-            if any(rem):
-                raise InexactDivision("divisor degree exceeds dividend degree")
-            return QPoly()
-        out = [0] * (qdeg + 1)
-        for i in range(qdeg, -1, -1):
-            c = rem[i + len(d) - 1]
-            if c % lead != 0:
-                raise InexactDivision("leading coefficient does not divide")
-            f = c // lead
-            out[i] = f
-            if f:
-                for j, dc in enumerate(d):
-                    rem[i + j] -= f * dc
-        if any(rem):
-            raise InexactDivision("nonzero remainder in exact division")
-        return QPoly(out)
-
     def evaluate(self, value: int) -> int:
         """Value at q = value, by Horner's rule in exact integers."""
         acc = 0
@@ -213,26 +173,48 @@ def q_integer(n: int) -> QPoly:
     return QPoly((1,) * n)
 
 
-@functools.lru_cache(maxsize=None)
+def _times_q_integer(p: QPoly, j: int) -> QPoly:
+    """p * [j]: coefficient d sums those of p at d-j+1..d, a sliding window."""
+    cs = p.coeffs + (0,) * (j - 1)
+    out, window = [], 0
+    for d, c in enumerate(cs):
+        window += c - (cs[d - j] if d >= j else 0)
+        out.append(window)
+    return QPoly(out)
+
+
+def _divide_by_q_integer(p: QPoly, i: int) -> QPoly:
+    """p / [i] = p (1 - q) / (1 - q^i), dividing by 1 - q^i by the recurrence
+    r[d] += r[d - i]; its last i terms are the remainder, and must be zero."""
+    cs = p.coeffs
+    r = [c - prev for c, prev in zip(cs + (0,), (0,) + cs)]
+    for d in range(i, len(r)):
+        r[d] += r[d - i]
+    cut = max(len(r) - i, 0)
+    if any(r[cut:]):
+        raise InexactDivision(f"nonzero remainder dividing by [{i}]")
+    return QPoly(r[:cut])
+
+
 def q_factorial(n: int) -> QPoly:
     """[n]! = [1][2]...[n], with [0]! = 1."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    if n == 0:
-        return QPoly.one()
     if n > MAX_Q_SERIES_N:
         raise over_q_series_cap(n, f"[{n}]! has degree {n * (n - 1) // 2}")
-    return q_factorial(n - 1) * q_integer(n)
+    p = QPoly.one()
+    for j in range(2, n + 1):
+        p = _times_q_integer(p, j)
+    return p
 
 
-@functools.lru_cache(maxsize=None)
 def q_binomial_recurrence(n: int, k: int) -> QPoly:
     """Gaussian binomial via the recurrence route.
 
-    [n choose k] = [n-1 choose k] + q^(n-k) [n-1 choose k-1], with
-    [n choose 0] = [n choose n] = 1.  Out-of-range k gives the zero
-    polynomial, so the recurrence needs no edge guards.  Memoized; the
-    lru_cache lock makes concurrent callers safe.
+    [m choose i] = [m-1 choose i] + q^(m-i) [m-1 choose i-1], with
+    [0 choose 0] = 1 and [0 choose i] = 0 for i > 0.  One row is updated
+    in place for m = 1, ..., n; after step m, row[i] = [m choose i] for
+    every i that [n choose k] still depends on, k - (n - m) <= i <= k.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
@@ -242,22 +224,33 @@ def q_binomial_recurrence(n: int, k: int) -> QPoly:
         return QPoly.one()
     if n > MAX_Q_SERIES_N:
         raise over_q_series_cap(n, f"[{n} choose {k}] has degree {k * (n - k)}")
-    return q_binomial_recurrence(n - 1, k) + q_binomial_recurrence(n - 1, k - 1).shift(n - k)
+    row = [QPoly.one()] + [QPoly.zero()] * k
+    for m in range(1, n + 1):
+        for i in range(min(k, m), max(k - (n - m), 1) - 1, -1):
+            row[i] = row[i] + row[i - 1].shift(m - i)
+    return row[k]
 
 
 def q_binomial_quotient(n: int, k: int) -> QPoly:
     """Gaussian binomial via the quotient route: [n]! / ([k]! [n-k]!).
 
-    Computed by exact polynomial division.  That the quotient is a
-    polynomial at all is not obvious from this formula; a nonzero
-    remainder would raise InexactDivision and flag a bug.  Over the
-    q-series cap, q_factorial(n) raises BudgetExceeded before any work.
+    Formed as [n-k+1]...[n], then divided exactly by [2], ..., [k]; each
+    partial quotient is [n choose k] [k]! / [i]!, a polynomial.  That the
+    quotient is a polynomial at all is not obvious from this formula; a
+    nonzero remainder would raise InexactDivision and flag a bug.
     """
     if n < 0 or k < 0 or k > n:
         raise ValueError("requires 0 <= k <= n")
     if k == 0 or k == n:
         return QPoly.one()
-    return q_factorial(n).divide_exact(q_factorial(k) * q_factorial(n - k))
+    if n > MAX_Q_SERIES_N:
+        raise over_q_series_cap(n, f"[{n} choose {k}] has degree {k * (n - k)}")
+    p = QPoly.one()
+    for j in range(n - k + 1, n + 1):
+        p = _times_q_integer(p, j)
+    for i in range(2, k + 1):
+        p = _divide_by_q_integer(p, i)
+    return p
 
 
 def evaluate(p: QPoly, value: int) -> int:

@@ -156,6 +156,14 @@ class TestGeometry:
         res = run(["geometry", "check", str(path)])
         assert res.exit_code == 2
 
+    @pytest.mark.parametrize("n", ["119", "130", "100000000"])
+    def test_projective_budget_names_n(self, n):
+        # the point count alone refuses these, before any q-binomial is formed
+        res = run(["geometry", "build", "--projective", "2", n])
+        assert res.exit_code == 3
+        assert f"P^{n}(F_2)" in res.error
+        assert "q-series cap" not in res.error
+
     def test_lattice_cap_exit_code(self, tmp_path):
         # 2^16 subspaces (empty set, singletons, pairs of 362 points)
         points = [str(i) for i in range(362)]

@@ -1,13 +1,17 @@
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qproj
 from qproj import (BudgetExceeded, InexactDivision, QPoly, evaluate,
                    expand_binomial, q_binomial_quotient, q_binomial_recurrence,
                    q_factorial, q_integer)
-from qproj.qcalc import MAX_Q_SERIES_N
+from qproj.qcalc import MAX_Q_SERIES_N, _divide_by_q_integer, _times_q_integer
 
 
 class TestQPoly:
@@ -31,14 +35,6 @@ class TestQPoly:
         assert (a * 0) == QPoly.zero()
         assert (a ** 2).coeffs == (1, 2, 1)
         assert a.shift(2).coeffs == (0, 0, 1, 1)
-
-    def test_exact_division(self):
-        a = QPoly([1, 1])
-        b = QPoly([1, 1, 1])
-        assert (a * b).divide_exact(a) == b
-        assert (a * b).divide_exact(b) == a
-        with pytest.raises(InexactDivision):
-            QPoly([1, 0, 1]).divide_exact(QPoly([1, 1]))
 
     def test_evaluate(self):
         p = QPoly([1, 2, 3])
@@ -87,6 +83,21 @@ class TestQInteger:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             q_integer(-1)
+
+    @given(st.lists(st.integers(-50, 50), max_size=10), st.integers(1, 12))
+    @settings(max_examples=120, deadline=None)
+    def test_window_product_and_division_round_trip(self, xs, i):
+        c = QPoly(xs)
+        product = _times_q_integer(c, i)
+        assert product == c * q_integer(i)
+        assert _divide_by_q_integer(product, i) == c
+
+    def test_division_by_non_factor_is_inexact(self):
+        with pytest.raises(InexactDivision):
+            _divide_by_q_integer(QPoly([1, 0, 1]), 2)
+        with pytest.raises(InexactDivision):
+            _divide_by_q_integer(QPoly.one(), 3)
+        assert _divide_by_q_integer(QPoly.zero(), 3) == QPoly.zero()
 
 
 class TestQFactorial:
@@ -176,6 +187,30 @@ class TestQSeriesCap:
             call(n)
         assert f"n = {n}" in str(err.value)
         assert f"cap of n <= {MAX_Q_SERIES_N}" in str(err.value)
+
+    def test_routes_agree_at_cap(self):
+        n = MAX_Q_SERIES_N
+        for k in (1, 7, n // 2):
+            assert q_binomial_recurrence(n, k) == q_binomial_quotient(n, k), k
+        assert q_factorial(n).evaluate(1) == math.factorial(n)
+
+    def test_at_cap_under_a_low_recursion_limit(self):
+        # every q-series function is a loop, so the cap does not depend on
+        # how deep Python lets a call stack grow
+        n = MAX_Q_SERIES_N
+        script = (
+            "import sys\n"
+            "from qproj.qcalc import q_binomial_quotient, q_binomial_recurrence, q_factorial\n"
+            "sys.setrecursionlimit(80)\n"
+            f"q_factorial({n})\n"
+            f"assert q_binomial_recurrence({n}, {n // 2}) == q_binomial_quotient({n}, {n // 2})\n"
+            "print('ok')\n")
+        src = os.path.dirname(os.path.dirname(qproj.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        res = subprocess.run([sys.executable, "-c", script], env=env,
+                             capture_output=True, text=True, timeout=120)
+        assert res.returncode == 0, res.stderr
+        assert res.stdout == "ok\n"
 
     def test_trivial_cases_answered_over_cap(self):
         assert q_factorial(0) == QPoly.one()
