@@ -3,9 +3,11 @@
 golden_cli.json holds, for each command of the corpus, its exit code and
 the exact text and error strings that ``qproj.cli.run`` returned, and,
 for each corpus geometry in which every pair of subspaces has a join,
-the ``as_dict()`` of its derived-property report.  The file was written
-once from the code before the lattice refactor it guards; a change that
-alters any byte of it changes behaviour, not just structure.
+the ``as_dict()`` of its derived-property report.  Each entry was written
+from the code before the refactor it guards (the lattice pass for the
+geometry and plane cases, the integer-coded oracles for the ``paths gf``
+and ``--brute-force`` cases); a change that alters any byte of it
+changes behaviour, not just structure.
 
 To extend the corpus, add the new cases here and write the new entries
 from a commit whose output is trusted:
@@ -61,9 +63,13 @@ def _cases():
         plane_to_json(plane_from_geometry(drop_subspace(fano, fano_line))))
     base["geometry collineations fano"] = (["geometry", "collineations", FILE],
                                            geometry_to_json(fano))
-    base["paths gf 3 3"] = (["paths", "gf", "3", "3"], None)
+    for m, n in ((3, 3), (4, 5), (1, 6), (6, 1)):
+        base[f"paths gf {m} {n}"] = (["paths", "gf", str(m), str(n)], None)
     base["group order SL 3 4"] = (["group", "order", "SL", "3", "4"], None)
     base["group order PGL 4 3"] = (["group", "order", "PGL", "4", "3"], None)
+    for n, q in ((2, 3), (3, 2), (2, 4)):
+        base[f"group order PSL {n} {q} --brute-force"] = (
+            ["group", "order", "PSL", str(n), str(q), "--brute-force"], None)
     cases = {}
     for name, (argv, doc) in base.items():
         cases[name] = (argv, doc)
