@@ -10,8 +10,8 @@ The modulus is the lexicographically smallest monic irreducible of its
 degree, comparing coefficient vectors from the constant term upward, so
 fields are reproducible without any table dependency.  Addition and
 multiplication tables are precomputed at construction (q is capped, 16
-by default); inverses come from the extended Euclidean algorithm on
-coefficient polynomials.
+by default); the inverse of a nonzero code is the column in which its
+row of the multiplication table holds the code 1.
 """
 
 from __future__ import annotations
@@ -85,20 +85,6 @@ def _pdivmod(a: tuple[int, ...], b: tuple[int, ...], p: int):
             for j, bc in enumerate(b):
                 rem[i + j] = (rem[i + j] - f * bc) % p
     return _ptrim(quo), _ptrim(rem)
-
-
-def _pinv_mod(a: tuple[int, ...], modulus: tuple[int, ...], p: int) -> tuple[int, ...]:
-    # extended Euclid: find u with a*u = 1 (mod modulus)
-    r0, r1 = modulus, a
-    s0, s1 = (), (1,)
-    while r1:
-        q, r = _pdivmod(r0, r1, p)
-        r0, r1 = r1, r
-        s0, s1 = s1, _ptrim([(x - y) % p for x, y in
-                             itertools.zip_longest(s0, _pmul(q, s1, p), fillvalue=0)])
-    # r0 is the gcd, a nonzero constant since the modulus is irreducible
-    c_inv = pow(r0[0], p - 2, p)
-    return _ptrim([(c * c_inv) % p for c in s0])
 
 
 def _is_irreducible(f: tuple[int, ...], p: int) -> bool:
@@ -219,18 +205,12 @@ class FiniteField:
         self._build_tables()
 
     def _build_tables(self) -> None:
-        p, d, q = self.p, self.degree, self.q
+        q = self.q
         self.add_table = [[self._add_codes(i, j) for j in range(q)] for i in range(q)]
         self.neg_table = [self._neg_code(i) for i in range(q)]
         self.mul_table = [[self._mul_codes(i, j) for j in range(q)] for i in range(q)]
-        inv = [0] * q
-        for i in range(1, q):
-            if d == 1:
-                inv[i] = pow(i, p - 2, p)  # Fermat in the prime field
-            else:
-                inv[i] = self.coeffs_to_code(
-                    _pinv_mod(self.code_to_coeffs(i), self.modulus, p))
-        self.inv_table = inv
+        # each nonzero row of the multiplication table holds the code 1 once
+        self.inv_table = [0] + [self.mul_table[i].index(1) for i in range(1, q)]
 
     def code_to_coeffs(self, code: int) -> tuple[int, ...]:
         cs = []

@@ -8,9 +8,10 @@ by the q - 1 scalars; PSL uses the closed form
     |PSL_n(F_q)| = q^C(n,2) * (q-1)^(n-1) * [n]_q! / gcd(n, q-1)
 
 with the q-factorial evaluated at q.  A brute-force oracle recounts tiny
-cases by enumerating matrices, and the center it divides by is found by
-direct enumeration of scalar matrices with lambda^n = 1, not by the gcd,
-so oracle and formula stay independent.
+cases by enumerating matrices of element codes and taking determinants
+through the field's add, multiply and negate tables.  The center it
+divides by is found by direct enumeration of scalar matrices with
+lambda^n = 1, not by the gcd, so oracle and formula stay independent.
 
 At q = 1 the PSL formula degenerates: the power of q and the factorial
 specialize fine, but (q-1)^(n-1)/gcd(n, q-1) becomes 0/n, which has no
@@ -27,7 +28,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import BudgetExceeded, DegenerateQ
-from .gf import FieldElement, factor_prime_power, make_field
+from .gf import FiniteField, factor_prime_power, make_field
 from .qcalc import q_factorial
 
 DEFAULT_BRUTE_CAP = 3 ** 9
@@ -97,19 +98,20 @@ def group_order(family: str, n: int, q: int) -> GroupOrderReport:
     return GroupOrderReport(fam, n, q, table[fam](n, q), "formula")
 
 
-def _det(rows: list[tuple[FieldElement, ...]]) -> FieldElement:
-    # cofactor expansion along the first row; fine at brute-force sizes
+def _det(rows: list[tuple[int, ...]], field: FiniteField) -> int:
+    # cofactor expansion along the first row, on element codes; fine at
+    # brute-force sizes
     n = len(rows)
     if n == 1:
         return rows[0][0]
-    field = rows[0][0].field
-    total = field.zero
+    add, mul, neg = field.add_table, field.mul_table, field.neg_table
+    total = 0
     for j in range(n):
         if not rows[0][j]:
             continue
-        minor = [tuple(row[c] for c in range(n) if c != j) for row in rows[1:]]
-        term = rows[0][j] * _det(minor)
-        total = total + term if j % 2 == 0 else total - term
+        minor = [row[:j] + row[j + 1:] for row in rows[1:]]
+        term = mul[rows[0][j]][_det(minor, field)]
+        total = add[total][term if j % 2 == 0 else neg[term]]
     return total
 
 
@@ -118,6 +120,7 @@ def brute_force_psl_order(n: int, q: int, cap: int = DEFAULT_BRUTE_CAP) -> int:
 
     Counts the matrices of determinant one, then divides by the number
     of scalar matrices lambda*I with lambda^n = 1 (the center of SL).
+    Entries are element codes, so 0 and 1 are the field's zero and one.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -125,14 +128,17 @@ def brute_force_psl_order(n: int, q: int, cap: int = DEFAULT_BRUTE_CAP) -> int:
     if q ** (n * n) > cap:
         raise BudgetExceeded(
             f"q^(n^2) = {q ** (n * n)} matrices exceed the cap of {cap}")
-    elems = field.elements()
-    one = field.one
     det_one = 0
-    for entries in itertools.product(elems, repeat=n * n):
+    for entries in itertools.product(range(q), repeat=n * n):
         rows = [entries[i * n:(i + 1) * n] for i in range(n)]
-        if _det(rows) == one:
+        if _det(rows, field) == 1:
             det_one += 1
-    center = sum(1 for lam in elems[1:] if lam ** n == one)
+    center = 0
+    for lam in range(1, q):
+        power = 1
+        for _ in range(n):
+            power = field.mul_table[power][lam]
+        center += power == 1
     assert det_one % center == 0
     return det_one // center
 

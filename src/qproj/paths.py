@@ -3,10 +3,15 @@
 A path from (0,0) to (m,n) takes unit steps right (R) and up (U).  The
 area statistic is the area between the path and the bottom and right
 walls of the m-by-n box: each up step taken at horizontal position x
-contributes a row of m - x unit cells.  Summing q^area over all paths
-gives a polynomial that coincides with the Gaussian binomial
-[m+n choose m]_q; that identity is what pins the area convention down,
-and it is asserted wherever these paths are used.
+contributes a row of m - x unit cells, so the area counts the pairs
+(up step, later right step).  Summing q^area over all paths gives a
+polynomial that coincides with the Gaussian binomial [m+n choose m]_q;
+that identity is what pins the area convention down, and it is asserted
+wherever these paths are used.
+
+The area generating function reads each path as the positions of its R
+steps and takes the area from their sum; LatticePath and its step
+strings are built only when paths are listed.
 """
 
 from __future__ import annotations
@@ -46,50 +51,45 @@ def _check_box(m: int, n: int, max_steps: int) -> None:
             f"{m}+{n} steps exceed the path budget of {max_steps}")
 
 
-def _iter_step_tuples(m: int, n: int):
-    # choosing the R positions in lexicographic order enumerates the
-    # step strings in lexicographic order with R < U
-    total = m + n
-    for rpos in itertools.combinations(range(total), m):
-        steps = [UP] * total
-        for i in rpos:
-            steps[i] = RIGHT
-        yield tuple(steps)
-
-
 def enumerate_paths(m: int, n: int,
                     max_steps: int = DEFAULT_MAX_STEPS) -> list[LatticePath]:
     """All C(m+n, m) monotone paths, lexicographic with R before U."""
     _check_box(m, n, max_steps)
-    return [LatticePath(steps, (m, n)) for steps in _iter_step_tuples(m, n)]
+    total = m + n
+    paths = []
+    # choosing the R positions in lexicographic order enumerates the
+    # step strings in lexicographic order with R < U
+    for rpos in itertools.combinations(range(total), m):
+        steps = [UP] * total
+        for i in rpos:
+            steps[i] = RIGHT
+        paths.append(LatticePath(tuple(steps), (m, n)))
+    return paths
 
 
-def _area(steps: tuple[str, ...], m: int) -> int:
-    x = 0
-    area = 0
-    for step in steps:
-        if step == RIGHT:
-            x += 1
-        else:
-            area += m - x
-    return area
+def _area(rpos: tuple[int, ...], m: int) -> int:
+    # the i-th R step (0-based) at position p has p - i up steps before
+    # it, and each (U before R) pair is one cell of the area
+    return sum(rpos) - m * (m - 1) // 2
 
 
 def path_area(p: LatticePath) -> int:
     """Area enclosed with the bottom and right walls of the box."""
-    return _area(p.steps, p.box[0])
+    return _area(tuple(i for i, step in enumerate(p.steps) if step == RIGHT),
+                 p.box[0])
 
 
 def area_generating_function(m: int, n: int,
                              max_steps: int = DEFAULT_MAX_STEPS) -> QPoly:
     """Sum of q^area over all paths in the m-by-n box.
 
-    Equals the Gaussian binomial [m+n choose m]_q; checked in the tests
-    and by the CLI rather than assumed here.
+    Each path is read as the positions of its R steps, with no step
+    tuple built.  Equals the Gaussian binomial [m+n choose m]_q; checked
+    in the tests and by the CLI rather than assumed here.
     """
     _check_box(m, n, max_steps)
     counts = [0] * (m * n + 1)
-    for steps in _iter_step_tuples(m, n):
-        counts[_area(steps, m)] += 1
+    for rpos in itertools.combinations(range(m + n), m):
+        counts[_area(rpos, m)] += 1
     assert sum(counts) == math.comb(m + n, m)
     return QPoly(counts)

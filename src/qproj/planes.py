@@ -19,8 +19,8 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import DimensionMismatch, GeometryFormatError
-from .geometry import (IncidenceGeometry, _geometry_dimension,
-                       _unique_line_witness)
+from .geometry import (Check, IncidenceGeometry, _checks,
+                       _geometry_dimension, _unique_line_witness)
 
 
 @dataclass(frozen=True)
@@ -35,15 +35,8 @@ class PlaneStructure:
 
 
 @dataclass(frozen=True)
-class PlaneCheck:
-    description: str
-    passed: bool
-    witness: str | None = None
-
-
-@dataclass(frozen=True)
 class PlaneReport:
-    checks: tuple[PlaneCheck, ...]
+    checks: tuple[Check, ...]
     order: int | None
     uniform_line_sizes: bool
     at_least_three_points: bool  # the hypothesis that already forces uniformity
@@ -53,6 +46,7 @@ class PlaneReport:
         return all(c.passed for c in self.checks)
 
     def as_dict(self) -> dict:
+        # `plane check --json` lists the checks without their numbers
         return {
             "checks": [
                 {"description": c.description, "passed": c.passed,
@@ -107,14 +101,12 @@ def validate_plane(p: PlaneStructure) -> PlaneReport:
         if w_meets:
             break
 
-    checks = (
-        PlaneCheck("not all points lie on one line", w_span is None, w_span),
-        PlaneCheck("every line has the same number of points", uniform, w_uniform),
-        PlaneCheck("each pair of distinct points is on a unique line",
-                   w_pairs is None, w_pairs),
-        PlaneCheck("each pair of distinct lines meets in a unique point",
-                   w_meets is None, w_meets),
-    )
+    checks = _checks(
+        {1: "not all points lie on one line",
+         2: "every line has the same number of points",
+         3: "each pair of distinct points is on a unique line",
+         4: "each pair of distinct lines meets in a unique point"},
+        {1: w_span, 2: w_uniform, 3: w_pairs, 4: w_meets})
     at_least_three = bool(sizes) and min(sizes) >= 3
     return PlaneReport(checks, order if uniform else None,
                        uniform, at_least_three)

@@ -64,7 +64,8 @@ class TestPslOrder:
 
 
 class TestBruteForce:
-    @pytest.mark.parametrize("n,q,expected", [(2, 2, 6), (2, 3, 12), (3, 2, 168)])
+    @pytest.mark.parametrize("n,q,expected", [(2, 2, 6), (2, 3, 12), (3, 2, 168),
+                                              (2, 4, 60), (2, 8, 504), (2, 9, 360)])
     def test_matches_formula(self, n, q, expected):
         assert brute_force_psl_order(n, q) == expected
         assert brute_force_psl_order(n, q) == psl_order(n, q)

@@ -50,6 +50,25 @@ def test_area_extremes():
         assert path_area(top) == m * n
 
 
+def _walk_area(p):
+    # an up step taken at horizontal position x adds a row of m - x cells
+    m = p.box[0]
+    x = area = 0
+    for step in p.steps:
+        if step == "R":
+            x += 1
+        else:
+            area += m - x
+    return area
+
+
+def test_area_matches_step_walk():
+    for m in range(1, 6):
+        for n in range(1, 6):
+            for p in enumerate_paths(m, n):
+                assert path_area(p) == _walk_area(p), str(p)
+
+
 def test_step_count_enforced():
     with pytest.raises(ValueError):
         LatticePath(("R", "R"), (1, 1))
