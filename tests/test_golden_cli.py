@@ -47,6 +47,16 @@ def _geometries():
 
 
 @functools.cache
+def _collineation_geometries():
+    """The collineation cases besides Fano: every corpus family on <= 9 points."""
+    geoms = {name: g for name, g in _geometries().items()
+             if len(g.points) <= 9 and name != "P2(F2)"}
+    geoms["Boolean(6)"] = build_boolean_geometry(6)
+    geoms["P1(F7)"] = build_projective_space(7, 1)
+    return geoms
+
+
+@functools.cache
 def _cases():
     """name -> (argv with FILE standing for the input path, input document)."""
     geoms = _geometries()
@@ -63,6 +73,12 @@ def _cases():
         plane_to_json(plane_from_geometry(drop_subspace(fano, fano_line))))
     base["geometry collineations fano"] = (["geometry", "collineations", FILE],
                                            geometry_to_json(fano))
+    base["geometry collineations fano --max-points 6"] = (
+        ["geometry", "collineations", FILE, "--max-points", "6"],
+        geometry_to_json(fano))
+    for name, g in _collineation_geometries().items():
+        base[f"geometry collineations {name}"] = (
+            ["geometry", "collineations", FILE], geometry_to_json(g))
     for m, n in ((3, 3), (4, 5), (1, 6), (6, 1)):
         base[f"paths gf {m} {n}"] = (["paths", "gf", str(m), str(n)], None)
     base["group order SL 3 4"] = (["group", "order", "SL", "3", "4"], None)
