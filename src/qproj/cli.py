@@ -334,10 +334,12 @@ def _build_parser() -> argparse.ArgumentParser:
     add_json(p)
     p.set_defaults(handler=_cmd_geometry_check)
 
-    p = gsub.add_parser("collineations", help="brute-force collineation count")
+    p = gsub.add_parser("collineations",
+                        help="collineation group order by orbit-stabiliser search")
     p.add_argument("file")
     p.add_argument("--max-points", type=int,
-                   default=geo.DEFAULT_COLLINEATION_CAP)
+                   default=geo.DEFAULT_COLLINEATION_CAP,
+                   help="refuse more points than this (default %(default)s)")
     add_json(p)
     p.set_defaults(handler=_cmd_geometry_collineations)
 

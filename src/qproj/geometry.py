@@ -41,6 +41,7 @@ from .qcalc import q_binomial_recurrence, q_integer
 
 DEFAULT_BOOLEAN_CAP = 12
 DEFAULT_COLLINEATION_CAP = 9
+DEFAULT_COLLINEATION_NODES = 10 ** 7  # search nodes, about 20 s of search
 DEFAULT_GEOMETRY_BUDGET = 10 ** 6
 
 
@@ -648,46 +649,214 @@ def affine_decomposition(q: int, n: int,
 # collineations
 
 def collineation_order(g: IncidenceGeometry,
-                       max_points: int = DEFAULT_COLLINEATION_CAP) -> int:
-    """Count point permutations that map the subspace family onto itself.
+                       max_points: int = DEFAULT_COLLINEATION_CAP,
+                       max_nodes: int = DEFAULT_COLLINEATION_NODES) -> int:
+    """Count the point permutations that map the subspace family onto itself.
 
-    Brute force over all |P|! permutations; a permutation is a
-    collineation iff the image of every member of L is again in L
-    (dimension preservation follows, since dim is determined by the
-    containment lattice).  The empty set and the full set are fixed by
-    every permutation, and when all singletons are present their images
-    are automatically present, so those members are skipped.
+    The group G is counted without listing it.  Take a base b_1, ...,
+    b_|P| of all points, each next point sharing the most members with
+    those already taken.  Then |G| is the product over i of the size of
+    the orbit of b_i under the pointwise stabiliser G_i of b_1 ... b_(i-1)
+    (Sims).  The levels run from the last base point to the first, so the
+    maps found at deeper levels lie in G_i and their orbits are known.  A
+    depth-first search, stopped at its first hit, decides whether b_i -> p
+    extends to a collineation for one p in each orbit of the maps found so
+    far; the orbit of a refused p is refused, and each map found is kept.
+
+    The search maps the base points in order.  Each prune is a test that
+    every collineation passes, so the count is exact on any family,
+    corrupted ones included; it reads member sizes, never the declared
+    dims.  A collineation maps the members through a point onto those
+    through its image, so the image of b_d must lie in as many members of
+    each size as b_d.  For a member m through b_d, let M be the points
+    mapped so far and A the image of m & M.  A collineation s extending
+    the map sends m to a member that contains A, so the intersection C of
+    all members containing A exists, lies inside s(m), has |C| <= |m|,
+    and meets s(M) in s(m & M) = A.  A member inside M must map onto a
+    member.  Every map the search accepts is then checked member by
+    member, as a permutation is a collineation iff the image of every
+    member is a member (dims follow, being fixed by containment).
+
+    max_points caps |P| before any work.  The search raises
+    BudgetExceeded when it visits more than max_nodes nodes (one per
+    image tried for a base point).
     """
     npts = len(g.points)
     if npts > max_points:
         raise BudgetExceeded(
             f"{npts} points exceed the collineation cap of {max_points}")
-    mask_set = set(g.subspaces)
-    full = (1 << npts) - 1
-    all_singletons = all((1 << b) in mask_set for b in range(npts))
-    candidates = []
-    for m in mask_set:
-        size = m.bit_count()
-        if m == 0 or m == full:
-            continue
-        if size == 1 and all_singletons:
-            continue
-        candidates.append(m)
-    candidates.sort(key=lambda m: (m.bit_count(), m))  # small subspaces fail fastest
-    cand_bits = [tuple(b for b in range(npts) if m >> b & 1) for m in candidates]
+    return _CollineationSearch(g, max_nodes).order()
 
-    count = 0
-    for perm in itertools.permutations(range(npts)):
-        pbit = [1 << p for p in perm]
-        for bits in cand_bits:
-            nm = 0
-            for b in bits:
-                nm |= pbit[b]
-            if nm not in mask_set:
-                break
-        else:
-            count += 1
-    return count
+
+def _bits(mask: int):
+    """The indices of the set bits of mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _orbit(points: Iterable[int], maps: list[list[int]]) -> set[int]:
+    """The closure of a point set under a list of permutations."""
+    orbit = set(points)
+    frontier = list(orbit)
+    while frontier:
+        x = frontier.pop()
+        for s in maps:
+            if s[x] not in orbit:
+                orbit.add(s[x])
+                frontier.append(s[x])
+    return orbit
+
+
+class _CollineationSearch:
+    """The base, its per-depth member tests and the node count of one count."""
+
+    def __init__(self, g: IncidenceGeometry, max_nodes: int):
+        npts = len(g.points)
+        self.max_nodes = max_nodes
+        self.nodes = 0
+        self.members = sorted(set(g.subspaces))
+        self.member_set = set(self.members)
+        self.closures: dict[int, int] = {}  # at most one per node and trace
+        # through[x]: the members containing x, as a bitset over member indices
+        self.through = [0] * npts
+        for k, m in enumerate(self.members):
+            for x in _bits(m):
+                self.through[x] |= 1 << k
+        sizes = [sorted(self.members[k].bit_count() for k in _bits(t))
+                 for t in self.through]
+        self.alike = [[y for y in range(npts) if sizes[y] == sizes[x]]
+                      for x in range(npts)]
+
+        self.base: list[int] = []
+        met, rest = 0, list(range(npts))
+        while rest:
+            x = max(rest, key=lambda y: (self.through[y] & met).bit_count())
+            rest.remove(x)
+            self.base.append(x)
+            met |= self.through[x]
+        depth = {x: d for d, x in enumerate(self.base)}
+
+        # At depth d the d-th base point x gets its image.  complete[d]
+        # lists the members through x inside the mapped points M, and
+        # partial[d] the traces m & M of the other members m through x,
+        # each with the least |m|, both as tuples of depths.  A trace that
+        # is itself a member is in complete[d], and once its image is a
+        # member the trace test passes on it, so partial[d] leaves it out.
+        self.complete: list[list[tuple[int, ...]]] = []
+        self.partial: list[list[tuple[tuple[int, ...], int]]] = []
+        mapped = 0
+        for x in self.base:
+            mapped |= 1 << x
+            complete, partial = [], {}
+            for k in _bits(self.through[x]):
+                m = self.members[k]
+                trace = m & mapped
+                if trace == m:
+                    complete.append(tuple(depth[y] for y in _bits(m)))
+                elif trace not in self.member_set:
+                    size = min(partial.get(trace, m.bit_count()), m.bit_count())
+                    partial[trace] = size
+            self.complete.append(complete)
+            self.partial.append([(tuple(depth[y] for y in _bits(t)), size)
+                                 for t, size in partial.items()])
+
+    def order(self) -> int:
+        maps: list[list[int]] = []  # collineations found, as point -> image
+        total = 1
+        for i in reversed(range(len(self.base))):
+            b = self.base[i]
+            fixed = set(self.base[:i])
+            orbit, refused = {b}, set()
+            for p in self.alike[b]:
+                if p in fixed or p in orbit or p in refused:
+                    continue
+                s = self._extend(i, p)
+                if s is None:
+                    refused |= _orbit([p], maps)
+                else:
+                    maps.append(s)
+                    orbit = _orbit(orbit, maps)
+                    refused = _orbit(refused, maps)
+            total *= len(orbit)
+        return total
+
+    def _extend(self, start: int, p: int) -> list[int] | None:
+        """A collineation fixing the first start base points and mapping the
+        next one to p, as point -> image, or None."""
+        base = self.base
+        n = len(base)
+        images = [1 << x for x in base[:start]] + [0] * (n - start)  # as bits
+        used = sum(images)
+        stack = [iter((p,))]  # stack[-1] holds the untried images at depth d
+        while stack:
+            d = start + len(stack) - 1
+            for y in stack[-1]:
+                self.nodes += 1
+                if self.nodes > self.max_nodes:
+                    raise BudgetExceeded(
+                        f"collineation search visited {self.nodes} nodes, over "
+                        f"the node budget of {self.max_nodes}")
+                images[d] = 1 << y
+                if self._fits(d, images, used | images[d]):
+                    break
+            else:
+                stack.pop()
+                if stack:
+                    used ^= images[d - 1]
+                continue
+            used |= images[d]
+            if d + 1 < n:
+                stack.append(iter([y for y in self.alike[base[d + 1]]
+                                   if not used >> y & 1]))
+                continue
+            s = [0] * n
+            for x, bit in zip(base, images):
+                s[x] = bit.bit_length() - 1
+            if self._is_collineation(s):
+                return s
+            used ^= images[d]
+        return None
+
+    def _fits(self, d: int, images: list[int], used: int) -> bool:
+        member_set = self.member_set
+        for depths in self.complete[d]:
+            a = 0
+            for j in depths:
+                a |= images[j]
+            if a not in member_set:
+                return False
+        for depths, size in self.partial[d]:
+            a = 0
+            for j in depths:
+                a |= images[j]
+            c = self._closure(a)
+            if c & used != a or c.bit_count() > size:
+                return False
+        return True
+
+    def _closure(self, a: int) -> int:
+        """The intersection of all members containing a; 0 when there is none."""
+        c = self.closures.get(a)
+        if c is None:
+            supersets = -1  # a is never empty, so this ends finite
+            for x in _bits(a):
+                supersets &= self.through[x]
+            c = -1 if supersets else 0
+            for k in _bits(supersets):
+                c &= self.members[k]
+            self.closures[a] = c
+        return c
+
+    def _is_collineation(self, s: list[int]) -> bool:
+        for m in self.members:
+            image = 0
+            for x in _bits(m):
+                image |= 1 << s[x]
+            if image not in self.member_set:
+                return False
+        return True
 
 
 # ---------------------------------------------------------------------------

@@ -10,9 +10,11 @@ import math
 import time
 
 from qproj import (BruckRyserVerdict, brute_force_psl_order,
-                   bruck_ryser, collineation_order, count_independent_tuples,
-                   enumerate_subspaces, evaluate, expand_binomial, gl_order,
-                   make_field, nc_coefficient, point_count_check, psl_order,
+                   bruck_ryser, build_boolean_geometry, build_projective_space,
+                   collineation_order, count_independent_tuples,
+                   enumerate_subspaces, evaluate, expand_binomial,
+                   factor_prime_power, gl_order, make_field, nc_coefficient,
+                   pgl_order, point_count_check, psl_order,
                    q_binomial_quotient, q_binomial_recurrence,
                    span_canonical, subspace_census, validate_axioms,
                    area_generating_function)
@@ -121,7 +123,6 @@ def test_criterion_8_collineation_counts(geometry_corpus):
     t0 = time.time()
     assert collineation_order(geometry_corpus["P2(F2)"]) == 168
     assert collineation_order(geometry_corpus["P1(F2)"]) == 6
-    from qproj import build_boolean_geometry
     for n in range(1, 9):
         g = build_boolean_geometry(n)
         assert collineation_order(g) == math.factorial(n), n
@@ -153,3 +154,25 @@ def test_criterion_10_bruck_ryser():
     assert annotated.exit_code == 0
     assert "no projective plane of order 10" in annotated.text
     _verdict(10, "order 6 fails, 10 passes with annotation, 12 not applicable", t0)
+
+
+def test_criterion_11_collineation_groups_are_pgammal():
+    # the formula side reads only pgl_order and factor_prime_power: by the
+    # fundamental theorem of projective geometry the collineations of
+    # P^n(F_q), n >= 2, form PGammaL_(n+1)(F_q), of order |PGL| * e for
+    # q = p^e; every permutation of a projective line is a collineation;
+    # and at q = 1 the group is S_n, the paper's GL_n(F_1)
+    t0 = time.time()
+    for q, n in ((3, 2), (2, 3), (4, 2), (5, 2), (3, 3)):
+        g = build_projective_space(q, n)
+        _, e = factor_prime_power(q)
+        assert collineation_order(g, max_points=len(g.points)) \
+            == pgl_order(n + 1, q) * e, (q, n)
+    for q in (2, 3, 4, 5, 7, 8, 9):
+        g = build_projective_space(q, 1)
+        assert collineation_order(g, max_points=q + 1) == math.factorial(q + 1), q
+    for n in range(1, 13):
+        g = build_boolean_geometry(n)
+        assert collineation_order(g, max_points=n) == math.factorial(n), n
+    _verdict(11, "collineations: PGammaL on P2(F3), P3(F2), P2(F4), P2(F5), "
+                 "P3(F3); (q+1)! on P1(F_q); n! on Boolean(n) for n <= 12", t0)

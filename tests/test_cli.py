@@ -191,6 +191,9 @@ class TestGeometry:
         path.write_text(res.text)
         out = run(["geometry", "collineations", str(path)])
         assert out.exit_code == 3
+        out = run(["geometry", "collineations", str(path), "--max-points", "13"])
+        assert out.exit_code == 0
+        assert out.text == "collineations: 5616"  # |PGammaL_3(F_3)| = |PGL_3(F_3)|
 
     def test_affine(self):
         res = run(["geometry", "affine", "3", "2"])

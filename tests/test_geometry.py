@@ -1,6 +1,9 @@
+import functools
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qproj import (BudgetExceeded, GeometryFormatError, NotAPrimePower,
                    affine_decomposition, build_boolean_geometry,
@@ -11,7 +14,48 @@ from qproj import (BudgetExceeded, GeometryFormatError, NotAPrimePower,
 from qproj import geometry
 from qproj.geometry import IncidenceGeometry
 
-from util import delete_point, drop_subspace, perturb_dim, standard_mutations
+from util import (delete_point, drop_subspace, perturb_dim, standard_mutations,
+                  sweep_collineation_order)
+
+
+@functools.cache
+def _mutant_bases():
+    return (build_projective_space(2, 2), build_projective_space(3, 1),
+            build_projective_space(4, 1), build_boolean_geometry(4),
+            build_boolean_geometry(5), build_boolean_geometry(6))
+
+
+@st.composite
+def mutant_families(draw):
+    """A corpus family with some members dropped and some point sets added."""
+    g = draw(st.sampled_from(_mutant_bases()))
+    members = list(g.subspaces)
+    for _ in range(draw(st.integers(1, 6))):
+        if draw(st.booleans()):
+            members.pop(draw(st.integers(0, len(members) - 1)))
+        else:
+            m = draw(st.integers(0, (1 << len(g.points)) - 1))
+            if m not in members:
+                members.append(m)
+    return IncidenceGeometry(g.points, tuple(members),
+                             tuple(m.bit_count() - 1 for m in members))
+
+
+def _incidence_graph_automorphisms(g):
+    """Oracle: count the automorphisms of the point-member incidence graph
+    that map points to points and members to members.  The members are
+    distinct sets, so each is fixed by what it does to the points, and
+    these automorphisms are exactly the collineations."""
+    nx = pytest.importorskip("networkx")
+    from networkx.algorithms.isomorphism import GraphMatcher
+    graph = nx.Graph()
+    graph.add_nodes_from((("point", x) for x in range(len(g.points))), side=0)
+    graph.add_nodes_from((("member", m) for m in set(g.subspaces)), side=1)
+    graph.add_edges_from((("point", x), ("member", m)) for m in set(g.subspaces)
+                         for x in range(len(g.points)) if m >> x & 1)
+    matcher = GraphMatcher(graph, graph,
+                           node_match=lambda a, b: a["side"] == b["side"])
+    return sum(1 for _ in matcher.isomorphisms_iter())
 
 
 class TestConstruction:
@@ -325,6 +369,35 @@ class TestCollineations:
             collineation_order(geometry_corpus["P2(F3)"])  # 13 points
         with pytest.raises(BudgetExceeded):
             collineation_order(build_boolean_geometry(10))
+
+    def test_node_budget(self, fano):
+        with pytest.raises(BudgetExceeded, match="visited 6 nodes, over the "
+                                                 "node budget of 5"):
+            collineation_order(fano, max_nodes=5)
+        assert collineation_order(fano, max_nodes=100) == 168
+
+    def test_matches_sweep_on_corpus(self, geometry_corpus, fano):
+        corpus = dict(geometry_corpus)
+        corpus.update(standard_mutations(fano, geometry_corpus["P2(F3)"],
+                                         geometry_corpus["Boolean(4)"]))
+        small = {name: g for name, g in corpus.items() if len(g.points) <= 8}
+        assert len(small) == 22
+        for name, g in small.items():
+            assert collineation_order(g) == sweep_collineation_order(g), name
+
+    @settings(max_examples=300, deadline=None)
+    @given(mutant_families())
+    def test_matches_sweep_on_mutants(self, g):
+        assert collineation_order(g) == sweep_collineation_order(g)
+
+    def test_matches_incidence_graph_automorphisms(self, geometry_corpus, fano):
+        corpus = {name: geometry_corpus[name]
+                  for name in ("P2(F2)", "P1(F3)", "P1(F4)", "Boolean(4)")}
+        corpus.update(standard_mutations(fano, geometry_corpus["P2(F3)"],
+                                         geometry_corpus["Boolean(4)"]))
+        corpus.pop("P2(F3) minus line")
+        for name, g in corpus.items():
+            assert collineation_order(g) == _incidence_graph_automorphisms(g), name
 
 
 class TestJson:

@@ -1,8 +1,10 @@
-"""Helpers shared by the geometry tests: single-step corruptions.
+"""Helpers shared by the geometry tests: single-step corruptions and oracles.
 
-Each helper returns a new IncidenceGeometry one mutation away from the
-input; the validators must flag every one of them.
+Each corruption helper returns a new IncidenceGeometry one mutation away
+from the input; the validators must flag every one of them.
 """
+
+import itertools
 
 from qproj.geometry import IncidenceGeometry
 
@@ -51,3 +53,20 @@ def standard_mutations(fano, p2f3, boolean4):
                    if m.bit_count() == 2)
     cases.append(("Boolean(4) pair dim bumped", perturb_dim(boolean4, b4_pair)))
     return cases
+
+
+def sweep_collineation_order(g: IncidenceGeometry) -> int:
+    """Oracle: count the collineations by trying all |P|! permutations.
+
+    A permutation is a collineation iff the image of every member of L is
+    again in L.  Test-only, and only for at most 8 points.
+    """
+    npts = len(g.points)
+    assert npts <= 8, "the sweep oracle tries |P|! permutations"
+    mask_set = set(g.subspaces)
+    member_bits = [[b for b in range(npts) if m >> b & 1] for m in mask_set]
+    count = 0
+    for perm in itertools.permutations(range(npts)):
+        if all(sum(1 << perm[b] for b in bits) in mask_set for bits in member_bits):
+            count += 1
+    return count
