@@ -67,10 +67,15 @@ def enumerate_paths(m: int, n: int,
     return paths
 
 
-def _area(rpos: tuple[int, ...], m: int) -> int:
+def _area_offset(m: int) -> int:
     # the i-th R step (0-based) at position p has p - i up steps before
-    # it, and each (U before R) pair is one cell of the area
-    return sum(rpos) - m * (m - 1) // 2
+    # it, and each (U before R) pair is one cell of the area, so the area
+    # is the sum of the R positions less 0 + 1 + ... + (m - 1)
+    return m * (m - 1) // 2
+
+
+def _area(rpos: tuple[int, ...], m: int) -> int:
+    return sum(rpos) - _area_offset(m)
 
 
 def path_area(p: LatticePath) -> int:
@@ -84,12 +89,13 @@ def area_generating_function(m: int, n: int,
     """Sum of q^area over all paths in the m-by-n box.
 
     Each path is read as the positions of its R steps, with no step
-    tuple built.  Equals the Gaussian binomial [m+n choose m]_q; checked
+    tuple built, and only their sum is formed.  Equals the Gaussian binomial [m+n choose m]_q; checked
     in the tests and by the CLI rather than assumed here.
     """
     _check_box(m, n, max_steps)
     counts = [0] * (m * n + 1)
-    for rpos in itertools.combinations(range(m + n), m):
-        counts[_area(rpos, m)] += 1
+    offset = _area_offset(m)
+    for s in map(sum, itertools.combinations(range(m + n), m)):
+        counts[s - offset] += 1
     assert sum(counts) == math.comb(m + n, m)
     return QPoly(counts)
