@@ -74,23 +74,19 @@ def _area_offset(m: int) -> int:
     return m * (m - 1) // 2
 
 
-def _area(rpos: tuple[int, ...], m: int) -> int:
-    return sum(rpos) - _area_offset(m)
-
-
 def path_area(p: LatticePath) -> int:
     """Area enclosed with the bottom and right walls of the box."""
-    return _area(tuple(i for i, step in enumerate(p.steps) if step == RIGHT),
-                 p.box[0])
+    return (sum(i for i, step in enumerate(p.steps) if step == RIGHT)
+            - _area_offset(p.box[0]))
 
 
 def area_generating_function(m: int, n: int,
                              max_steps: int = DEFAULT_MAX_STEPS) -> QPoly:
     """Sum of q^area over all paths in the m-by-n box.
 
-    Each path is read as the positions of its R steps, with no step
-    tuple built, and only their sum is formed.  Equals the Gaussian binomial [m+n choose m]_q; checked
-    in the tests and by the CLI rather than assumed here.
+    Each path is read as the sum of the positions of its R steps, with
+    no step tuple built.  Equals the Gaussian binomial [m+n choose m]_q;
+    checked in the tests and by the CLI rather than assumed here.
     """
     _check_box(m, n, max_steps)
     counts = [0] * (m * n + 1)
