@@ -381,7 +381,7 @@ class TestCollineations:
         corpus.update(standard_mutations(fano, geometry_corpus["P2(F3)"],
                                          geometry_corpus["Boolean(4)"]))
         small = {name: g for name, g in corpus.items() if len(g.points) <= 8}
-        assert len(small) == 22
+        assert len(small) == 25
         for name, g in small.items():
             assert collineation_order(g) == sweep_collineation_order(g), name
 

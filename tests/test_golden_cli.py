@@ -6,7 +6,8 @@ for each corpus geometry in which every pair of subspaces has a join,
 the ``as_dict()`` of its derived-property report.  Each entry was written
 from the code before the refactor it guards (the lattice pass for the
 geometry and plane cases, the integer-coded oracles for the ``paths gf``
-and ``--brute-force`` cases); a change that alters any byte of it
+and ``--brute-force`` cases, the packed coefficients for the ``expand``
+cases); a change that alters any byte of it
 changes behaviour, not just structure.
 
 To extend the corpus, add the new cases here and write the new entries
@@ -86,6 +87,10 @@ def _cases():
     for n, q in ((2, 3), (3, 2), (2, 4)):
         base[f"group order PSL {n} {q} --brute-force"] = (
             ["group", "order", "PSL", str(n), str(q), "--brute-force"], None)
+    for n in (0, 1, 2, 5, 12, 30, 121):
+        base[f"expand {n}"] = (["expand", str(n)], None)
+    base["qbinom 12 5"] = (["qbinom", "12", "5"], None)
+    base["qbinom 12 5 --at 3"] = (["qbinom", "12", "5", "--at", "3"], None)
     cases = {}
     for name, (argv, doc) in base.items():
         cases[name] = (argv, doc)
@@ -142,6 +147,17 @@ def test_command_output_is_byte_identical(name, tmp_path):
     expected = _golden()["commands"][name]
     got = _run_case(name, tmp_path)
     assert got == {k: expected[k] for k in ("exit_code", "text", "error")}
+
+
+@pytest.mark.parametrize("b", range(3))
+def test_point_deletion_mutants_reach_the_axioms(b, tmp_path):
+    # with its emptied singleton dropped, the mutant passes the JSON reader
+    # and fails an axiom with a witness instead of stopping at "duplicate"
+    got = _run_case(f"geometry check fano minus point {b}, singleton dropped",
+                    tmp_path)
+    assert got["exit_code"] == 1
+    assert "FAIL" in got["text"] and "witness:" in got["text"]
+    assert got["error"] == ""
 
 
 @pytest.mark.parametrize("name", _derived_names())

@@ -32,6 +32,17 @@ def delete_point(g: IncidenceGeometry, bit: int) -> IncidenceGeometry:
         tuple(g.points[i] for i in keep), tuple(masks), g.dims, g.claimed_order)
 
 
+def delete_point_and_singleton(g: IncidenceGeometry, bit: int) -> IncidenceGeometry:
+    """Excise one point as ``delete_point`` does, then drop its emptied singleton.
+
+    ``delete_point`` alone leaves the point's singleton as a second empty
+    member, which the JSON reader rejects as a duplicate before any axiom
+    runs; without it the mutant is well formed and reaches the axioms.
+    """
+    singleton = g.subspaces.index(1 << bit)
+    return delete_point(drop_subspace(g, singleton), bit)
+
+
 def perturb_dim(g: IncidenceGeometry, idx: int, delta: int = 1) -> IncidenceGeometry:
     dims = list(g.dims)
     dims[idx] += delta
@@ -46,6 +57,9 @@ def standard_mutations(fano, p2f3, boolean4):
         cases.append((f"fano minus line {i}", drop_subspace(fano, i)))
     for b in range(3):
         cases.append((f"fano minus point {b}", delete_point(fano, b)))
+    for b in range(3):
+        cases.append((f"fano minus point {b}, singleton dropped",
+                       delete_point_and_singleton(fano, b)))
     cases.append(("fano line dim bumped", perturb_dim(fano, fano_lines[0])))
     p3_line = next(i for i, d in enumerate(p2f3.dims) if d == 1)
     cases.append(("P2(F3) minus line", drop_subspace(p2f3, p3_line)))
