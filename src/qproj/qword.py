@@ -1,7 +1,7 @@
 """Noncommutative polynomials in x and y subject to yx = qxy.
 
 Every word is kept in normal order x^a y^b; the exponent pair (a, b) is
-the term key and the coefficient is a QPoly in q.  Multiplying two
+the term key and the coefficient is a polynomial in q.  Multiplying two
 normal-ordered words uses the closed form
 
     (x^a y^b)(x^c y^d) = q^(b*c) x^(a+c) y^(b+d),
@@ -9,23 +9,80 @@ normal-ordered words uses the closed form
 since each of the b factors of y must move past each of the c factors of
 x, picking up one power of q per swap.  No stepwise rewriting is ever
 performed.
+
+Coefficients are stored packed (Kronecker substitution): the coefficient
+c(q) = c_0 + c_1 q + ... of a term is kept as the one integer c(2^B), so
+slot i holds c_i in bits [B*i, B*(i+1)).  Multiplying by q^s is then a
+shift by B*s, adding two coefficients is one integer addition and
+multiplying them is one integer multiplication.  Coefficients stay
+packed across products and sums; a QPoly is formed only when a term is
+read (``terms``, ``nc_coefficient``, equality, hashing, printing).
+
+The slot width B is chosen so that no slot can overflow.  Each
+NoncommPoly carries a bound L on the sum of |c_i| over all its terms
+and slots: exact when built from QPolys, L(p) + L(r) for a sum and
+L(p) * L(r) for a product, because every coefficient of p * r is a sum
+of products of one coefficient from each side.  Hence every slot of
+every coefficient is below L in absolute value, and B is the least of
+64, 128, 256, ... bits with 2^(B-1) > L; operands narrower than the
+result are repacked first.
+
+Slots are signed.  A packed value sum c_i 2^(B*i) with |c_i| < 2^(B-1)
+is read back as balanced digits: a negative slot borrows one from the
+slot above.  Adding 2^(B-1) to every slot undoes all the borrows at
+once, since each shifted slot lies in [1, 2^B - 1], so packing and
+unpacking are each one bytes join or one run of byte slices, linear in
+the size of the polynomial.
 """
 
 from __future__ import annotations
 
+import struct
 from typing import Iterator, Mapping
 
 from .qcalc import MAX_Q_SERIES_N, QPoly, over_q_series_cap
 
 
+def _slot_bytes(bound: int) -> int:
+    """Bytes per slot: the least of 8, 16, 32, ... with 2^(8*nbytes - 1) > bound."""
+    nbytes = 8
+    while bound >> (8 * nbytes - 1):
+        nbytes *= 2
+    return nbytes
+
+
+def _offset(slots: int, nbytes: int) -> int:
+    """2^(B-1) in each of ``slots`` slots of B = 8*nbytes bits."""
+    return int.from_bytes((bytes(nbytes - 1) + b"\x80") * slots, "little")
+
+
+def _pack(coeffs: tuple[int, ...], nbytes: int) -> int:
+    half = 1 << (8 * nbytes - 1)
+    raw = b"".join((c + half).to_bytes(nbytes, "little") for c in coeffs)
+    return int.from_bytes(raw, "little") - _offset(len(coeffs), nbytes)
+
+
+def _unpack(value: int, nbytes: int) -> QPoly:
+    # the top nonzero slot d has |value| > 2^(B*d - 1), so d <= bits // B
+    slots = abs(value).bit_length() // (8 * nbytes) + 1
+    raw = (value + _offset(slots, nbytes)).to_bytes(slots * nbytes, "little")
+    half = 1 << (8 * nbytes - 1)
+    if nbytes == 8:
+        digits = struct.unpack(f"<{slots}Q", raw)
+    else:
+        digits = [int.from_bytes(raw[i:i + nbytes], "little")
+                  for i in range(0, len(raw), nbytes)]
+    return QPoly([u - half for u in digits])
+
+
 class NoncommPoly:
-    """Finite sum of normal-ordered words with QPoly coefficients.
+    """Finite sum of normal-ordered words with coefficients in Z[q].
 
     Immutable; zero coefficients are never stored.  Term iteration is
     lexicographic in the exponent pair for reproducible output.
     """
 
-    __slots__ = ("_terms",)
+    __slots__ = ("_packed", "_nbytes", "_bound", "_qpolys")
 
     def __init__(self, terms: Mapping[tuple[int, int], QPoly] | None = None):
         clean: dict[tuple[int, int], QPoly] = {}
@@ -35,7 +92,34 @@ class NoncommPoly:
                     raise ValueError("exponents must be nonnegative")
                 if c:
                     clean[(a, b)] = c
-        self._terms = clean
+        bound = sum(abs(x) for c in clean.values() for x in c)
+        nbytes = _slot_bytes(bound)
+        self._packed = {key: _pack(c.coeffs, nbytes) for key, c in clean.items()}
+        self._nbytes = nbytes
+        self._bound = bound
+        self._qpolys = clean
+
+    @classmethod
+    def _from_packed(cls, packed: dict[tuple[int, int], int], nbytes: int,
+                     bound: int) -> "NoncommPoly":
+        p = cls.__new__(cls)
+        p._packed = {key: v for key, v in packed.items() if v}
+        p._nbytes = nbytes
+        p._bound = bound
+        p._qpolys = None
+        return p
+
+    def _widened(self, nbytes: int) -> dict[tuple[int, int], int]:
+        """The packed terms with slots of ``nbytes`` bytes (at least as wide)."""
+        if nbytes == self._nbytes:
+            return self._packed
+        return {key: _pack(c.coeffs, nbytes) for key, c in self._terms().items()}
+
+    def _terms(self) -> dict[tuple[int, int], QPoly]:
+        if self._qpolys is None:
+            self._qpolys = {key: _unpack(v, self._nbytes)
+                            for key, v in self._packed.items()}
+        return self._qpolys
 
     @classmethod
     def zero(cls) -> "NoncommPoly":
@@ -54,34 +138,40 @@ class NoncommPoly:
         return cls({(0, 1): QPoly.one()})
 
     def terms(self) -> Iterator[tuple[tuple[int, int], QPoly]]:
-        for key in sorted(self._terms):
-            yield key, self._terms[key]
+        terms = self._terms()
+        for key in sorted(terms):
+            yield key, terms[key]
 
     def __len__(self) -> int:
-        return len(self._terms)
+        return len(self._packed)
 
     def __bool__(self) -> bool:
-        return bool(self._terms)
+        return bool(self._packed)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, NoncommPoly):
             return NotImplemented
-        return self._terms == other._terms
+        if self._nbytes == other._nbytes:
+            # balanced digits of one width are unique, so packed values compare
+            return self._packed == other._packed
+        return self._terms() == other._terms()
 
     def __hash__(self) -> int:
-        return hash(tuple(sorted(self._terms.items())))
+        return hash(tuple(sorted(self._terms().items())))
 
     def __add__(self, other: "NoncommPoly") -> "NoncommPoly":
-        out = dict(self._terms)
-        for key, c in other._terms.items():
-            out[key] = out.get(key, QPoly.zero()) + c
-        return NoncommPoly(out)
+        bound = self._bound + other._bound
+        nbytes = _slot_bytes(bound)
+        out = dict(self._widened(nbytes))
+        for key, v in other._widened(nbytes).items():
+            out[key] = out.get(key, 0) + v
+        return NoncommPoly._from_packed(out, nbytes, bound)
 
     def __mul__(self, other: "NoncommPoly") -> "NoncommPoly":
         return nc_multiply(self, other)
 
     def __str__(self) -> str:
-        if not self._terms:
+        if not self._packed:
             return "0"
         lines = []
         for (a, b), c in self.terms():
@@ -89,19 +179,25 @@ class NoncommPoly:
         return "\n".join(lines)
 
     def __repr__(self) -> str:
-        return f"NoncommPoly({dict(sorted(self._terms.items()))!r})"
+        return f"NoncommPoly({dict(self.terms())!r})"
 
 
 def nc_multiply(p: NoncommPoly, r: NoncommPoly) -> NoncommPoly:
     """Product under the yx = qxy rule; q commutes with everything."""
-    out: dict[tuple[int, int], QPoly] = {}
-    for (a, b), ca in p._terms.items():
-        for (c, d), cb in r._terms.items():
+    if not p or not r:
+        # the bound 0 would give a width below the other factor's
+        return NoncommPoly()
+    bound = p._bound * r._bound
+    nbytes = _slot_bytes(bound)
+    bits = 8 * nbytes
+    out: dict[tuple[int, int], int] = {}
+    right = r._widened(nbytes).items()
+    for (a, b), ca in p._widened(nbytes).items():
+        for (c, d), cb in right:
             key = (a + c, b + d)
-            coeff = (ca * cb).shift(b * c)
-            acc = out.get(key)
-            out[key] = coeff if acc is None else acc + coeff
-    return NoncommPoly(out)
+            coeff = (ca * cb) << (bits * b * c)
+            out[key] = out.get(key, 0) + coeff
+    return NoncommPoly._from_packed(out, nbytes, bound)
 
 
 def expand_binomial(n: int) -> NoncommPoly:
@@ -119,4 +215,4 @@ def expand_binomial(n: int) -> NoncommPoly:
 
 def nc_coefficient(p: NoncommPoly, a: int, b: int) -> QPoly:
     """Coefficient of x^a y^b, the zero polynomial if absent."""
-    return p._terms.get((a, b), QPoly.zero())
+    return _unpack(p._packed.get((a, b), 0), p._nbytes)

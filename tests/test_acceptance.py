@@ -36,12 +36,16 @@ def test_criterion_1_two_route_gaussian_binomials():
 
 def test_criterion_2_noncommutative_binomial_theorem():
     t0 = time.time()
-    for n in range(11):
+    for n in range(31):
         expansion = expand_binomial(n)
         assert len(expansion) == n + 1
         for k in range(n + 1):
             assert nc_coefficient(expansion, k, n - k) == q_binomial_recurrence(n, k)
-    _verdict(2, "normal-ordered expansion coefficients for all n <= 10", t0)
+    expansion = expand_binomial(120)
+    assert len(expansion) == 121
+    assert nc_coefficient(expansion, 60, 60) == q_binomial_recurrence(120, 60)
+    _verdict(2, "normal-ordered expansion coefficients for all n <= 30 "
+                "and [120 choose 60]", t0)
 
 
 def test_criterion_3_subspace_counting():

@@ -195,15 +195,19 @@ class TestQSeriesCap:
         assert q_factorial(n).evaluate(1) == math.factorial(n)
 
     def test_at_cap_under_a_low_recursion_limit(self):
-        # every q-series function is a loop, so the cap does not depend on
-        # how deep Python lets a call stack grow
+        # every q-series function, the (x + y)^n expansion included, is a
+        # loop, so the cap does not depend on how deep Python lets a call
+        # stack grow
         n = MAX_Q_SERIES_N
         script = (
             "import sys\n"
             "from qproj.qcalc import q_binomial_quotient, q_binomial_recurrence, q_factorial\n"
+            "from qproj.qword import expand_binomial, nc_coefficient\n"
             "sys.setrecursionlimit(80)\n"
             f"q_factorial({n})\n"
-            f"assert q_binomial_recurrence({n}, {n // 2}) == q_binomial_quotient({n}, {n // 2})\n"
+            f"gauss = q_binomial_recurrence({n}, {n // 2})\n"
+            f"assert gauss == q_binomial_quotient({n}, {n // 2})\n"
+            f"assert nc_coefficient(expand_binomial({n}), {n // 2}, {n - n // 2}) == gauss\n"
             "print('ok')\n")
         src = os.path.dirname(os.path.dirname(qproj.__file__))
         env = dict(os.environ, PYTHONPATH=src)

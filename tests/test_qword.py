@@ -1,5 +1,6 @@
 import math
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -73,8 +74,48 @@ def test_q1_specialization_is_commutative_binomial():
             assert c.evaluate(1) == math.comb(n, a)
 
 
+def test_left_fold_matches_repeated_squaring():
+    # the fold multiplies by x + y on the right; squaring multiplies
+    # (x + y)^(2^i) by itself, so the two bracket the product differently
+    xy = NoncommPoly.x() + NoncommPoly.y()
+    for n in range(41):
+        result, base, e = NoncommPoly.one(), xy, n
+        while e:
+            if e & 1:
+                result = nc_multiply(result, base)
+            base = nc_multiply(base, base)
+            e >>= 1
+        assert result == expand_binomial(n), n
+
+
+def test_q1_specialization_at_cap():
+    n = 120
+    p = expand_binomial(n)
+    assert len(p) == n + 1
+    for (a, b), c in p.terms():
+        assert a + b == n
+        assert c.evaluate(1) == math.comb(n, a)
+
+
+def _reference_product(p, r):
+    """(x^a y^b)(x^c y^d) = q^(b*c) x^(a+c) y^(b+d), summed over QPolys."""
+    out = {}
+    for (a, b), ca in p.terms():
+        for (c, d), cb in r.terms():
+            key = (a + c, b + d)
+            out[key] = out.get(key, QPoly.zero()) + (ca * cb).shift(b * c)
+    return {key: c for key, c in out.items() if c}
+
+
 def _small_polys():
     coeff = st.lists(st.integers(-3, 3), max_size=3).map(QPoly)
+    key = st.tuples(st.integers(0, 3), st.integers(0, 3))
+    return st.dictionaries(key, coeff, max_size=3).map(NoncommPoly)
+
+
+def _wide_polys():
+    # signed coefficients across the 64- and 128-bit slot widths
+    coeff = st.lists(st.integers(-2**100, 2**100), max_size=4).map(QPoly)
     key = st.tuples(st.integers(0, 3), st.integers(0, 3))
     return st.dictionaries(key, coeff, max_size=3).map(NoncommPoly)
 
@@ -89,6 +130,43 @@ def test_multiplication_associative(a, b, c):
 @settings(max_examples=60, deadline=None)
 def test_multiplication_distributes(a, b, c):
     assert nc_multiply(a, b + c) == nc_multiply(a, b) + nc_multiply(a, c)
+
+
+@given(_wide_polys(), _wide_polys(), _wide_polys())
+@settings(max_examples=60, deadline=None)
+def test_multiplication_associative_wide(a, b, c):
+    assert nc_multiply(nc_multiply(a, b), c) == nc_multiply(a, nc_multiply(b, c))
+
+
+@given(_wide_polys(), _wide_polys(), _wide_polys())
+@settings(max_examples=60, deadline=None)
+def test_multiplication_distributes_wide(a, b, c):
+    assert nc_multiply(a, b + c) == nc_multiply(a, b) + nc_multiply(a, c)
+
+
+@given(_wide_polys(), _wide_polys())
+@settings(max_examples=100, deadline=None)
+def test_product_matches_qpoly_reference(a, b):
+    assert dict(nc_multiply(a, b).terms()) == _reference_product(a, b)
+
+
+@pytest.mark.parametrize("sign", (1, -1))
+@pytest.mark.parametrize("edge", (2**63 - 1, 2**63, 2**64))
+def test_product_at_slot_edges(edge, sign):
+    # the largest coefficient a 64-bit slot holds is 2^63 - 1; 2^63 and
+    # 2^64 need the next width
+    p = NoncommPoly({(0, 1): QPoly([sign * edge])})
+    r = NoncommPoly({(1, 0): QPoly.one()})
+    assert nc_coefficient(nc_multiply(p, r), 1, 1).coeffs == (0, sign * edge)
+    # the same coefficient between slots of the opposite sign, which borrow
+    # from the slot above: (1 - q)(edge + q) = edge + (1 - edge) q - q^2
+    p = NoncommPoly({(0, 1): QPoly([1, -1]), (2, 0): QPoly([-1])})
+    r = NoncommPoly({(1, 0): QPoly([sign * edge, 1])})
+    product = nc_multiply(p, r)
+    assert nc_coefficient(product, 1, 1).coeffs == (
+        0, sign * edge, 1 - sign * edge, -1)
+    assert nc_coefficient(product, 3, 0).coeffs == (-sign * edge, -1)
+    assert dict(product.terms()) == _reference_product(p, r)
 
 
 def test_zero_coefficients_never_stored():
