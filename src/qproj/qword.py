@@ -151,9 +151,6 @@ class NoncommPoly:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, NoncommPoly):
             return NotImplemented
-        if self._nbytes == other._nbytes:
-            # balanced digits of one width are unique, so packed values compare
-            return self._packed == other._packed
         return self._terms() == other._terms()
 
     def __hash__(self) -> int:
@@ -185,7 +182,7 @@ class NoncommPoly:
 def nc_multiply(p: NoncommPoly, r: NoncommPoly) -> NoncommPoly:
     """Product under the yx = qxy rule; q commutes with everything."""
     if not p or not r:
-        # the bound 0 would give a width below the other factor's
+        # a zero factor's bound 0 would narrow the other factor's slots
         return NoncommPoly()
     bound = p._bound * r._bound
     nbytes = _slot_bytes(bound)
@@ -195,8 +192,10 @@ def nc_multiply(p: NoncommPoly, r: NoncommPoly) -> NoncommPoly:
     for (a, b), ca in p._widened(nbytes).items():
         for (c, d), cb in right:
             key = (a + c, b + d)
-            coeff = (ca * cb) << (bits * b * c)
-            out[key] = out.get(key, 0) + coeff
+            # a bare word (packed 1, as in x + y) needs no multiplication
+            coeff = (ca if cb == 1 else ca * cb) << (bits * b * c)
+            acc = out.get(key)
+            out[key] = coeff if acc is None else acc + coeff
     return NoncommPoly._from_packed(out, nbytes, bound)
 
 

@@ -77,14 +77,14 @@ def test_q1_specialization_is_commutative_binomial():
 def test_left_fold_matches_repeated_squaring():
     # the fold multiplies by x + y on the right; squaring multiplies
     # (x + y)^(2^i) by itself, so the two bracket the product differently
-    xy = NoncommPoly.x() + NoncommPoly.y()
+    squares = [NoncommPoly.x() + NoncommPoly.y()]
+    while len(squares) < 6:
+        squares.append(nc_multiply(squares[-1], squares[-1]))
     for n in range(41):
-        result, base, e = NoncommPoly.one(), xy, n
-        while e:
-            if e & 1:
-                result = nc_multiply(result, base)
-            base = nc_multiply(base, base)
-            e >>= 1
+        result = NoncommPoly.one()
+        for i, square in enumerate(squares):
+            if n >> i & 1:
+                result = nc_multiply(result, square)
         assert result == expand_binomial(n), n
 
 
@@ -157,7 +157,9 @@ def test_product_at_slot_edges(edge, sign):
     # 2^64 need the next width
     p = NoncommPoly({(0, 1): QPoly([sign * edge])})
     r = NoncommPoly({(1, 0): QPoly.one()})
-    assert nc_coefficient(nc_multiply(p, r), 1, 1).coeffs == (0, sign * edge)
+    product = nc_multiply(p, r)
+    assert product._nbytes == (8 if edge < 2**63 else 16)
+    assert nc_coefficient(product, 1, 1).coeffs == (0, sign * edge)
     # the same coefficient between slots of the opposite sign, which borrow
     # from the slot above: (1 - q)(edge + q) = edge + (1 - edge) q - q^2
     p = NoncommPoly({(0, 1): QPoly([1, -1]), (2, 0): QPoly([-1])})
