@@ -37,7 +37,6 @@ the size of the polynomial.
 
 from __future__ import annotations
 
-import struct
 from typing import Iterator, Mapping
 
 from .qcalc import MAX_Q_SERIES_N, QPoly, over_q_series_cap
@@ -67,12 +66,8 @@ def _unpack(value: int, nbytes: int) -> QPoly:
     slots = abs(value).bit_length() // (8 * nbytes) + 1
     raw = (value + _offset(slots, nbytes)).to_bytes(slots * nbytes, "little")
     half = 1 << (8 * nbytes - 1)
-    if nbytes == 8:
-        digits = struct.unpack(f"<{slots}Q", raw)
-    else:
-        digits = [int.from_bytes(raw[i:i + nbytes], "little")
-                  for i in range(0, len(raw), nbytes)]
-    return QPoly([u - half for u in digits])
+    return QPoly([int.from_bytes(raw[i:i + nbytes], "little") - half
+                  for i in range(0, len(raw), nbytes)])
 
 
 class NoncommPoly:
