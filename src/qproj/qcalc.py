@@ -21,7 +21,7 @@ from .errors import BudgetExceeded, InexactDivision
 # Largest n for [n]!, [n choose k] and the (x+y)^n expansion.  Their
 # polynomials grow like n^2 in degree and far faster in coefficient size.
 # At n = 120 each path takes under half a second; at n = 160 the
-# recurrence takes over a second, and it sets the next limit.
+# recurrence and the (x+y)^n expansion each take over a second.
 MAX_Q_SERIES_N = 120
 
 
