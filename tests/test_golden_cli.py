@@ -7,7 +7,8 @@ the ``as_dict()`` of its derived-property report.  Each entry was written
 from the code before the refactor it guards (the lattice pass for the
 geometry and plane cases, the integer-coded oracles for the ``paths gf``
 and ``--brute-force`` cases, the packed coefficients for the ``expand``
-cases); a change that alters any byte of it
+cases, the single axiom pass for the P2(F4) and Boolean(6) checks); a
+change that alters any byte of it
 changes behaviour, not just structure.
 
 To extend the corpus, add the new cases here and write the new entries
@@ -65,6 +66,10 @@ def _cases():
     fano_line = next(i for i, d in enumerate(fano.dims) if d == 1)
     base = {}
     for name, g in geoms.items():
+        base[f"geometry check {name}"] = (["geometry", "check", FILE],
+                                          geometry_to_json(g))
+    for name, g in (("P2(F4)", build_projective_space(4, 2)),
+                    ("Boolean(6)", build_boolean_geometry(6))):
         base[f"geometry check {name}"] = (["geometry", "check", FILE],
                                           geometry_to_json(g))
     base["plane check fano"] = (["plane", "check", FILE],
