@@ -14,8 +14,9 @@ from qproj import (BudgetExceeded, GeometryFormatError, NotAPrimePower,
 from qproj import geometry
 from qproj.geometry import IncidenceGeometry
 
-from util import (delete_point, drop_subspace, perturb_dim, standard_mutations,
-                  sweep_collineation_order)
+from util import (delete_point, drop_subspace, perturb_dim,
+                  property_one_reference, reference_derived_report,
+                  standard_mutations, sweep_collineation_order)
 
 
 @functools.cache
@@ -39,6 +40,27 @@ def mutant_families(draw):
                 members.append(m)
     return IncidenceGeometry(g.points, tuple(members),
                              tuple(m.bit_count() - 1 for m in members))
+
+
+@st.composite
+def derived_mutants(draw):
+    """A corpus geometry with up to four members dropped or added or dims bumped."""
+    g = draw(st.sampled_from(_mutant_bases()))
+    members, dims = list(g.subspaces), list(g.dims)
+    for _ in range(draw(st.integers(0, 4))):
+        step = draw(st.sampled_from(("drop", "add", "bump")))
+        if step == "drop" and members:
+            k = draw(st.integers(0, len(members) - 1))
+            del members[k], dims[k]
+        elif step == "add":
+            m = draw(st.integers(0, (1 << len(g.points)) - 1))
+            if m not in members:
+                members.append(m)
+                dims.append(m.bit_count() - 1)
+        elif step == "bump" and members:
+            k = draw(st.integers(0, len(members) - 1))
+            dims[k] += draw(st.sampled_from((-1, 1)))
+    return IncidenceGeometry(g.points, tuple(members), tuple(dims), g.claimed_order)
 
 
 def _incidence_graph_automorphisms(g):
@@ -269,12 +291,62 @@ class TestLatticeEdges:
         assert check_derived_properties(g).passed
         assert built == [g]
 
+    def test_one_axiom_pass_per_geometry(self, monkeypatch):
+        calls = []
+
+        def counting(g, members, top, claimed):
+            calls.append(len(members))
+            return axiom_witnesses(g, members, top, claimed)
+
+        axiom_witnesses = geometry._axiom_witnesses
+        monkeypatch.setattr(geometry, "_axiom_witnesses", counting)
+        g = build_projective_space(2, 3)
+        assert validate_axioms(g).passed
+        assert calls == [len(g.subspaces)]
+        assert check_derived_properties(g).passed
+        assert calls == [len(g.subspaces)]  # property 1 follows from that pass
+
+        fano = build_projective_space(2, 2)
+        broken = drop_subspace(fano, fano.dims.index(1))
+        calls.clear()
+        assert not validate_axioms(broken).passed
+        assert calls == [len(broken.subspaces)]
+        prop1 = check_derived_properties(broken).properties[0]
+        assert prop1.witness.startswith("restriction to")
+        assert len(calls) > 1  # one call per interval up to the first failure
+
+    def test_masks_must_lie_in_the_point_set(self):
+        with pytest.raises(ValueError, match="outside the point set"):
+            IncidenceGeometry(("a", "b"), (0, 1, 4), (-1, 0, 0))
+        with pytest.raises(ValueError, match="outside the point set"):
+            IncidenceGeometry(("a", "b"), (0, -1), (-1, 0))
+
 
 class TestDerivedProperties:
     @pytest.mark.parametrize("key", ["P2(F2)", "P2(F3)", "P1(F3)", "Boolean(4)"])
     def test_pass_on_valid_geometries(self, geometry_corpus, key):
         report = check_derived_properties(geometry_corpus[key])
         assert report.passed, [p for p in report.properties if not p.passed]
+
+    def test_interval_reference_passes_on_valid_geometries(self, geometry_corpus):
+        corpus = dict(geometry_corpus)
+        corpus["P3(F3)"] = build_projective_space(3, 3)
+        corpus["Boolean(8)"] = build_boolean_geometry(8)
+        for name, g in corpus.items():
+            assert property_one_reference(g) is None, name
+
+    def test_report_equals_the_always_evaluating_reference(self):
+        branches = set()
+
+        @settings(max_examples=300, deadline=None)
+        @given(derived_mutants())
+        def check(g):
+            # implied when the axioms pass on L, evaluated on intervals otherwise
+            branches.add(validate_axioms(g).passed)
+            assert check_derived_properties(g).as_dict() == reference_derived_report(g)
+
+        check()
+        assert branches == {True, False}
 
     def test_boolean_lines_are_pairs(self, geometry_corpus):
         g = geometry_corpus["Boolean(4)"]

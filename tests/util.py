@@ -6,7 +6,8 @@ from the input; the validators must flag every one of them.
 
 import itertools
 
-from qproj.geometry import IncidenceGeometry
+from qproj import geometry
+from qproj.geometry import DerivedPropertiesReport, IncidenceGeometry
 
 
 def drop_subspace(g: IncidenceGeometry, idx: int) -> IncidenceGeometry:
@@ -84,3 +85,46 @@ def sweep_collineation_order(g: IncidenceGeometry) -> int:
         if all(sum(1 << perm[b] for b in bits) in mask_set for bits in member_bits):
             count += 1
     return count
+
+
+def property_one_reference(g: IncidenceGeometry) -> str | None:
+    """Oracle: derived property 1 by checking the six axioms on every interval.
+
+    For each S in L, in index order, run the axioms on the members inside
+    S with S as the top and L's order as the claim, and return the first
+    failure as its witness.  Test-only: check_derived_properties skips
+    these checks when the axioms pass on all of L.
+    """
+    lat = g._lattice
+    order, _ = geometry._line_order(g, range(len(g.subspaces)), g.claimed_order)
+    for i, mask in enumerate(g.subspaces):
+        witnesses, _ = geometry._axiom_witnesses(g, lat.contained[i], mask, order)
+        failed = next((k for k, w in witnesses.items() if w is not None), None)
+        if failed is not None:
+            return (f"restriction to {g.describe_subspace(i)} fails axiom "
+                    f"{failed}: {witnesses[failed]}")
+    return None
+
+
+def property_two_reference(g: IncidenceGeometry) -> str | None:
+    """Oracle: derived property 2 by comparing every pair's meet with its
+    intersection, reading the meet/join table."""
+    lat = g._lattice
+    masks = g.subspaces
+    for i in range(len(masks)):
+        for j in range(i, len(masks)):
+            meet = lat.meets[lat.row[i] + j]
+            if meet == geometry._NO_INDEX or masks[meet] != masks[i] & masks[j]:
+                return (f"meet of {g.describe_subspace(i)} and "
+                        f"{g.describe_subspace(j)} is not their intersection")
+    return None
+
+
+def reference_derived_report(g: IncidenceGeometry) -> dict:
+    """check_derived_properties(g).as_dict() with properties 1 and 2 taken
+    from the reference loops above, which always evaluate."""
+    witnesses = {1: property_one_reference(g), 2: property_two_reference(g)}
+    for p in geometry.check_derived_properties(g).properties[2:]:
+        witnesses[p.number] = p.witness
+    checks = geometry._checks(geometry._PROPERTY_DESCRIPTIONS, witnesses)
+    return DerivedPropertiesReport(checks).as_dict()
