@@ -7,9 +7,15 @@ the ``as_dict()`` of its derived-property report.  Each entry was written
 from the code before the refactor it guards (the lattice pass for the
 geometry and plane cases, the integer-coded oracles for the ``paths gf``
 and ``--brute-force`` cases, the packed coefficients for the ``expand``
-cases, the single axiom pass for the P2(F4) and Boolean(6) checks); a
-change that alters any byte of it
-changes behaviour, not just structure.
+cases, the single axiom pass for the P2(F4) and Boolean(6) checks, the
+per-filling checks of the subspace enumeration for the ``subspaces``,
+``geometry build --projective`` and ``geometry affine`` cases); a change
+that alters any byte of it changes behaviour, not just structure.
+
+The enumeration cases list the subspaces of F_2^4 (k = 2), F_3^3 (k = 1),
+F_16^2 (k = 1) and the trivial k = 0 and k = n cases of F_2^3, count the
+3-subspaces of F_2^8, build P2(F2), P2(F3) and P3(F2) as JSON, and split
+P3(F16) and P2(F3) into affine pieces.
 
 To extend the corpus, add the new cases here and write the new entries
 from a commit whose output is trusted:
@@ -94,6 +100,15 @@ def _cases():
             ["group", "order", "PSL", str(n), str(q), "--brute-force"], None)
     for n in (0, 1, 2, 5, 12, 30, 121):
         base[f"expand {n}"] = (["expand", str(n)], None)
+    for argv in (["2", "4", "2", "--list"], ["3", "3", "1", "--list"],
+                 ["16", "2", "1", "--list"], ["2", "3", "0", "--list"],
+                 ["2", "3", "3", "--list"], ["2", "8", "3"]):
+        base[" ".join(["subspaces"] + argv)] = (["subspaces"] + argv, None)
+    for q, n in (("2", "2"), ("3", "2"), ("2", "3")):
+        base[f"geometry build --projective {q} {n}"] = (
+            ["geometry", "build", "--projective", q, n], None)
+    for q, n in (("16", "3"), ("3", "2")):
+        base[f"geometry affine {q} {n}"] = (["geometry", "affine", q, n], None)
     base["qbinom 12 5"] = (["qbinom", "12", "5"], None)
     base["qbinom 12 5 --at 3"] = (["qbinom", "12", "5", "--at", "3"], None)
     cases = {}
