@@ -285,6 +285,17 @@ def _cmd_group_an(args):
 
 # --- parser ------------------------------------------------------------------
 
+def _nonnegative_int(text: str) -> int:
+    """argparse type of the cap flags: a negative cap is bad input (exit 2)."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be nonnegative, got {value}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qproj",
@@ -314,7 +325,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("n", type=int)
     p.add_argument("k", type=int)
     p.add_argument("--list", action="store_true", help="print canonical bases")
-    p.add_argument("--budget", type=int, default=10 ** 6)
+    p.add_argument("--budget", type=_nonnegative_int, default=10 ** 6)
     add_json(p)
     p.set_defaults(handler=_cmd_subspaces)
 
@@ -325,7 +336,8 @@ def _build_parser() -> argparse.ArgumentParser:
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--projective", nargs=2, type=int, metavar=("Q", "N"))
     group.add_argument("--boolean", type=int, metavar="N")
-    p.add_argument("--budget", type=int, default=geo.DEFAULT_GEOMETRY_BUDGET)
+    p.add_argument("--budget", type=_nonnegative_int,
+                   default=geo.DEFAULT_GEOMETRY_BUDGET)
     add_json(p)
     p.set_defaults(handler=_cmd_geometry_build)
 
@@ -337,7 +349,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = gsub.add_parser("collineations",
                         help="collineation group order by orbit-stabiliser search")
     p.add_argument("file")
-    p.add_argument("--max-points", type=int,
+    p.add_argument("--max-points", type=_nonnegative_int,
                    default=geo.DEFAULT_COLLINEATION_CAP,
                    help="refuse more points than this (default %(default)s)")
     add_json(p)
@@ -368,7 +380,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = qsub.add_parser("gf", help="area generating function of the m-by-n box")
     p.add_argument("m", type=int)
     p.add_argument("n", type=int)
-    p.add_argument("--max-steps", type=int, default=24)
+    p.add_argument("--max-steps", type=_nonnegative_int, default=24)
     add_json(p)
     p.set_defaults(handler=_cmd_paths_gf)
 

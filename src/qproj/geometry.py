@@ -674,9 +674,21 @@ def affine_decomposition(q: int, n: int,
     points with a later first nonzero coordinate are the points at
     infinity, themselves a projective space one dimension down.  The
     sizes come out as [q^n, q^(n-1), ..., q, 1].
+
+    The points are counted one power of q at a time before any work, so a
+    large n meets the budget, named as P^n(F_q), before any q-binomial is
+    formed.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
+    make_field(q)  # raise NotAPrimePower / BudgetExceeded before any work
+    total = 0
+    for e in range(n + 1):
+        total += q ** e
+        if total > budget:
+            at_least = "" if e == n else "at least "
+            raise BudgetExceeded(f"P^{n}(F_{q}) has {at_least}{total} points, "
+                                 f"over the budget of {budget}")
     sizes = [0] * (n + 1)
     for sub in enumerate_subspaces(q, n + 1, 1, budget):
         sizes[sub.pivots[0]] += 1

@@ -9,6 +9,13 @@ exactly once with no dedup bookkeeping.  The span-and-dedupe route is
 deliberately NOT used here; it lives in the test suite as the
 independent oracle.
 
+SubspaceCanonical's constructor checks every row of the basis it is
+given; every subspace formed from a span (span_canonical, the join, the
+meet, the complement) goes through it.  The enumerator runs the same row
+checks once per pivot pattern and row filling instead of once per
+basis, then builds its bases through a private classmethod that skips
+them.
+
 Vectors are tuples of element codes, indexed straight into the field's
 tables; boxed field elements are accepted only by span_canonical and
 contains, which check that each entry belongs to the field.
@@ -69,6 +76,35 @@ def _codes(field: FiniteField, ambient: int,
     return [e.code for e in vector]
 
 
+def _check_pivots(pivots: Sequence[int]) -> None:
+    """Refuse pivot columns that do not strictly increase."""
+    if any(a >= b for a, b in zip(pivots, pivots[1:])):
+        raise ValueError("pivot columns must strictly increase")
+
+
+def _row_pivot(q: int, ambient: int, row: tuple[int, ...],
+               later: Sequence[int]) -> int:
+    """Check one row of a canonical basis and return its pivot column.
+
+    The row must have length ambient, be nonzero, hold only codes of F_q,
+    have 1 as its first nonzero entry (the pivot), and be zero in the
+    columns later, the pivots of the rows below it.  A row is zero before
+    its own pivot, so no earlier pivot column needs a look.
+    """
+    if len(row) != ambient:
+        raise ValueError("basis row of wrong length")
+    if not any(row):
+        raise ValueError("zero row in a canonical basis")
+    if min(row) < 0 or max(row) >= q:
+        raise ValueError(f"basis entry is not a code of F_{q}")
+    piv = next(itertools.compress(itertools.count(), row))
+    if row[piv] != 1:
+        raise ValueError("pivot entry must be 1")
+    if any(map(row.__getitem__, later)):
+        raise ValueError("nonzero entry in a pivot column")
+    return piv
+
+
 class SubspaceCanonical:
     """A subspace of F_q^n held as its unique full-rank RREF basis of code rows."""
 
@@ -76,28 +112,32 @@ class SubspaceCanonical:
 
     def __init__(self, field: FiniteField, ambient: int,
                  basis: tuple[tuple[int, ...], ...]):
+        # bottom row first, so each row meets the pivots below it already found
+        pivots: list[int] = []
+        for row in reversed(basis):
+            pivots.append(_row_pivot(field.q, ambient, row, pivots))
+        pivots.reverse()
+        _check_pivots(pivots)
         self.field = field
         self.ambient = ambient
         self.basis = basis
-        pivots: list[int] = []
-        for row in basis:
-            if len(row) != ambient:
-                raise ValueError("basis row of wrong length")
-            if not any(row):
-                raise ValueError("zero row in a canonical basis")
-            if min(row) < 0 or max(row) >= field.q:
-                raise ValueError(f"basis entry is not a code of F_{field.q}")
-            piv = next(itertools.compress(itertools.count(), row))
-            if row[piv] != 1:
-                raise ValueError("pivot entry must be 1")
-            if pivots and piv <= pivots[-1]:
-                raise ValueError("pivot columns must strictly increase")
-            pivots.append(piv)
-        # a row is zero before its own pivot, so only later pivot columns can fail
-        for i, row in enumerate(basis):
-            if any(map(row.__getitem__, pivots[i + 1:])):
-                raise ValueError("nonzero entry in a pivot column")
         self.pivots = tuple(pivots)
+
+    @classmethod
+    def _from_checked_rows(cls, field: FiniteField, ambient: int,
+                           basis: tuple[tuple[int, ...], ...],
+                           pivots: tuple[int, ...]) -> "SubspaceCanonical":
+        """An instance whose rows already passed _row_pivot with these pivots.
+
+        No check runs here: the caller must have checked the pivots with
+        _check_pivots and each row against the pivots below it.
+        """
+        self = cls.__new__(cls)
+        self.field = field
+        self.ambient = ambient
+        self.basis = basis
+        self.pivots = pivots
+        return self
 
     @property
     def dim(self) -> int:
@@ -154,6 +194,22 @@ def count_independent_tuples(q: int, n: int, k: int) -> int:
     return out
 
 
+def _row_fillings(q: int, n: int, pivots: tuple[int, ...],
+                  i: int) -> list[tuple[int, ...]]:
+    """Every RREF row i of the pattern: 1 at its pivot, any codes in the
+    columns after it that hold no pivot, zero elsewhere."""
+    p = pivots[i]
+    free = [j for j in range(p + 1, n) if j not in pivots]
+    fillings = []
+    for fill in itertools.product(range(q), repeat=len(free)):
+        row = [0] * n
+        row[p] = 1
+        for j, c in zip(free, fill):
+            row[j] = c
+        fillings.append(tuple(row))
+    return fillings
+
+
 def enumerate_subspaces(q: int, n: int, k: int,
                         budget: int = DEFAULT_SUBSPACE_BUDGET) -> list[SubspaceCanonical]:
     """All k-dimensional subspaces of F_q^n, each exactly once.
@@ -161,6 +217,13 @@ def enumerate_subspaces(q: int, n: int, k: int,
     Deterministic order: pivot-column patterns in lexicographic order,
     then free entries filled in canonical element order.  Raises
     BudgetExceeded if the projected output size is over budget.
+
+    The checks of SubspaceCanonical run once per pivot pattern (the
+    pivots strictly increase) and once per row filling (_row_pivot,
+    against the pivots of the rows below), not once per basis: every
+    basis of a pattern is a choice of one checked filling per row, so it
+    passes them all, and it is built by _from_checked_rows with the
+    pattern's shared pivots tuple.
     """
     if not 0 <= k <= n:
         raise ValueError("requires 0 <= k <= n")
@@ -169,24 +232,23 @@ def enumerate_subspaces(q: int, n: int, k: int,
     if projected > budget:
         raise BudgetExceeded(
             f"{projected} subspaces exceed the budget of {budget}")
+    make = SubspaceCanonical._from_checked_rows
     out: list[SubspaceCanonical] = []
     for pivots in itertools.combinations(range(n), k):
+        _check_pivots(pivots)
         # the free entries of different rows vary independently, so the
         # matrices are the product of each row's fillings, last row fastest
         choices = []
-        for p in pivots:
-            free = [j for j in range(p + 1, n) if j not in pivots]
-            fillings = []
-            for fill in itertools.product(range(q), repeat=len(free)):
-                row = [0] * n
-                row[p] = 1
-                for j, c in zip(free, fill):
-                    row[j] = c
-                fillings.append(tuple(row))
+        for i, p in enumerate(pivots):
+            fillings = _row_fillings(q, n, pivots, i)
+            for row in fillings:
+                if _row_pivot(q, n, row, pivots[i + 1:]) != p:
+                    raise ValueError(f"a filling of pivot column {p} starts elsewhere")
             choices.append(fillings)
-        out.extend(SubspaceCanonical(field, n, rows)
+        out.extend(make(field, n, rows, pivots)
                    for rows in itertools.product(*choices))
     return out
+
 
 
 def _check_compatible(a: SubspaceCanonical, b: SubspaceCanonical) -> None:

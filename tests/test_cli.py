@@ -200,6 +200,16 @@ class TestGeometry:
         assert res.exit_code == 0
         assert "piece sizes: 9 3 1" in res.text
 
+    @pytest.mark.parametrize("n, count", [
+        ("19", "1048575"), ("200", "at least 1048575"),
+        ("100000000", "at least 1048575")])
+    def test_affine_budget_names_n_and_points(self, n, count):
+        # the point count alone refuses these, before any q-binomial is formed
+        res = run(["geometry", "affine", "2", n])
+        assert res.exit_code == 3
+        assert res.error == (f"budget exceeded: P^{n}(F_2) has {count} points, "
+                             "over the budget of 1000000")
+
 
 class TestPlane:
     def test_check_valid(self, tmp_path):
@@ -300,6 +310,22 @@ class TestUsage:
 
     def test_help_is_success(self):
         assert run(["--help"]).exit_code == 0
+
+
+class TestCapFlags:
+    @pytest.mark.parametrize("argv", [
+        ["subspaces", "2", "3", "1", "--budget"],
+        ["geometry", "build", "--projective", "2", "2", "--budget"],
+        ["geometry", "collineations", "fano.json", "--max-points"],
+        ["paths", "gf", "2", "2", "--max-steps"]])
+    def test_negative_cap_is_usage_error(self, argv, tmp_path, capsys):
+        if "collineations" in argv:
+            fano = tmp_path / "fano.json"
+            fano.write_text(run(["geometry", "build", "--projective", "2", "2"]).text)
+            argv = [str(fano) if a == "fano.json" else a for a in argv]
+        assert run(argv + ["-1"]).exit_code == 2
+        assert "must be nonnegative, got -1" in capsys.readouterr().err
+        assert run(argv + ["0"]).exit_code == 3
 
 
 class TestQSeriesCap:

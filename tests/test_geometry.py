@@ -411,6 +411,13 @@ class TestAffineDecomposition:
         assert affine_decomposition(3, 2) == [9, 3, 1]
         assert affine_decomposition(2, 0) == [1]
 
+    def test_budget_counts_points(self):
+        with pytest.raises(BudgetExceeded, match=r"P\^3\(F_2\) has 15 points"):
+            affine_decomposition(2, 3, budget=14)
+        with pytest.raises(BudgetExceeded, match=r"has at least 15 points"):
+            affine_decomposition(2, 4, budget=14)
+        assert affine_decomposition(2, 3, budget=15) == [8, 4, 2, 1]
+
     def test_powers_and_total(self):
         for q in (2, 3, 4):
             for n in range(4):

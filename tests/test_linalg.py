@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qproj import linalg
 from qproj import (BudgetExceeded, DimensionMismatch, FieldMismatch,
                    SubspaceCanonical, count_independent_tuples,
                    enumerate_subspaces, evaluate, make_field,
@@ -103,6 +104,16 @@ class TestSpanCanonical:
         with pytest.raises(ValueError):
             SubspaceCanonical(f, 2, ((1, 2),))  # 2 is not a code of F_2
 
+    def test_canonical_row_shape_enforced(self):
+        f3 = make_field(3)
+        with pytest.raises(ValueError, match="wrong length"):
+            SubspaceCanonical(f3, 3, ((1, 0, 0), (0, 1)))
+        with pytest.raises(ValueError, match="pivot entry must be 1"):
+            SubspaceCanonical(f3, 3, ((0, 2, 1),))
+        with pytest.raises(ValueError, match="nonzero entry in a pivot column"):
+            # row 0 has a 2 in column 2, the pivot of row 1
+            SubspaceCanonical(f3, 3, ((1, 0, 2), (0, 0, 1)))
+
     def test_vector_from_another_field_rejected(self):
         f2, f3 = make_field(2), make_field(3)
         mixed = (f2.one, f3.one)
@@ -142,6 +153,46 @@ class TestEnumeration:
         a = enumerate_subspaces(3, 4, 2)
         b = enumerate_subspaces(3, 4, 2)
         assert [s.basis for s in a] == [s.basis for s in b]
+
+    @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16])
+    def test_constructor_accepts_every_enumerated_basis(self, q):
+        # the enumerator skips the constructor's per-basis checks; rebuilding
+        # through the checking constructor must give back the same subspace
+        field = make_field(q)
+        for n in range(4 if q == 16 else 5):
+            for k in range(n + 1):
+                for s in enumerate_subspaces(q, n, k):
+                    t = SubspaceCanonical(field, n, s.basis)
+                    assert t == s and hash(t) == hash(s)
+                    assert t.basis == s.basis and t.pivots == s.pivots
+
+    def test_bases_of_a_pattern_share_its_pivots(self):
+        subs = enumerate_subspaces(3, 4, 2)
+        by_pattern = {}
+        for s in subs:
+            assert by_pattern.setdefault(s.pivots, s.pivots) is s.pivots
+        assert len(by_pattern) == 6
+
+    @pytest.mark.parametrize("bad, match", [
+        ((0, 1, 0, 0), "starts elsewhere"),  # pivot column left empty
+        ((1, 0, 2, 0), "nonzero entry in a pivot column"),
+        ((0, 0, 0, 0), "zero row"),
+        ((1, 3, 0, 0), "not a code of F_3"),
+        ((1, 0, 0), "wrong length"),
+        ((2, 0, 0, 0), "pivot entry must be 1"),
+    ])
+    def test_enumerator_refuses_a_bad_filling(self, monkeypatch, bad, match):
+        real = linalg._row_fillings
+
+        def fillings(q, n, pivots, i):
+            rows = real(q, n, pivots, i)
+            if pivots == (0, 2) and i == 0:
+                rows.append(bad)
+            return rows
+
+        monkeypatch.setattr(linalg, "_row_fillings", fillings)
+        with pytest.raises(ValueError, match=match):
+            enumerate_subspaces(3, 4, 2)
 
     def test_budget(self):
         with pytest.raises(BudgetExceeded):
