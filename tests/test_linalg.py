@@ -103,8 +103,6 @@ class TestSpanCanonical:
             SubspaceCanonical(f, 2, ((0, 1), (1, 0)))
         with pytest.raises(ValueError):
             SubspaceCanonical(f, 2, ((1, 2),))  # 2 is not a code of F_2
-
-    def test_canonical_row_shape_enforced(self):
         f3 = make_field(3)
         with pytest.raises(ValueError, match="wrong length"):
             SubspaceCanonical(f3, 3, ((1, 0, 0), (0, 1)))
