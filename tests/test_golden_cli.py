@@ -17,6 +17,15 @@ F_16^2 (k = 1) and the trivial k = 0 and k = n cases of F_2^3, count the
 3-subspaces of F_2^8, build P2(F2), P2(F3) and P3(F2) as JSON, and split
 P3(F16) and P2(F3) into affine pieces.
 
+The error cases (exit 2, an ``error:`` line) are ``subspaces 6 2 1``, a
+non-prime-power q; ``group order PSL 3 1``, the degenerate q = 1;
+``group order GL 2 2 --brute-force``, a family without an oracle;
+``qbinom 5 7``, k > n; ``group an 1``; and ``plane bruck-ryser 1``.
+``group an 5`` and ``plane bruck-ryser`` 10, 12 and 21 cover the
+alternating comparison and the three Bruck-Ryser verdicts; they were
+written from the code before the error handler of ``cli.run`` and the
+two-squares search were simplified.
+
 To extend the corpus, add the new cases here and write the new entries
 from a commit whose output is trusted:
 
@@ -111,6 +120,12 @@ def _cases():
         base[f"geometry affine {q} {n}"] = (["geometry", "affine", q, n], None)
     base["qbinom 12 5"] = (["qbinom", "12", "5"], None)
     base["qbinom 12 5 --at 3"] = (["qbinom", "12", "5", "--at", "3"], None)
+    for argv in (["subspaces", "6", "2", "1"], ["group", "order", "PSL", "3", "1"],
+                 ["group", "order", "GL", "2", "2", "--brute-force"],
+                 ["qbinom", "5", "7"], ["group", "an", "1"], ["group", "an", "5"]):
+        base[" ".join(argv)] = (argv, None)
+    for order in ("1", "10", "12", "21"):
+        base[f"plane bruck-ryser {order}"] = (["plane", "bruck-ryser", order], None)
     cases = {}
     for name, (argv, doc) in base.items():
         cases[name] = (argv, doc)
