@@ -120,11 +120,27 @@ def property_two_reference(g: IncidenceGeometry) -> str | None:
     return None
 
 
+def property_three_reference(g: IncidenceGeometry) -> str | None:
+    """Oracle: derived property 3 in two parts, points on lines and then
+    every pair of lines sharing more than one point."""
+    lines = [i for i, d in enumerate(g.dims) if d == 1]
+    witness = geometry._unique_line_witness(g.points, [g.subspaces[i] for i in lines])
+    if witness is not None:
+        return witness
+    for i, j in itertools.combinations(lines, 2):
+        common = (g.subspaces[i] & g.subspaces[j]).bit_count()
+        if common > 1:
+            return (f"lines {g.describe_subspace(i)} and {g.describe_subspace(j)}"
+                    f" share {common} points")
+    return None
+
+
 def reference_derived_report(g: IncidenceGeometry) -> dict:
-    """check_derived_properties(g).as_dict() with properties 1 and 2 taken
-    from the reference loops above, which always evaluate."""
-    witnesses = {1: property_one_reference(g), 2: property_two_reference(g)}
-    for p in geometry.check_derived_properties(g).properties[2:]:
+    """check_derived_properties(g).as_dict() with properties 1, 2 and 3
+    taken from the reference loops above, which always evaluate."""
+    witnesses = {1: property_one_reference(g), 2: property_two_reference(g),
+                 3: property_three_reference(g)}
+    for p in geometry.check_derived_properties(g).properties[3:]:
         witnesses[p.number] = p.witness
     checks = geometry._checks(geometry._PROPERTY_DESCRIPTIONS, witnesses)
     return DerivedPropertiesReport(checks).as_dict()
