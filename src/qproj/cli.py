@@ -21,15 +21,15 @@ import argparse
 import contextlib
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from . import geometry as geo
 from . import planes as pl
-from .errors import (BudgetExceeded, DegenerateQ, DimensionMismatch,
-                     GeometryFormatError, NotAPrimePower)
+from .errors import BudgetExceeded, GeometryFormatError
 from .groups import (alternating_group_comparison, brute_force_psl_order,
                      group_order)
-from .paths import area_generating_function
+from .linalg import DEFAULT_SUBSPACE_BUDGET, enumerate_subspaces
+from .paths import DEFAULT_MAX_STEPS, area_generating_function
 from .qcalc import QPoly, q_binomial_recurrence, q_binomial_quotient
 from .qword import expand_binomial
 
@@ -116,7 +116,6 @@ def _cmd_expand(args):
 
 
 def _cmd_subspaces(args):
-    from .linalg import enumerate_subspaces
     subs = enumerate_subspaces(args.q, args.n, args.k, budget=args.budget)
     expected = q_binomial_recurrence(args.n, args.k).evaluate(args.q)
     ok = len(subs) == expected
@@ -257,8 +256,7 @@ def _cmd_group_order(args):
     report = group_order(args.family, args.n, args.q)
     with _unlimited_int_digits():
         lines = [f"|{report.family}_{report.n}(F_{report.q})| = {report.order}"]
-    payload = {"family": report.family, "n": report.n, "q": report.q,
-               "order": report.order, "method": report.method}
+    payload = asdict(report)
     if args.brute_force:
         if report.family != "PSL":
             raise ValueError("--brute-force is implemented for PSL only")
@@ -325,7 +323,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("n", type=int)
     p.add_argument("k", type=int)
     p.add_argument("--list", action="store_true", help="print canonical bases")
-    p.add_argument("--budget", type=_nonnegative_int, default=10 ** 6)
+    p.add_argument("--budget", type=_nonnegative_int,
+                   default=DEFAULT_SUBSPACE_BUDGET)
     add_json(p)
     p.set_defaults(handler=_cmd_subspaces)
 
@@ -380,7 +379,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = qsub.add_parser("gf", help="area generating function of the m-by-n box")
     p.add_argument("m", type=int)
     p.add_argument("n", type=int)
-    p.add_argument("--max-steps", type=_nonnegative_int, default=24)
+    p.add_argument("--max-steps", type=_nonnegative_int, default=DEFAULT_MAX_STEPS)
     add_json(p)
     p.set_defaults(handler=_cmd_paths_gf)
 
@@ -418,7 +417,7 @@ def run(argv: list[str]) -> CommandResult:
         exit_code, lines, payload = args.handler(args)
     except GeometryFormatError as e:
         return CommandResult(EXIT_USAGE, error=f"format error: {e}")
-    except (NotAPrimePower, DegenerateQ, DimensionMismatch, ValueError) as e:
+    except ValueError as e:
         return CommandResult(EXIT_USAGE, error=f"error: {e}")
     except BudgetExceeded as e:
         return CommandResult(EXIT_BUDGET, error=f"budget exceeded: {e}")

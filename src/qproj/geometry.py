@@ -45,6 +45,14 @@ DEFAULT_COLLINEATION_NODES = 10 ** 7  # search nodes; about 2 us each on a 2-cor
 DEFAULT_GEOMETRY_BUDGET = 10 ** 6
 
 
+def _bits(mask: int):
+    """The indices of the set bits of mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 @dataclass(frozen=True)
 class IncidenceGeometry:
     """Plain container; constructors guarantee the axioms, validators check them.
@@ -84,8 +92,7 @@ class IncidenceGeometry:
         return cls(points, tuple(masks), tuple(dims), claimed_order)
 
     def subspace_point_names(self, i: int) -> tuple[str, ...]:
-        mask = self.subspaces[i]
-        return tuple(self.points[b] for b in range(len(self.points)) if mask >> b & 1)
+        return tuple(self.points[b] for b in _bits(self.subspaces[i]))
 
     def describe_subspace(self, i: int) -> str:
         names = ",".join(self.subspace_point_names(i))
@@ -301,9 +308,9 @@ def _axiom_witnesses(g: IncidenceGeometry, members: Sequence[int], top: int,
     if 0 not in lat.index_of:
         ax3_witness = "the empty set is not in L"
     else:
-        for b, name in enumerate(g.points):
-            if top >> b & 1 and (1 << b) not in lat.index_of:
-                ax3_witness = f"singleton {{{name}}} is not in L"
+        for b in _bits(top):
+            if (1 << b) not in lat.index_of:
+                ax3_witness = f"singleton {{{g.points[b]}}} is not in L"
                 break
 
     ax4_witness = None
@@ -360,13 +367,11 @@ _PROPERTY_DESCRIPTIONS = {
 def _unique_line_witness(points: Sequence[str],
                          line_masks: Iterable[int]) -> str | None:
     """Witness for the first pair of distinct points not on exactly one line."""
-    npts = len(points)
     pair_lines: dict[tuple[int, int], int] = {}
     for m in line_masks:
-        bits = [b for b in range(npts) if m >> b & 1]
-        for pair in itertools.combinations(bits, 2):
+        for pair in itertools.combinations(_bits(m), 2):
             pair_lines[pair] = pair_lines.get(pair, 0) + 1
-    for a, b in itertools.combinations(range(npts), 2):
+    for a, b in itertools.combinations(range(len(points)), 2):
         c = pair_lines.get((a, b), 0)
         if c != 1:
             return f"points {points[a]} and {points[b]} lie on {c} lines"
@@ -421,16 +426,20 @@ def check_derived_properties(g: IncidenceGeometry) -> DerivedPropertiesReport:
     intersection is not in L (_Lattice.first_meet_miss) is the first
     pair whose meet is missing or is not their intersection.
 
+    Property 3 checks only its first half, that every pair of distinct
+    points lies on exactly one line.  The second half follows: if two
+    distinct lines shared points a != b, the pair {a, b} would lie on
+    two lines, and two lines with the same point set count as two.
+
     Cost: on a geometry that passes the axioms, the one axiom pass of
     about |L|^2/2 table reads, shared with validate_axioms, plus about
-    |L|*|P| joins (property 4), |P|^2 point pairs and pairs of lines
-    (property 3) and |hyperplanes|*|L| meets (property 5).  On one that
-    fails, the interval checks add up to sum over S of |L_S|^2/2 reads.
+    |L|*|P| joins (property 4), |P|^2 point pairs (property 3) and
+    |hyperplanes|*|L| meets (property 5).  On one that fails, the
+    interval checks add up to sum over S of |L_S|^2/2 reads.
     """
     lat = g._lattice
     masks, dims = g.subspaces, g.dims
     ns = len(masks)
-    npts = len(g.points)
     meets, joins, row = lat.meets, lat.joins, lat.row
     axioms, order = g._axioms
     n = _geometry_dimension(g)
@@ -453,19 +462,11 @@ def check_derived_properties(g: IncidenceGeometry) -> DerivedPropertiesReport:
 
     lines = [i for i in range(ns) if dims[i] == 1]
     w3 = _unique_line_witness(g.points, [masks[i] for i in lines])
-    if w3 is None:
-        for i, j in itertools.combinations(lines, 2):
-            common = (masks[i] & masks[j]).bit_count()
-            if common > 1:
-                w3 = (f"lines {g.describe_subspace(i)} and {g.describe_subspace(j)}"
-                      f" share {common} points")
-                break
 
     w4 = None
+    full = (1 << len(g.points)) - 1
     for i in range(ns):
-        for b in range(npts):
-            if masks[i] >> b & 1:
-                continue
+        for b in _bits(full ^ masks[i]):
             si = lat.index_of.get(1 << b)
             if si is None:
                 continue  # axiom 3 failure, reported there
@@ -736,14 +737,6 @@ def collineation_order(g: IncidenceGeometry,
         raise BudgetExceeded(
             f"{npts} points exceed the collineation cap of {max_points}")
     return _CollineationSearch(g, max_nodes).order()
-
-
-def _bits(mask: int):
-    """The indices of the set bits of mask, lowest first."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 def _orbit(points: Iterable[int], maps: list[list[int]]) -> set[int]:

@@ -183,25 +183,19 @@ class FieldElement:
 
 
 class FiniteField:
-    """F_(p^d) with explicit modulus polynomial; immutable once built."""
+    """F_(p^d) modulo the smallest monic irreducible of degree d, so one
+    modulus per q; immutable once built."""
 
-    def __init__(self, p: int, degree: int, modulus: tuple[int, ...] | None = None):
+    def __init__(self, p: int, degree: int):
         if not _is_prime(p):
             raise NotAPrimePower(f"characteristic {p} is not prime")
         if degree < 1:
             raise ValueError("extension degree must be >= 1")
-        if modulus is None:
-            modulus = (0, 1) if degree == 1 else _smallest_irreducible(p, degree)
-        modulus = tuple(c % p for c in modulus)
-        if len(modulus) != degree + 1 or modulus[-1] != 1:
-            raise ValueError("modulus must be monic of the stated degree")
-        if degree > 1 and not _is_irreducible(modulus, p):
-            raise ValueError("modulus is reducible")
         self.p = p
         self.degree = degree
         self.q = p ** degree
-        self.modulus = modulus
-        self.key = (p, degree, modulus)
+        self.modulus = (0, 1) if degree == 1 else _smallest_irreducible(p, degree)
+        self.key = (p, degree, self.modulus)
         self._build_tables()
 
     def _build_tables(self) -> None:
@@ -250,9 +244,6 @@ class FiniteField:
         if not 0 <= code < self.q:
             raise ValueError(f"code {code} out of range for F_{self.q}")
         return FieldElement(self, code)
-
-    def from_coeffs(self, coeffs) -> FieldElement:
-        return FieldElement(self, self.coeffs_to_code(tuple(coeffs)))
 
     def elements(self) -> list[FieldElement]:
         """All q elements in canonical (code) order, zero first."""

@@ -16,7 +16,6 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Iterable
 
 from .errors import DimensionMismatch, GeometryFormatError
 from .geometry import (Check, IncidenceGeometry, _checks,
@@ -27,11 +26,6 @@ from .geometry import (Check, IncidenceGeometry, _checks,
 class PlaneStructure:
     points: tuple[str, ...]
     lines: tuple[tuple[str, ...], ...]
-
-    @classmethod
-    def from_sets(cls, points: Iterable[str],
-                  lines: Iterable[Iterable[str]]) -> "PlaneStructure":
-        return cls(tuple(points), tuple(tuple(line) for line in lines))
 
 
 @dataclass(frozen=True)
