@@ -246,6 +246,14 @@ class TestPlane:
         assert res.exit_code == 0
         assert res.text.startswith("NOT APPLICABLE")
 
+    def test_bruck_ryser_huge_order(self):
+        res = run(["plane", "bruck-ryser", "3000000000000000000000009"])
+        assert res.exit_code == 3
+        assert res.error.startswith("budget exceeded: order 3000000000000000000000009")
+        res = run(["plane", "bruck-ryser", "10000000000000000000001"])
+        assert res.exit_code == 0
+        assert res.text == "PASSES (10000000000000000000001 = 1^2 + 100000000000^2)"
+
     def test_bruck_ryser_json(self):
         doc = json.loads(run(["plane", "bruck-ryser", "10", "--json"]).text)
         assert doc["data"]["verdict"] == "Passes"

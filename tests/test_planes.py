@@ -5,7 +5,9 @@ from qproj import (BruckRyserVerdict, DimensionMismatch, GeometryFormatError,
                    build_projective_space, plane_from_geometry,
                    plane_from_json, plane_to_json, two_squares,
                    validate_axioms, validate_plane)
+from qproj.errors import BudgetExceeded
 from qproj.geometry import IncidenceGeometry
+from qproj.planes import MAX_TWO_SQUARES_CANDIDATES
 
 
 def _fano_plane():
@@ -115,6 +117,27 @@ class TestBruckRyser:
         assert two_squares(10) == (1, 3)
         assert two_squares(9) == (0, 3)
         assert two_squares(6) is None
+        # brute force: the representation with the least a, for every n < 2000
+        first = {}
+        for a in range(45):
+            for b in range(a, 45):
+                first.setdefault(a * a + b * b, (a, b))
+        for n in range(2000):
+            assert two_squares(n) == first.get(n), n
+
+    def test_huge_order_past_the_candidate_cap_is_refused(self):
+        # 3 * (10^24 + 3) = 1 mod 4 has the factor 3 once: a FAIL that
+        # would need about 1.2 * 10^12 candidates to prove
+        order = 3 * (10 ** 24 + 3)
+        with pytest.raises(BudgetExceeded) as err:
+            bruck_ryser(order)
+        assert str(order) in str(err.value)
+        assert f"cap of {MAX_TWO_SQUARES_CANDIDATES}" in str(err.value)
+
+    def test_huge_order_with_a_small_square_still_passes(self):
+        order = 10 ** 22 + 1
+        assert bruck_ryser(order) is BruckRyserVerdict.PASSES
+        assert two_squares(order) == (1, 10 ** 11)
 
 
 class TestPlaneJson:
