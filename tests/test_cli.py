@@ -1,6 +1,7 @@
 import itertools
 import json
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 from qproj import cli
 from qproj.cli import _unlimited_int_digits, run
-from qproj.groups import gl_order
+from qproj.groups import MAX_GL_ORDER_BITS, gl_order
 from qproj.qcalc import MAX_Q_SERIES_N
 
 
@@ -292,6 +293,16 @@ class TestGroup:
         assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
         with _unlimited_int_digits():
             assert res.text == f"|GL_300(F_9)| = {gl_order(300, 9)}"
+
+    @pytest.mark.parametrize("family", ["GL", "SL"])
+    def test_order_size_cap(self, family):
+        start = time.perf_counter()
+        res = run(["group", "order", family, "3000", "2"])
+        assert time.perf_counter() - start < 0.1
+        assert res.exit_code == 3
+        assert res.error == (f"budget exceeded: |GL_3000(F_2)| has up to n^2 * "
+                             f"bit_length(q) = 18000000 bits, over the cap of "
+                             f"{MAX_GL_ORDER_BITS}")
 
     def test_brute_force_cap(self):
         res = run(["group", "order", "PSL", "3", "4", "--brute-force"])
