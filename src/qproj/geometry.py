@@ -37,7 +37,7 @@ from typing import Iterable, NamedTuple, Sequence
 from .errors import BudgetExceeded, GeometryFormatError
 from .gf import make_field
 from .linalg import SubspaceCanonical, enumerate_subspaces
-from .qcalc import q_binomial_recurrence, q_integer
+from .qcalc import q_binomial_quotient, q_binomial_recurrence, q_integer
 
 DEFAULT_BOOLEAN_CAP = 12
 DEFAULT_COLLINEATION_CAP = 9
@@ -555,7 +555,10 @@ def subspace_census(g: IncidenceGeometry) -> CensusReport:
     [n+1 choose k+1]_q subspaces of dimension k.  The report also
     verifies the counting recurrence behind that fact,
     [n choose k+1] + q^(n-k) [n choose k] = [n+1 choose k+1], evaluated
-    at the geometry's order for every k.
+    at the geometry's order for every k.  The right-hand side is the
+    expected count from the recurrence route, and the left-hand terms
+    come from the quotient route: the recurrence route is a loop of this
+    very identity, so it could not disagree with itself.
     """
     q = _resolved_order(g)
     n = _geometry_dimension(g)
@@ -568,10 +571,13 @@ def subspace_census(g: IncidenceGeometry) -> CensusReport:
         k: q_binomial_recurrence(n + 1, k + 1).evaluate(q)
         for k in range(-1, n + 1)
     }
+
+    def quotient(j: int) -> int:  # [n choose j] at q, 0 outside 0 <= j <= n
+        return q_binomial_quotient(n, j).evaluate(q) if 0 <= j <= n else 0
+
     recurrence_ok = True
     for k in range(-1, n + 1) if n >= 0 else ():
-        lhs = (q_binomial_recurrence(n, k + 1).evaluate(q)
-               + q ** (n - k) * q_binomial_recurrence(n, k).evaluate(q))
+        lhs = quotient(k + 1) + q ** (n - k) * quotient(k)
         if lhs != expected[k]:
             recurrence_ok = False
             break

@@ -393,6 +393,14 @@ class TestCounting:
             assert census.passed, (name, census.counts, census.expected)
             assert census.recurrence_passed, name
 
+    def test_census_recurrence_is_checked_against_the_quotient_route(self, monkeypatch):
+        # a recurrence route off by a factor of 2 must fail the identity,
+        # which it would pass if it supplied every term itself
+        true = geometry.q_binomial_recurrence
+        monkeypatch.setattr(geometry, "q_binomial_recurrence",
+                            lambda n, k: true(n, k) + true(n, k))
+        assert not subspace_census(build_projective_space(2, 3)).recurrence_passed
+
     def test_census_values_p3_f2(self):
         census = subspace_census(build_projective_space(2, 3))
         assert census.counts[0] == 15
