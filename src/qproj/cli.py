@@ -218,14 +218,14 @@ def _cmd_plane_check(args):
 
 def _cmd_plane_bruck_ryser(args):
     order = args.order
-    verdict = pl.bruck_ryser(order)
+    verdict, decomposition = pl.bruck_ryser(order)
     payload = {"order": order, "verdict": verdict.value}
     if verdict is pl.BruckRyserVerdict.NOT_APPLICABLE:
         lines = [f"NOT APPLICABLE ({order} = {order % 4} mod 4)"]
     elif verdict is pl.BruckRyserVerdict.FAILS:
         lines = [f"FAILS ({order} = {order % 4} mod 4, not a sum of two squares)"]
     else:
-        a, b = pl.two_squares(order)
+        a, b = decomposition
         payload["decomposition"] = [a, b]
         lines = [f"PASSES ({order} = {a}^2 + {b}^2)"]
     if order == 10:

@@ -6,12 +6,19 @@ code in [0, q): the code of the residue c_0 + c_1 x + ... is
 sum(c_i * p^i), so codes 0 and 1 are the field's zero and one, and code
 order (ascending) is the canonical element order used everywhere.
 
-The modulus is the lexicographically smallest monic irreducible of its
-degree, comparing coefficient vectors from the constant term upward, so
-fields are reproducible without any table dependency.  Addition and
-multiplication tables are precomputed at construction (q is capped, 16
-by default); the inverse of a nonzero code is the column in which its
-row of the multiplication table holds the code 1.
+The four code tables are the only arithmetic, built at construction (q
+is capped, 16 by default).  Addition works digit by digit; the negative
+of a code is the column in which its row of the addition table holds 0,
+and the inverse of a nonzero code is the column in which its row of the
+multiplication table holds 1.
+
+For the modulus, monic x^d + tail are tried with tails in lexicographic
+order from the constant term upward, and the first whose multiplication
+table has no zero divisors (no 0 in a nonzero row past column 0) is
+kept.  That is exactly the smallest irreducible: a reducible f = g*h
+gives g*h = 0 in F_p[x]/(f), while for irreducible f the quotient is a
+field (Lidl & Niederreiter, Finite Fields, ch. 1).  So fields are
+reproducible without any table dependency.
 """
 
 from __future__ import annotations
@@ -52,61 +59,6 @@ def factor_prime_power(q: int) -> tuple[int, int]:
             return p, d
         p += 1
     return q, 1  # q itself is prime
-
-
-# -- polynomial helpers over F_p, coefficient tuples (constant term first) --
-
-def _ptrim(a: list[int]) -> tuple[int, ...]:
-    while a and a[-1] == 0:
-        a.pop()
-    return tuple(a)
-
-
-def _pmul(a: tuple[int, ...], b: tuple[int, ...], p: int) -> tuple[int, ...]:
-    if not a or not b:
-        return ()
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca:
-            for j, cb in enumerate(b):
-                out[i + j] = (out[i + j] + ca * cb) % p
-    return _ptrim(out)
-
-
-def _pdivmod(a: tuple[int, ...], b: tuple[int, ...], p: int):
-    rem = list(a)
-    lead_inv = pow(b[-1], p - 2, p)
-    quo = [0] * max(0, len(a) - len(b) + 1)
-    for i in range(len(quo) - 1, -1, -1):
-        c = rem[i + len(b) - 1]
-        if c:
-            f = (c * lead_inv) % p
-            quo[i] = f
-            for j, bc in enumerate(b):
-                rem[i + j] = (rem[i + j] - f * bc) % p
-    return _ptrim(quo), _ptrim(rem)
-
-
-def _is_irreducible(f: tuple[int, ...], p: int) -> bool:
-    """Trial division by all monic polynomials of degree 1..deg(f)//2."""
-    d = len(f) - 1
-    if d < 1:
-        return False
-    for e in range(1, d // 2 + 1):
-        for tail in itertools.product(range(p), repeat=e):
-            g = tail + (1,)
-            _, rem = _pdivmod(f, g, p)
-            if not rem:
-                return False
-    return True
-
-
-def _smallest_irreducible(p: int, d: int) -> tuple[int, ...]:
-    for tail in itertools.product(range(p), repeat=d):
-        f = tail + (1,)
-        if _is_irreducible(f, p):
-            return f
-    raise AssertionError("no irreducible polynomial found")  # cannot happen
 
 
 class FieldElement:
@@ -193,18 +145,40 @@ class FiniteField:
             raise ValueError("extension degree must be >= 1")
         self.p = p
         self.degree = degree
-        self.q = p ** degree
-        self.modulus = (0, 1) if degree == 1 else _smallest_irreducible(p, degree)
+        self.q = q = p ** degree
+        digits = [self.code_to_coeffs(i) for i in range(q)]
+        self.add_table = [[self.coeffs_to_code(tuple(x + y for x, y in zip(a, b)))
+                           for b in digits] for a in digits]
+        self.neg_table = [row.index(0) for row in self.add_table]
+        # smallest irreducible first: a reducible f = g*h makes g*h = 0
+        for tail in itertools.product(range(p), repeat=degree):
+            self.mul_table = self._mul_table(tail)
+            if all(0 not in row[1:] for row in self.mul_table[1:]):
+                break
+        else:
+            raise AssertionError("no irreducible polynomial found")  # cannot happen
+        self.modulus = tail + (1,)
         self.key = (p, degree, self.modulus)
-        self._build_tables()
-
-    def _build_tables(self) -> None:
-        q = self.q
-        self.add_table = [[self._add_codes(i, j) for j in range(q)] for i in range(q)]
-        self.neg_table = [self._neg_code(i) for i in range(q)]
-        self.mul_table = [[self._mul_codes(i, j) for j in range(q)] for i in range(q)]
         # each nonzero row of the multiplication table holds the code 1 once
         self.inv_table = [0] + [self.mul_table[i].index(1) for i in range(1, q)]
+
+    def _mul_table(self, tail: tuple[int, ...]) -> list[list[int]]:
+        """Multiplication table of F_p[x]/(x^d + tail) on codes."""
+        p, q, add = self.p, self.q, self.add_table
+        top = q // p
+        # x times a code shifts its digits up one place; the digit h that
+        # falls off the top comes back as -h * tail, since x^d = -tail
+        drop = [self.coeffs_to_code(tuple(-h * t for t in tail)) for h in range(p)]
+        times_x = [add[c % top * p][drop[c // top]] for c in range(q)]
+        table = []
+        for a in range(q):
+            # Horner's rule on b = b_0 + x * (b // p): a*b is a*(b-1) + a
+            # when b_0 > 0 and x * (a*(b // p)) when b_0 = 0
+            row = [0]
+            for b in range(1, q):
+                row.append(add[row[-1]][a] if b % p else times_x[row[b // p]])
+            table.append(row)
+        return table
 
     def code_to_coeffs(self, code: int) -> tuple[int, ...]:
         cs = []
@@ -218,19 +192,6 @@ class FiniteField:
         for c in reversed(coeffs[: self.degree]):
             code = code * self.p + (c % self.p)
         return code
-
-    def _add_codes(self, i: int, j: int) -> int:
-        a, b = self.code_to_coeffs(i), self.code_to_coeffs(j)
-        return self.coeffs_to_code(tuple((x + y) % self.p for x, y in zip(a, b)))
-
-    def _neg_code(self, i: int) -> int:
-        return self.coeffs_to_code(tuple((-x) % self.p for x in self.code_to_coeffs(i)))
-
-    def _mul_codes(self, i: int, j: int) -> int:
-        prod = _pmul(self.code_to_coeffs(i), self.code_to_coeffs(j), self.p)
-        _, rem = _pdivmod(prod, self.modulus, self.p) if prod else ((), ())
-        padded = rem + (0,) * (self.degree - len(rem))
-        return self.coeffs_to_code(padded)
 
     @property
     def zero(self) -> FieldElement:
@@ -262,8 +223,7 @@ class FiniteField:
 
 
 @functools.lru_cache(maxsize=None)
-def _build_field(q: int) -> FiniteField:
-    p, d = factor_prime_power(q)
+def _build_field(p: int, d: int) -> FiniteField:
     return FiniteField(p, d)
 
 
@@ -274,7 +234,7 @@ def make_field(q: int, max_q: int = DEFAULT_MAX_Q) -> FiniteField:
     is beyond the configured cap; geometry construction cost grows like
     q^n, so the cap fails loudly instead of hanging.
     """
-    factor_prime_power(q)  # raise before the cap check for bad q
+    p, d = factor_prime_power(q)  # raise before the cap check for bad q
     if q > max_q:
         raise BudgetExceeded(f"field order {q} exceeds the cap of {max_q}")
-    return _build_field(q)
+    return _build_field(p, d)

@@ -33,8 +33,9 @@ from .qcalc import q_factorial
 
 DEFAULT_BRUTE_CAP = 3 ** 9
 DEFAULT_FACTORIAL_CAP = 12
-# n^2 * bit_length(q) bounds the bits of |GL_n(F_q)| < q^(n^2); at the cap
-# GL 724 2 takes about 0.7 s and GL 457 16 about 1.7 s on a 2-core VM
+# n^2 * bit_length(q) bounds the bits of |GL_n(F_q)| < q^(n^2), and so of
+# every order here; at the cap GL 724 2 takes about 0.7 s and GL 457 16
+# about 1.7 s on a 2-core VM
 MAX_GL_ORDER_BITS = 2 ** 20
 
 
@@ -47,20 +48,25 @@ class GroupOrderReport:
     method: str  # "formula" or "brute_force"
 
 
+def _check_order_bits(family: str, n: int, q: int) -> None:
+    """Raise BudgetExceeded when n^2 * bit_length(q), a bound on the bits
+    of the order, is over MAX_GL_ORDER_BITS."""
+    bound = n * n * q.bit_length()
+    if bound > MAX_GL_ORDER_BITS:
+        raise BudgetExceeded(
+            f"|{family}_{n}(F_{q})| has up to n^2 * bit_length(q) = {bound} bits, "
+            f"over the cap of {MAX_GL_ORDER_BITS}")
+
+
 def gl_order(n: int, q: int) -> int:
     """|GL_n(F_q)| = (q^n - 1)(q^n - q)...(q^n - q^(n-1)).
 
-    Raises BudgetExceeded when n^2 * bit_length(q), a bound on the bits
-    of the order, is over MAX_GL_ORDER_BITS.
+    Raises BudgetExceeded past the bits bound of _check_order_bits.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     factor_prime_power(q)
-    bound = n * n * q.bit_length()
-    if bound > MAX_GL_ORDER_BITS:
-        raise BudgetExceeded(
-            f"|GL_{n}(F_{q})| has up to n^2 * bit_length(q) = {bound} bits, "
-            f"over the cap of {MAX_GL_ORDER_BITS}")
+    _check_order_bits("GL", n, q)
     out = 1
     for i in range(n):
         out *= q ** n - q ** i
@@ -83,7 +89,9 @@ def psl_order(n: int, q: int) -> int:
     """|PSL_n(F_q)| by the closed formula (see module docstring).
 
     q = 1 is an explicit error, not a silent 0: the formula's remaining
-    factors amount to 0/n there and no value is invented for them.
+    factors amount to 0/n there and no value is invented for them.  Past
+    the q-series cap on n, or the bits bound of gl_order, it raises
+    BudgetExceeded.
     """
     if n < 2:
         raise ValueError("n must be >= 2")
@@ -93,9 +101,11 @@ def psl_order(n: int, q: int) -> int:
             "which has no agreed value; see alternating_group_comparison "
             "for the q = 1 analogy")
     factor_prime_power(q)
+    factorial = q_factorial(n)  # the q-series cap comes first
+    _check_order_bits("PSL", n, q)
     numerator = (q ** math.comb(n, 2)
                  * (q - 1) ** (n - 1)
-                 * q_factorial(n).evaluate(q))
+                 * factorial.evaluate(q))
     g = math.gcd(n, q - 1)
     assert numerator % g == 0
     return numerator // g

@@ -141,21 +141,23 @@ def two_squares(n: int) -> tuple[int, int] | None:
     return None
 
 
-def bruck_ryser(order: int) -> BruckRyserVerdict:
+def bruck_ryser(order: int) -> tuple[BruckRyserVerdict, tuple[int, int] | None]:
     """Necessary condition on plane orders congruent to 1 or 2 mod 4.
 
     Such an order must be a sum of two squares for a plane to exist.
     PASSES means only "not excluded by this test"; famously, order 10
     passes yet no plane of order 10 exists (ruled out by exhaustive
-    computer search).
+    computer search).  Returns the verdict and, for PASSES, the
+    decomposition (a, b) from two_squares; None otherwise.
     """
     if order < 2:
         raise ValueError("order must be >= 2")
     if order % 4 not in (1, 2):
-        return BruckRyserVerdict.NOT_APPLICABLE
-    if two_squares(order) is None:
-        return BruckRyserVerdict.FAILS
-    return BruckRyserVerdict.PASSES
+        return BruckRyserVerdict.NOT_APPLICABLE, None
+    decomposition = two_squares(order)
+    if decomposition is None:
+        return BruckRyserVerdict.FAILS, None
+    return BruckRyserVerdict.PASSES, decomposition
 
 
 def plane_from_geometry(g: IncidenceGeometry) -> PlaneStructure:

@@ -147,12 +147,12 @@ def test_criterion_9_group_orders(fano):
 
 def test_criterion_10_bruck_ryser():
     t0 = time.time()
-    assert bruck_ryser(6) is BruckRyserVerdict.FAILS
-    assert bruck_ryser(10) is BruckRyserVerdict.PASSES
-    assert bruck_ryser(12) is BruckRyserVerdict.NOT_APPLICABLE
+    assert bruck_ryser(6)[0] is BruckRyserVerdict.FAILS
+    assert bruck_ryser(10)[0] is BruckRyserVerdict.PASSES
+    assert bruck_ryser(12)[0] is BruckRyserVerdict.NOT_APPLICABLE
     for q in (2, 3, 4, 5, 7, 8, 9, 11, 13, 16):
         if q % 4 in (1, 2):
-            assert bruck_ryser(q) is BruckRyserVerdict.PASSES, q
+            assert bruck_ryser(q)[0] is BruckRyserVerdict.PASSES, q
     from qproj.cli import run
     annotated = run(["plane", "bruck-ryser", "10"])
     assert annotated.exit_code == 0

@@ -242,6 +242,18 @@ class TestPlane:
         assert "PASSES (10 = 1^2 + 3^2)" in res.text
         assert "no projective plane of order 10" in res.text
 
+    def test_bruck_ryser_searches_two_squares_once(self, monkeypatch):
+        calls = []
+        search = cli.pl.two_squares
+
+        def counted(n):
+            calls.append(n)
+            return search(n)
+
+        monkeypatch.setattr(cli.pl, "two_squares", counted)
+        assert run(["plane", "bruck-ryser", "10"]).exit_code == 0
+        assert calls == [10]
+
     def test_bruck_ryser_not_applicable(self):
         res = run(["plane", "bruck-ryser", "12"])
         assert res.exit_code == 0
@@ -302,6 +314,15 @@ class TestGroup:
         assert res.exit_code == 3
         assert res.error == (f"budget exceeded: |GL_3000(F_2)| has up to n^2 * "
                              f"bit_length(q) = 18000000 bits, over the cap of "
+                             f"{MAX_GL_ORDER_BITS}")
+
+    def test_psl_order_size_cap(self):
+        start = time.perf_counter()
+        res = run(["group", "order", "PSL", "120", str(2 ** 400)])
+        assert time.perf_counter() - start < 1
+        assert res.exit_code == 3
+        assert res.error == (f"budget exceeded: |PSL_120(F_{2 ** 400})| has up to "
+                             f"n^2 * bit_length(q) = 5774400 bits, over the cap of "
                              f"{MAX_GL_ORDER_BITS}")
 
     def test_brute_force_cap(self):

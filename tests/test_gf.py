@@ -29,10 +29,16 @@ def test_make_field_f4_modulus():
     assert f.modulus == (1, 1, 1)
 
 
-def test_known_moduli_smallest_first():
-    assert make_field(9).modulus == (1, 0, 1)     # x^2 + 1
-    assert make_field(8).modulus == (1, 0, 1, 1)  # x^3 + x^2 + 1 beats x^3 + x + 1
-    assert make_field(16).modulus == (1, 0, 0, 1, 1)  # likewise x^4 + x^3 + 1
+@pytest.mark.parametrize("q, modulus", [
+    (9, (1, 0, 1)),         # x^2 + 1
+    (8, (1, 0, 1, 1)),      # x^3 + x^2 + 1 beats x^3 + x + 1
+    (16, (1, 0, 0, 1, 1)),  # likewise x^4 + x^3 + 1
+    (25, (1, 1, 1)),
+    (27, (1, 0, 2, 1)),
+    (32, (1, 0, 0, 1, 0, 1)),
+])
+def test_known_moduli_smallest_first(q, modulus):
+    assert make_field(q, max_q=32).modulus == modulus
 
 
 def test_field_cap():
@@ -84,9 +90,9 @@ def test_little_fermat(q):
         assert a ** (q - 1) == f.one
 
 
-@pytest.mark.parametrize("q", SMALL_Q + [16])
+@pytest.mark.parametrize("q", SMALL_Q + [16, 25, 27])
 def test_field_axioms_exhaustive(q):
-    f = make_field(q)
+    f = make_field(q, max_q=32)
     es = f.elements()
     for a, b in itertools.product(es, repeat=2):
         assert a + b == b + a

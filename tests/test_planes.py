@@ -98,16 +98,16 @@ class TestPlaneFromGeometry:
 
 class TestBruckRyser:
     def test_known_verdicts(self):
-        assert bruck_ryser(6) is BruckRyserVerdict.FAILS
-        assert bruck_ryser(10) is BruckRyserVerdict.PASSES
-        assert bruck_ryser(12) is BruckRyserVerdict.NOT_APPLICABLE
-        assert bruck_ryser(14) is BruckRyserVerdict.FAILS  # 14 = 2 mod 4
-        assert bruck_ryser(2) is BruckRyserVerdict.PASSES
+        assert bruck_ryser(6)[0] is BruckRyserVerdict.FAILS
+        assert bruck_ryser(10)[0] is BruckRyserVerdict.PASSES
+        assert bruck_ryser(12)[0] is BruckRyserVerdict.NOT_APPLICABLE
+        assert bruck_ryser(14)[0] is BruckRyserVerdict.FAILS  # 14 = 2 mod 4
+        assert bruck_ryser(2)[0] is BruckRyserVerdict.PASSES
 
     def test_no_prime_power_excluded(self):
         for q in (2, 3, 4, 5, 7, 8, 9, 11, 13, 16):
             if q % 4 in (1, 2):
-                assert bruck_ryser(q) is BruckRyserVerdict.PASSES, q
+                assert bruck_ryser(q)[0] is BruckRyserVerdict.PASSES, q
 
     def test_precondition(self):
         with pytest.raises(ValueError):
