@@ -26,6 +26,14 @@ alternating comparison and the three Bruck-Ryser verdicts; they were
 written from the code before the error handler of ``cli.run`` and the
 two-squares search were simplified.
 
+Four cases were written from the code before the reports shared one
+serialiser (``Report.as_dict``): ``plane check`` on the order-1 triangle
+(the degenerate-plane note, ``at_least_three_points: false``) and on the
+Fano plane with the first point of its first line removed (``order:
+null``, ``uniform_line_sizes: false``), and ``geometry check`` on
+P3(F2) and Boolean(4) with their members shuffled by ``SHUFFLE_SEED``,
+which pin the census in increasing dim whatever the member order.
+
 To extend the corpus, add the new cases here and write the new entries
 from a commit whose output is trusted:
 
@@ -43,10 +51,11 @@ from qproj import (build_boolean_geometry, build_projective_space,
                    plane_from_geometry, plane_to_json)
 from qproj.cli import run
 
-from util import drop_subspace, standard_mutations
+from util import drop_subspace, shuffle_members, standard_mutations
 
 GOLDEN = Path(__file__).with_name("golden_cli.json")
 FILE = "{file}"
+SHUFFLE_SEED = 12
 
 
 @functools.cache
@@ -92,6 +101,17 @@ def _cases():
     base["plane check fano minus line"] = (
         ["plane", "check", FILE],
         plane_to_json(plane_from_geometry(drop_subspace(fano, fano_line))))
+    cut_line = plane_to_json(plane_from_geometry(fano))
+    cut_line["lines"][0] = cut_line["lines"][0][1:]
+    base["plane check fano minus a point of line 0"] = (["plane", "check", FILE],
+                                                       cut_line)
+    base["plane check order-1 triangle"] = (
+        ["plane", "check", FILE],
+        {"points": ["a", "b", "c"], "lines": [["a", "b"], ["a", "c"], ["b", "c"]]})
+    for name in ("P3(F2)", "Boolean(4)"):
+        base[f"geometry check {name} shuffled"] = (
+            ["geometry", "check", FILE],
+            geometry_to_json(shuffle_members(geoms[name], SHUFFLE_SEED)))
     base["geometry collineations fano"] = (["geometry", "collineations", FILE],
                                            geometry_to_json(fano))
     base["geometry collineations fano --max-points 6"] = (

@@ -5,6 +5,7 @@ from the input; the validators must flag every one of them.
 """
 
 import itertools
+import random
 
 from qproj import geometry
 from qproj.geometry import DerivedPropertiesReport, IncidenceGeometry
@@ -48,6 +49,14 @@ def perturb_dim(g: IncidenceGeometry, idx: int, delta: int = 1) -> IncidenceGeom
     dims = list(g.dims)
     dims[idx] += delta
     return IncidenceGeometry(g.points, g.subspaces, tuple(dims), g.claimed_order)
+
+
+def shuffle_members(g: IncidenceGeometry, seed: int) -> IncidenceGeometry:
+    """The same geometry with its members (and their dims) in a seeded random order."""
+    order = list(range(len(g.subspaces)))
+    random.Random(seed).shuffle(order)
+    return IncidenceGeometry(g.points, tuple(g.subspaces[i] for i in order),
+                             tuple(g.dims[i] for i in order), g.claimed_order)
 
 
 def standard_mutations(fano, p2f3, boolean4):
