@@ -278,7 +278,7 @@ def _cmd_group_an(args):
         f"full collineation group of the order-1 geometry on {rep.n} points: "
         f"S_{rep.n}, order {rep.symmetric_order}",
     ]
-    return EXIT_OK, lines, rep.as_dict()
+    return EXIT_OK, lines, asdict(rep)
 
 
 # --- parser ------------------------------------------------------------------

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import itertools
 from array import array
+from collections import Counter
 from dataclasses import asdict, dataclass
 from functools import cached_property
 from typing import Iterable, NamedTuple, Sequence
@@ -195,6 +196,22 @@ class Check:
     witness: str | None = None
 
 
+class Report:
+    """The record every verdict report shares: a frozen dataclass with a
+    ``passed`` property, serialised by ``as_dict``.
+
+    ``as_dict`` lists the fields in declaration order, each tuple of
+    ``Check`` records as a list of dicts, and then ``"passed"``.  A field
+    that a report gains is serialised with no further code.
+    """
+
+    def as_dict(self) -> dict:
+        out = {k: list(v) if isinstance(v, tuple) else v
+               for k, v in asdict(self).items()}
+        out["passed"] = self.passed
+        return out
+
+
 def _checks(descriptions: dict[int, str],
             witnesses: dict[int, str | None]) -> tuple[Check, ...]:
     return tuple(Check(k, text, witnesses[k] is None, witnesses[k])
@@ -202,7 +219,7 @@ def _checks(descriptions: dict[int, str],
 
 
 @dataclass(frozen=True)
-class AxiomReport:
+class AxiomReport(Report):
     axioms: tuple[Check, ...]
     order: int | None       # inferred from line sizes, else the claimed order
     dimension: int | None   # dim of the full point set, if it is in L
@@ -210,10 +227,6 @@ class AxiomReport:
     @property
     def passed(self) -> bool:
         return all(a.passed for a in self.axioms)
-
-    def as_dict(self) -> dict:
-        return {"axioms": [asdict(a) for a in self.axioms], "order": self.order,
-                "dimension": self.dimension, "passed": self.passed}
 
 
 _AXIOM_DESCRIPTIONS = {
@@ -343,16 +356,12 @@ def validate_axioms(g: IncidenceGeometry) -> AxiomReport:
 # consequences of the axioms (checked exhaustively on a validated geometry)
 
 @dataclass(frozen=True)
-class DerivedPropertiesReport:
+class DerivedPropertiesReport(Report):
     properties: tuple[Check, ...]
 
     @property
     def passed(self) -> bool:
         return all(p.passed for p in self.properties)
-
-    def as_dict(self) -> dict:
-        return {"properties": [asdict(p) for p in self.properties],
-                "passed": self.passed}
 
 
 _PROPERTY_DESCRIPTIONS = {
@@ -526,7 +535,7 @@ def point_count_check(g: IncidenceGeometry) -> PointCountCheck:
 
 
 @dataclass(frozen=True)
-class CensusReport:
+class CensusReport(Report):
     counts: dict[int, int]
     expected: dict[int, int]
     recurrence_passed: bool
@@ -536,16 +545,6 @@ class CensusReport:
     @property
     def passed(self) -> bool:
         return self.counts == self.expected and self.recurrence_passed
-
-    def as_dict(self) -> dict:
-        return {
-            "counts": {str(k): v for k, v in sorted(self.counts.items())},
-            "expected": {str(k): v for k, v in sorted(self.expected.items())},
-            "recurrence_passed": self.recurrence_passed,
-            "order": self.order,
-            "dimension": self.dimension,
-            "passed": self.passed,
-        }
 
 
 def subspace_census(g: IncidenceGeometry) -> CensusReport:
@@ -564,9 +563,7 @@ def subspace_census(g: IncidenceGeometry) -> CensusReport:
     n = _geometry_dimension(g)
     if n is None:
         raise ValueError("geometry has no full-set subspace; validate first")
-    counts: dict[int, int] = {}
-    for d in g.dims:
-        counts[d] = counts.get(d, 0) + 1
+    counts = dict(sorted(Counter(g.dims).items()))  # increasing dim, as expected
     expected = {
         k: q_binomial_recurrence(n + 1, k + 1).evaluate(q)
         for k in range(-1, n + 1)

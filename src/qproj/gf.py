@@ -31,17 +31,6 @@ from .errors import BudgetExceeded, DivisionByZero, FieldMismatch, NotAPrimePowe
 DEFAULT_MAX_Q = 16
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    i = 2
-    while i * i <= n:
-        if n % i == 0:
-            return False
-        i += 1
-    return True
-
-
 def factor_prime_power(q: int) -> tuple[int, int]:
     """Return (p, d) with q = p^d, or raise NotAPrimePower."""
     if q < 2:
@@ -139,7 +128,7 @@ class FiniteField:
     modulus per q; immutable once built."""
 
     def __init__(self, p: int, degree: int):
-        if not _is_prime(p):
+        if factor_prime_power(p) != (p, 1):
             raise NotAPrimePower(f"characteristic {p} is not prime")
         if degree < 1:
             raise ValueError("extension degree must be >= 1")

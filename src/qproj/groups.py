@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 from .errors import BudgetExceeded, DegenerateQ
 from .gf import FiniteField, factor_prime_power, make_field
-from .qcalc import q_factorial
+from .qcalc import MAX_Q_SERIES_N, q_factorial
 
 DEFAULT_BRUTE_CAP = 3 ** 9
 DEFAULT_FACTORIAL_CAP = 12
@@ -101,8 +101,9 @@ def psl_order(n: int, q: int) -> int:
             "which has no agreed value; see alternating_group_comparison "
             "for the q = 1 analogy")
     factor_prime_power(q)
-    factorial = q_factorial(n)  # the q-series cap comes first
-    _check_order_bits("PSL", n, q)
+    if n <= MAX_Q_SERIES_N:  # past it, q_factorial's cap message comes first
+        _check_order_bits("PSL", n, q)
+    factorial = q_factorial(n)
     numerator = (q ** math.comb(n, 2)
                  * (q - 1) ** (n - 1)
                  * factorial.evaluate(q))
@@ -171,14 +172,6 @@ class AlternatingComparison:
     alternating_order: int   # n!/2, the PSL-like normal subgroup at q = 1
     symmetric_order: int     # n!, the full collineation group at q = 1
     alternating_is_simple: bool
-
-    def as_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "alternating_order": self.alternating_order,
-            "symmetric_order": self.symmetric_order,
-            "alternating_is_simple": self.alternating_is_simple,
-        }
 
 
 def alternating_group_comparison(n: int,

@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import BudgetExceeded, DimensionMismatch, GeometryFormatError
-from .geometry import (Check, IncidenceGeometry, _checks,
+from .geometry import (Check, IncidenceGeometry, Report, _checks,
                        _geometry_dimension, _unique_line_witness)
 
 # about 0.15 s for a 25-digit order, 1.4 s for 4000 digits, on a 2-core VM
@@ -32,7 +32,7 @@ class PlaneStructure:
 
 
 @dataclass(frozen=True)
-class PlaneReport:
+class PlaneReport(Report):
     checks: tuple[Check, ...]
     order: int | None
     uniform_line_sizes: bool
@@ -44,17 +44,10 @@ class PlaneReport:
 
     def as_dict(self) -> dict:
         # `plane check --json` lists the checks without their numbers
-        return {
-            "checks": [
-                {"description": c.description, "passed": c.passed,
-                 "witness": c.witness}
-                for c in self.checks
-            ],
-            "order": self.order,
-            "uniform_line_sizes": self.uniform_line_sizes,
-            "at_least_three_points": self.at_least_three_points,
-            "passed": self.passed,
-        }
+        out = super().as_dict()
+        for c in out["checks"]:
+            del c["number"]
+        return out
 
 
 def validate_plane(p: PlaneStructure) -> PlaneReport:

@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from qproj import (BudgetExceeded, DivisionByZero, FieldMismatch,
+from qproj import (BudgetExceeded, DivisionByZero, FieldMismatch, FiniteField,
                    NotAPrimePower, factor_prime_power, make_field)
 
 SMALL_Q = [2, 3, 4, 5, 7, 8, 9]
@@ -50,6 +50,16 @@ def test_field_cap():
 def test_not_prime_power_beats_cap():
     with pytest.raises(NotAPrimePower):
         make_field(100)
+
+
+@pytest.mark.parametrize("p, message", [
+    (0, "must be >= 2"), (1, "must be >= 2"),
+    (4, "characteristic 4 is not prime"), (9, "characteristic 9 is not prime"),
+    (6, "more than one prime factor"), (15, "more than one prime factor"),
+])
+def test_characteristic_must_be_prime(p, message):
+    with pytest.raises(NotAPrimePower, match=message):
+        FiniteField(p, 1)
 
 
 def test_characteristic_two():

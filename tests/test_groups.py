@@ -2,11 +2,12 @@ import math
 
 import pytest
 
+from qproj import groups
 from qproj import (BudgetExceeded, DegenerateQ, NotAPrimePower,
                    alternating_group_comparison, brute_force_psl_order,
                    build_boolean_geometry, collineation_order,
                    count_independent_tuples, gl_order, group_order, pgl_order,
-                   psl_order, sl_order)
+                   psl_order, q_factorial, sl_order)
 
 
 class TestGlOrder:
@@ -61,6 +62,19 @@ class TestPslOrder:
             psl_order(1, 2)
         with pytest.raises(NotAPrimePower):
             psl_order(2, 6)
+
+    def test_bits_bound_comes_before_the_factorial(self, monkeypatch):
+        calls = []
+
+        def counted(n):
+            calls.append(n)
+            return q_factorial(n)
+
+        monkeypatch.setattr(groups, "q_factorial", counted)
+        with pytest.raises(BudgetExceeded, match="bit_length"):
+            psl_order(120, 2 ** 400)
+        assert calls == []
+        assert psl_order(3, 2) == 168 and calls == [3]
 
 
 class TestBruteForce:
