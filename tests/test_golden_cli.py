@@ -34,6 +34,15 @@ null``, ``uniform_line_sizes: false``), and ``geometry check`` on
 P3(F2) and Boolean(4) with their members shuffled by ``SHUFFLE_SEED``,
 which pin the census in increasing dim whatever the member order.
 
+Four failing cases were written from the code before meets and joins
+were read from up-set bitsets instead of a stored table, each a
+``geometry check`` on a copy shuffled by ``SHUFFLE_SEED``: P3(F2)
+without the line at index 18 (axiom 1 names a missing join), Boolean(5)
+without its first line (axiom 1 names a missing meet, which the old
+code found by gathering lower bounds), P3(F2) with its first line's dim
+bumped (axioms 2 and 5 fail) and P2(F4) without its first line (axiom 5
+alone fails, so the pair pass runs to the end).
+
 To extend the corpus, add the new cases here and write the new entries
 from a commit whose output is trusted:
 
@@ -51,7 +60,7 @@ from qproj import (build_boolean_geometry, build_projective_space,
                    plane_from_geometry, plane_to_json)
 from qproj.cli import run
 
-from util import drop_subspace, shuffle_members, standard_mutations
+from util import drop_subspace, perturb_dim, shuffle_members, standard_mutations
 
 GOLDEN = Path(__file__).with_name("golden_cli.json")
 FILE = "{file}"
@@ -112,6 +121,15 @@ def _cases():
         base[f"geometry check {name} shuffled"] = (
             ["geometry", "check", FILE],
             geometry_to_json(shuffle_members(geoms[name], SHUFFLE_SEED)))
+    p3f2, b5, p2f4 = (geoms["P3(F2)"], build_boolean_geometry(5),
+                      build_projective_space(4, 2))
+    for name, g in (("P3(F2) minus line 18", drop_subspace(p3f2, 18)),
+                    ("Boolean(5) minus line", drop_subspace(b5, b5.dims.index(1))),
+                    ("P3(F2) line dim bumped", perturb_dim(p3f2, p3f2.dims.index(1))),
+                    ("P2(F4) minus line", drop_subspace(p2f4, p2f4.dims.index(1)))):
+        base[f"geometry check {name} shuffled"] = (
+            ["geometry", "check", FILE],
+            geometry_to_json(shuffle_members(g, SHUFFLE_SEED)))
     base["geometry collineations fano"] = (["geometry", "collineations", FILE],
                                            geometry_to_json(fano))
     base["geometry collineations fano --max-points 6"] = (
