@@ -29,7 +29,6 @@ scope and rejected at input validation.
 from __future__ import annotations
 
 import itertools
-from array import array
 from collections import Counter
 from dataclasses import asdict, dataclass
 from functools import cached_property
@@ -101,12 +100,14 @@ class IncidenceGeometry:
 
     @cached_property
     def _lattice(self) -> "_Lattice":
-        """The containment lattice and meet/join table, built on first use."""
+        """The containment lattice, its meets and joins, built on first use."""
         return _Lattice(self)
 
     @cached_property
-    def _axioms(self) -> tuple[dict[int, str | None], int | None]:
-        """The six axioms' witnesses on all of L and the order, found on first use."""
+    def _axioms(self) -> tuple[dict[int, str | None], int | None,
+                               tuple[int, int] | None]:
+        """The six axioms' witnesses on all of L, the order and the first pair
+        whose intersection is not in L, found on first use."""
         full = (1 << len(self.points)) - 1
         return _axiom_witnesses(self, range(len(self.subspaces)), full,
                                 self.claimed_order)
@@ -116,26 +117,41 @@ class IncidenceGeometry:
 # lattice machinery
 
 LATTICE_CAP = 4096
-_NO_INDEX = 0xFFFF  # table entry for a missing meet or join
 
 
 class _Lattice:
-    """Containment structure of a subspace family, with its meet/join table.
+    """Containment structure of a subspace family, with exact meets and joins.
 
-    Built once per geometry (IncidenceGeometry._lattice).  For i <= j the
-    2-byte arrays meets and joins hold at row[i] + j the index of the meet
-    and join of subspaces i and j, or _NO_INDEX.  LATTICE_CAP bounds the
-    O(|L|^2) pair pass: at |L| = 4096 (Boolean(12)) the build takes about
-    3.5 s and the axioms about 1.8 s on a 2-core VM, and the derived
-    properties 0.04 s.
+    Built once per geometry (IncidenceGeometry._lattice).  Sets of members
+    are int bitsets over member indices:
 
-    The greatest lower bound of S and T, when it exists, must equal the
-    union of all lower bounds (it is a lower bound dominating the rest),
-    and dually the least upper bound must equal the intersection of all
-    upper bounds; each therefore exists iff that union/intersection is
-    itself a member of L.  Fast path: if the plain set intersection
-    (resp. union) of S and T is in L it is automatically the meet
-    (resp. join).
+      up[p]     the members containing point p;
+      above[i]  the members containing member i: the AND of up[p] over
+                the points p of i, or all members when i is empty;
+      below[i]  the members inside member i: all members minus the OR
+                of up[p] over the points outside i.
+
+    join_of and meet_of map above[u] and below[u] back to u, the first
+    index winning as in index_of.  Members with distinct masks have
+    distinct up-sets and down-sets, since each member lies in its own.
+
+    The join u of i and j, when it exists, lies in every common upper
+    bound, so above[u] is exactly the set above[i] & above[j] of common
+    upper bounds.  Conversely a member u with that up-set lies in it, so
+    it is an upper bound, and every upper bound contains it: u is the
+    join.  So join looks up above[i] & above[j] in join_of, and meet
+    dually looks up below[i] & below[j] in meet_of (Davey & Priestley,
+    Introduction to Lattices and Order, 2nd ed., ch. 2).  An empty set of
+    common bounds matches no member.  Fast path: if the plain union
+    (resp. intersection) of i and j is in L it is the join (resp. meet).
+
+    Cost: building the sets takes |L|*|P| ANDs and ORs of |L|-bit ints,
+    and they hold 2*|L|^2 bits; a meet or join is then one AND and one
+    dict lookup, and no table of them is stored.  At |L| = 4096
+    (Boolean(12), 2-core VM) the build takes about 0.04 s with a
+    tracemalloc peak of 5.4 MB, where a stored |L|^2 table took 3.5-4.7 s
+    and 59 MB; the axiom pass then takes about 3.2-3.6 s.  LATTICE_CAP
+    bounds the |L|^2/2 pairs of that pass.
     """
 
     def __init__(self, g: IncidenceGeometry):
@@ -145,45 +161,42 @@ class _Lattice:
             raise BudgetExceeded(
                 f"|L| = {ns} subspaces ({ns * (ns + 1) // 2} pairs) exceeds "
                 f"the lattice cap of |L| <= {LATTICE_CAP}")
+        self.masks = masks
         self.index_of: dict[int, int] = {}
         for idx, m in enumerate(masks):
             self.index_of.setdefault(m, idx)
-        # the first pair i <= j, row by row, whose intersection is not in L
-        self.first_meet_miss: tuple[int, int] | None = None
-        # containers[i] lists the members containing i, contained[j] those inside j
-        self.containers = [[j for j, mj in enumerate(masks) if mi & mj == mi] for mi in masks]
-        self.contained: list[list[int]] = [[] for _ in range(ns)]
-        for i, above in enumerate(self.containers):
-            for j in above:
-                self.contained[j].append(i)
-        self.row = [i * (2 * ns - i - 1) // 2 for i in range(ns)]
-        # A row with misses of the fast path, the rule for joins in a
-        # projective space, gathers for every j at once the union of the
-        # lower bounds (resp. the intersection of the upper bounds) of i and j.
-        self.meets = array("H")
-        self.joins = array("H")
-        get = self.index_of.get
-        for i, mi in enumerate(masks):
-            meets = [get(mi & mj) for mj in masks[i:]]
-            if None in meets:
-                if self.first_meet_miss is None:
-                    self.first_meet_miss = (i, i + meets.index(None))
-                union = [0] * ns  # stays empty where no lower bound exists
-                for k in self.contained[i]:
-                    mk = masks[k]
-                    for j in self.containers[k]:
-                        union[j] |= mk
-                meets = [get(m, _NO_INDEX) for m in union[i:]]
-            joins = [get(mi | mj) for mj in masks[i:]]
-            if None in joins:
-                inter = [-1] * ns  # stays all bits where no upper bound exists
-                for k in self.containers[i]:
-                    mk = masks[k]
-                    for j in self.contained[k]:
-                        inter[j] &= mk
-                joins = [get(m, _NO_INDEX) for m in inter[i:]]
-            self.meets.extend(meets)
-            self.joins.extend(joins)
+        up = [0] * len(g.points)
+        for k, m in enumerate(masks):
+            for p in _bits(m):
+                up[p] |= 1 << k
+        everything = (1 << ns) - 1
+        full = (1 << len(g.points)) - 1
+        self.above: list[int] = []
+        self.below: list[int] = []
+        for m in masks:
+            a = everything
+            for p in _bits(m):
+                a &= up[p]
+            outside = 0
+            for p in _bits(full ^ m):
+                outside |= up[p]
+            self.above.append(a)
+            self.below.append(everything ^ outside)
+        self.join_of: dict[int, int] = {}
+        self.meet_of: dict[int, int] = {}
+        for u, (a, b) in enumerate(zip(self.above, self.below)):
+            self.join_of.setdefault(a, u)
+            self.meet_of.setdefault(b, u)
+
+    def meet(self, i: int, j: int) -> int | None:
+        """The index of the meet of members i and j, or None if L has none."""
+        u = self.index_of.get(self.masks[i] & self.masks[j])
+        return u if u is not None else self.meet_of.get(self.below[i] & self.below[j])
+
+    def join(self, i: int, j: int) -> int | None:
+        """The index of the join of members i and j, or None if L has none."""
+        u = self.index_of.get(self.masks[i] | self.masks[j])
+        return u if u is not None else self.join_of.get(self.above[i] & self.above[j])
 
 
 @dataclass(frozen=True)
@@ -272,57 +285,102 @@ def _geometry_dimension(g: IncidenceGeometry) -> int | None:
 
 
 def _axiom_witnesses(g: IncidenceGeometry, members: Sequence[int], top: int,
-                     claimed: int | None) -> tuple[dict[int, str | None], int | None]:
-    """Witness (or None) of each axiom on members, and the order from _line_order.
+                     claimed: int | None
+                     ) -> tuple[dict[int, str | None], int | None, tuple[int, int] | None]:
+    """Witness (or None) of each axiom on members, the order from
+    _line_order, and the first pair i <= j of members, row by row, whose
+    intersection is not in L.
 
     members are increasing subspace indices: all of L, or for derived
     property 1 the interval [empty set, S] with top the point set of S.
     """
     lat = g._lattice
     masks, dims = g.subspaces, g.dims
-    meets, joins, row = lat.meets, lat.joins, lat.row
+    index_of, below, above = lat.index_of, lat.below, lat.above
+    get, meet_of, join_of = index_of.get, lat.meet_of.get, lat.join_of.get
+    member_masks = [masks[j] for j in members]
+    member_dims = [dims[j] for j in members]
+    member_below = [below[j] for j in members]
+    member_above = [above[j] for j in members]
 
-    # axioms 1 and 5 share the pair loop
+    # axioms 1 and 5 share the pair pass, one row of meets and joins at a
+    # time; a row that misses the fast path reads all its pairs from the
+    # bound sets, which give the same indices
     ax1_witness = None
     ax5_witness = None
-    for a, i in enumerate(members):
-        r, di = row[i], dims[i]
-        for j in members[a:]:
-            meet, join = meets[r + j], joins[r + j]
-            if meet == _NO_INDEX or join == _NO_INDEX:
-                if ax1_witness is None:
-                    missing = "meet" if meet == _NO_INDEX else "join"
-                    ax1_witness = (f"no {missing} in L for S={g.describe_subspace(i)}"
-                                   f" and T={g.describe_subspace(j)}")
-                    if ax5_witness:
-                        break
-            elif ax5_witness is None and di + dims[j] != dims[meet] + dims[join]:
+    meet_miss = None
+    rows = enumerate(members)
+    for a, i in rows:
+        rest, mi = members[a:], masks[i]
+        meets = [get(mi & mj) for mj in member_masks[a:]]
+        if None in meets:
+            if meet_miss is None:
+                meet_miss = (i, rest[meets.index(None)])
+            bi = below[i]
+            meets = [meet_of(bi & bj) for bj in member_below[a:]]
+        joins = [get(mi | mj) for mj in member_masks[a:]]
+        if None in joins:
+            ai = above[i]
+            joins = [join_of(ai & aj) for aj in member_above[a:]]
+        whole = None not in meets and None not in joins
+        if ax1_witness is None and not whole:
+            k = next(k for k, (meet, join) in enumerate(zip(meets, joins))
+                     if meet is None or join is None)
+            missing = "meet" if meets[k] is None else "join"
+            ax1_witness = (f"no {missing} in L for S={g.describe_subspace(i)}"
+                           f" and T={g.describe_subspace(rest[k])}")
+        if ax5_witness is None:
+            di = dims[i]
+            sums = [di + dj for dj in member_dims[a:]]
+            if whole:
+                got = [dims[meet] + dims[join] for meet, join in zip(meets, joins)]
+            else:  # a pair with no meet or join is axiom 1's, never axiom 5's
+                got = [s if meet is None or join is None else dims[meet] + dims[join]
+                       for s, meet, join in zip(sums, meets, joins)]
+            if got != sums:
+                k = next(k for k, (s, t) in enumerate(zip(sums, got)) if s != t)
+                j, meet, join = rest[k], meets[k], joins[k]
                 ax5_witness = (
                     f"S={g.describe_subspace(i)}, T={g.describe_subspace(j)}: "
                     f"{di} + {dims[j]} != {dims[meet]} + {dims[join]} "
                     f"(meet {g.describe_subspace(meet)}, join {g.describe_subspace(join)})")
-                if ax1_witness:
-                    break
         if ax1_witness and ax5_witness:
             break
-
-    ax2_witness = None
-    for i in members:
-        for j in lat.containers[i]:
-            mj = masks[j]
-            if mj & top == mj and masks[i] != mj and dims[i] >= dims[j]:
-                ax2_witness = (f"{g.describe_subspace(i)} is properly contained in "
-                               f"{g.describe_subspace(j)} but dim does not increase")
+    # the pass stops at its two witnesses; the first missing intersection
+    # is looked for in the rows it left
+    for a, i in rows:
+        if meet_miss is not None:
+            break
+        mi = masks[i]
+        for j, mj in zip(members[a:], member_masks[a:]):
+            if mi & mj not in index_of:
+                meet_miss = (i, j)
                 break
-        if ax2_witness:
+
+    # axiom 2: the members inside top are the members of the pass, so the
+    # ones properly above i with no larger dim are above[i] minus below[i]
+    # (the masks equal to i's) within at_most[dims[i]]
+    ax2_witness = None
+    at_most: dict[int, int] = {}  # dim d -> the members of dim at most d
+    for j in members:
+        at_most[dims[j]] = at_most.get(dims[j], 0) | 1 << j
+    running = 0
+    for d in sorted(at_most):
+        running = at_most[d] = running | at_most[d]
+    for i in members:
+        proper = above[i] & ~below[i] & at_most[dims[i]]
+        if proper:
+            j = (proper & -proper).bit_length() - 1
+            ax2_witness = (f"{g.describe_subspace(i)} is properly contained in "
+                           f"{g.describe_subspace(j)} but dim does not increase")
             break
 
     ax3_witness = None
-    if 0 not in lat.index_of:
+    if 0 not in index_of:
         ax3_witness = "the empty set is not in L"
     else:
         for b in _bits(top):
-            if (1 << b) not in lat.index_of:
+            if (1 << b) not in index_of:
                 ax3_witness = f"singleton {{{g.points[b]}}} is not in L"
                 break
 
@@ -336,7 +394,7 @@ def _axiom_witnesses(g: IncidenceGeometry, members: Sequence[int], top: int,
     order, ax6_witness = _line_order(g, members, claimed)
     witnesses = {1: ax1_witness, 2: ax2_witness, 3: ax3_witness,
                  4: ax4_witness, 5: ax5_witness, 6: ax6_witness}
-    return witnesses, order
+    return witnesses, order, meet_miss
 
 
 def validate_axioms(g: IncidenceGeometry) -> AxiomReport:
@@ -344,10 +402,10 @@ def validate_axioms(g: IncidenceGeometry) -> AxiomReport:
 
     Witnesses are the first counterexample in canonical order (subspace
     index order, pairs with i <= j), so reports are deterministic.  Raises
-    BudgetExceeded when |L| is over LATTICE_CAP, which bounds the
-    meet/join table and its pair pass.
+    BudgetExceeded when |L| is over LATTICE_CAP, which bounds the pair
+    pass.
     """
-    witnesses, order = g._axioms
+    witnesses, order, _ = g._axioms
     return AxiomReport(_checks(_AXIOM_DESCRIPTIONS, witnesses), order,
                        _geometry_dimension(g))
 
@@ -405,11 +463,11 @@ def check_derived_properties(g: IncidenceGeometry) -> DerivedPropertiesReport:
 
     Property 1 on S is the six axioms on the interval [empty set, S]:
     _axiom_witnesses on the members inside S, with S as the top and L's
-    own order as the claim, reading the geometry's one meet/join table.
+    own order as the claim, reading the geometry's one lattice.
     Each of its reads is one that the axiom pass over all of L makes,
     with the same predicate:
 
-      1, 5. the table entries of the pairs inside S, a subset of L's
+      1, 5. the meets and joins of the pairs inside S, a subset of L's
             pairs.  S is an upper bound of any two members inside it, so
             their join in L is inside S and is their join in the
             interval too, and so is their meet;
@@ -430,10 +488,10 @@ def check_derived_properties(g: IncidenceGeometry) -> DerivedPropertiesReport:
     upper bounds whose intersection is not in L), so the witness is only
     meaningful once axiom 1 passes.
 
-    Property 2 reads the lattice build: a member equal to the
-    intersection of two members is their meet, so the first pair whose
-    intersection is not in L (_Lattice.first_meet_miss) is the first
-    pair whose meet is missing or is not their intersection.
+    Property 2 reads the axiom pass: a member equal to the intersection
+    of two members is their meet, so the first pair whose intersection
+    is not in L (the third part of IncidenceGeometry._axioms) is the
+    first pair whose meet is missing or is not their intersection.
 
     Property 3 checks only its first half, that every pair of distinct
     points lies on exactly one line.  The second half follows: if two
@@ -441,22 +499,22 @@ def check_derived_properties(g: IncidenceGeometry) -> DerivedPropertiesReport:
     two lines, and two lines with the same point set count as two.
 
     Cost: on a geometry that passes the axioms, the one axiom pass of
-    about |L|^2/2 table reads, shared with validate_axioms, plus about
+    about |L|^2/2 meets and joins, shared with validate_axioms, plus about
     |L|*|P| joins (property 4), |P|^2 point pairs (property 3) and
     |hyperplanes|*|L| meets (property 5).  On one that fails, the
-    interval checks add up to sum over S of |L_S|^2/2 reads.
+    interval checks add up to sum over S of |L_S|^2/2 meets and joins.
     """
     lat = g._lattice
     masks, dims = g.subspaces, g.dims
     ns = len(masks)
-    meets, joins, row = lat.meets, lat.joins, lat.row
-    axioms, order = g._axioms
+    axioms, order, meet_miss = g._axioms
     n = _geometry_dimension(g)
 
     w1 = None
     if any(w is not None for w in axioms.values()):
         for i in range(ns):
-            witnesses, _ = _axiom_witnesses(g, lat.contained[i], masks[i], order)
+            witnesses, _, _ = _axiom_witnesses(g, list(_bits(lat.below[i])),
+                                               masks[i], order)
             failed = next((k for k, w in witnesses.items() if w is not None), None)
             if failed is not None:
                 w1 = (f"restriction to {g.describe_subspace(i)} fails axiom "
@@ -464,8 +522,8 @@ def check_derived_properties(g: IncidenceGeometry) -> DerivedPropertiesReport:
                 break
 
     w2 = None
-    if lat.first_meet_miss is not None:
-        i, j = lat.first_meet_miss
+    if meet_miss is not None:
+        i, j = meet_miss
         w2 = (f"meet of {g.describe_subspace(i)} and {g.describe_subspace(j)}"
               f" is not their intersection")
 
@@ -479,9 +537,9 @@ def check_derived_properties(g: IncidenceGeometry) -> DerivedPropertiesReport:
             si = lat.index_of.get(1 << b)
             if si is None:
                 continue  # axiom 3 failure, reported there
-            join = joins[row[min(i, si)] + max(i, si)]
-            if join == _NO_INDEX or dims[join] != dims[i] + 1:
-                got = "missing" if join == _NO_INDEX else f"dim {dims[join]}"
+            join = lat.join(i, si)
+            if join is None or dims[join] != dims[i] + 1:
+                got = "missing" if join is None else f"dim {dims[join]}"
                 w4 = (f"join of {g.describe_subspace(i)} with point "
                       f"{g.points[b]} is {got}, expected dim {dims[i] + 1}")
                 break
@@ -495,9 +553,9 @@ def check_derived_properties(g: IncidenceGeometry) -> DerivedPropertiesReport:
             for j in range(ns):
                 if masks[j] & masks[i] == masks[j]:
                     continue
-                meet = meets[row[min(i, j)] + max(i, j)]
-                if meet == _NO_INDEX or dims[meet] != dims[j] - 1:
-                    got = "missing" if meet == _NO_INDEX else f"dim {dims[meet]}"
+                meet = lat.meet(i, j)
+                if meet is None or dims[meet] != dims[j] - 1:
+                    got = "missing" if meet is None else f"dim {dims[meet]}"
                     w5 = (f"hyperplane {g.describe_subspace(i)} meets "
                           f"{g.describe_subspace(j)} in {got}, expected dim "
                           f"{dims[j] - 1}")

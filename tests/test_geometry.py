@@ -14,9 +14,9 @@ from qproj import (BudgetExceeded, GeometryFormatError, NotAPrimePower,
 from qproj import geometry
 from qproj.geometry import IncidenceGeometry
 
-from util import (delete_point, drop_subspace, perturb_dim,
+from util import (delete_point, drop_subspace, lattice_reference, perturb_dim,
                   property_one_reference, reference_derived_report,
-                  standard_mutations, sweep_collineation_order)
+                  shuffle_members, standard_mutations, sweep_collineation_order)
 
 
 @functools.cache
@@ -314,6 +314,26 @@ class TestLatticeEdges:
         prop1 = check_derived_properties(broken).properties[0]
         assert prop1.witness.startswith("restriction to")
         assert len(calls) > 1  # one call per interval up to the first failure
+
+    def test_meets_and_joins_equal_the_gathered_reference(self):
+        # on each mutant, a shuffle of its members and a copy with one mask
+        # twice, every pair's meet and join is the first index the gather
+        # finds, or None where it finds none
+        @settings(max_examples=300, deadline=None)
+        @given(derived_mutants(), st.integers(0, 2 ** 32), st.data())
+        def check(g, seed, data):
+            k = data.draw(st.integers(0, len(g.subspaces) - 1))
+            at = data.draw(st.integers(0, len(g.subspaces)))
+            twice = IncidenceGeometry(
+                g.points, g.subspaces[:at] + (g.subspaces[k],) + g.subspaces[at:],
+                g.dims[:at] + (g.dims[k],) + g.dims[at:], g.claimed_order)
+            for h in (g, shuffle_members(g, seed), twice):
+                ref, lat = lattice_reference(h), h._lattice
+                ns = range(len(h.subspaces))
+                assert [[lat.meet(i, j) for j in ns] for i in ns] == ref.meets
+                assert [[lat.join(i, j) for j in ns] for i in ns] == ref.joins
+
+        check()
 
     def test_masks_must_lie_in_the_point_set(self):
         with pytest.raises(ValueError, match="outside the point set"):

@@ -6,6 +6,7 @@ from the input; the validators must flag every one of them.
 
 import itertools
 import random
+from typing import NamedTuple
 
 from qproj import geometry
 from qproj.geometry import DerivedPropertiesReport, IncidenceGeometry
@@ -96,6 +97,44 @@ def sweep_collineation_order(g: IncidenceGeometry) -> int:
     return count
 
 
+class LatticeReference(NamedTuple):
+    contained: list[list[int]]  # contained[i]: the members inside i, increasing
+    meets: list[list[int | None]]  # meets[i][j]: the meet's first index, or None
+    joins: list[list[int | None]]  # joins[i][j]: the join's first index, or None
+
+
+def lattice_reference(g: IncidenceGeometry) -> LatticeReference:
+    """Oracle: every meet and join by gathering bounds, with no fast path.
+
+    The greatest lower bound of S and T, when it exists, is the union of
+    all their common lower bounds (it is a lower bound containing the
+    rest), and dually the least upper bound is the intersection of all
+    common upper bounds; each exists iff that union or intersection is
+    itself in L, and is then the first index with that point set.
+    Test-only: _Lattice reads meets and joins from up-set bitsets.
+    """
+    masks = g.subspaces
+    ns = len(masks)
+    first: dict[int, int] = {}
+    for idx, m in enumerate(masks):
+        first.setdefault(m, idx)
+    containers = [[j for j, mj in enumerate(masks) if mi & mj == mi] for mi in masks]
+    contained = [[j for j, mj in enumerate(masks) if mj & mi == mj] for mi in masks]
+    meets, joins = [], []
+    for i in range(ns):
+        union = [0] * ns  # stays empty where no lower bound exists
+        for k in contained[i]:
+            for j in containers[k]:
+                union[j] |= masks[k]
+        inter = [-1] * ns  # stays all bits, never a member, where no upper bound exists
+        for k in containers[i]:
+            for j in contained[k]:
+                inter[j] &= masks[k]
+        meets.append([first.get(m) for m in union])
+        joins.append([first.get(m) for m in inter])
+    return LatticeReference(contained, meets, joins)
+
+
 def property_one_reference(g: IncidenceGeometry) -> str | None:
     """Oracle: derived property 1 by checking the six axioms on every interval.
 
@@ -104,10 +143,10 @@ def property_one_reference(g: IncidenceGeometry) -> str | None:
     failure as its witness.  Test-only: check_derived_properties skips
     these checks when the axioms pass on all of L.
     """
-    lat = g._lattice
+    contained = lattice_reference(g).contained
     order, _ = geometry._line_order(g, range(len(g.subspaces)), g.claimed_order)
     for i, mask in enumerate(g.subspaces):
-        witnesses, _ = geometry._axiom_witnesses(g, lat.contained[i], mask, order)
+        witnesses, _, _ = geometry._axiom_witnesses(g, contained[i], mask, order)
         failed = next((k for k, w in witnesses.items() if w is not None), None)
         if failed is not None:
             return (f"restriction to {g.describe_subspace(i)} fails axiom "
@@ -116,14 +155,14 @@ def property_one_reference(g: IncidenceGeometry) -> str | None:
 
 
 def property_two_reference(g: IncidenceGeometry) -> str | None:
-    """Oracle: derived property 2 by comparing every pair's meet with its
-    intersection, reading the meet/join table."""
-    lat = g._lattice
+    """Oracle: derived property 2 by comparing every pair's meet, gathered
+    by lattice_reference, with its intersection."""
+    meets = lattice_reference(g).meets
     masks = g.subspaces
     for i in range(len(masks)):
         for j in range(i, len(masks)):
-            meet = lat.meets[lat.row[i] + j]
-            if meet == geometry._NO_INDEX or masks[meet] != masks[i] & masks[j]:
+            meet = meets[i][j]
+            if meet is None or masks[meet] != masks[i] & masks[j]:
                 return (f"meet of {g.describe_subspace(i)} and "
                         f"{g.describe_subspace(j)} is not their intersection")
     return None
