@@ -25,18 +25,76 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 
 from .errors import BudgetExceeded, DivisionByZero, FieldMismatch, NotAPrimePower
 
 DEFAULT_MAX_Q = 16
+# Miller-Rabin to the twelve prime bases 2, 3, ..., 37 is exact below psi_12
+# (Sorenson & Webster, Math. Comp. 86, 2017), itself a strong pseudoprime
+# to all twelve; factor_prime_power decides no q past it
+MAX_FACTORED_Q = 318665857834031151167461
+
+
+@functools.cache
+def _small_primes() -> list[int]:
+    """The primes below 2^16, by the sieve of Eratosthenes."""
+    sieve = bytearray([1]) * (1 << 16)
+    sieve[:2] = b"\0\0"
+    for p in range(2, 1 << 8):
+        if sieve[p]:
+            sieve[p * p::p] = bytes(len(range(p * p, 1 << 16, p)))
+    return [p for p, is_prime in enumerate(sieve) if is_prime]
+
+
+def _integer_root(n: int, e: int) -> int:
+    """floor(n^(1/e)) for n >= 1, by Newton's method on integers."""
+    x = 1 << -(-n.bit_length() // e)  # at least the root
+    while True:
+        y = ((e - 1) * x + n // x ** (e - 1)) // e
+        if y >= x:
+            return x
+        x = y
+
+
+def _miller_rabin(n: int) -> bool:
+    """Whether odd n > 37 is a strong probable prime to the bases 2, ..., 37."""
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
 
 def factor_prime_power(q: int) -> tuple[int, int]:
-    """Return (p, d) with q = p^d, or raise NotAPrimePower."""
+    """Return (p, d) with q = p^d, or raise NotAPrimePower.
+
+    Trial division by the primes below 2^16 finds the smallest prime
+    factor p of any q that has one there, and q is a power of p iff
+    dividing out p leaves 1; a q with no prime factor up to its square
+    root is prime.  Otherwise every prime factor of q is at least 2^16,
+    so q = r^e needs e <= bit_length(q) / 16.  For the largest such e
+    whose integer e-th root r is exact, r is no perfect power, so q is a
+    prime power iff r is prime, which Miller-Rabin decides exactly below
+    MAX_FACTORED_Q.  Past that bound it raises BudgetExceeded and never
+    guesses.
+    """
     if q < 2:
         raise NotAPrimePower(f"{q} is not a prime power (must be >= 2)")
-    p = 2
-    while p * p <= q:
+    root = math.isqrt(q)
+    for p in _small_primes():
+        if p > root:
+            return q, 1  # q itself is prime
         if q % p == 0:
             d = 0
             m = q
@@ -46,8 +104,16 @@ def factor_prime_power(q: int) -> tuple[int, int]:
             if m != 1:
                 raise NotAPrimePower(f"{q} has more than one prime factor")
             return p, d
-        p += 1
-    return q, 1  # q itself is prime
+    if q >= MAX_FACTORED_Q:
+        raise BudgetExceeded(
+            f"{q} has no prime factor below 2^16, and prime powers are decided "
+            f"only below {MAX_FACTORED_Q}")
+    e = next(e for e in range(q.bit_length() // 16, 0, -1)
+             if _integer_root(q, e) ** e == q)
+    p = _integer_root(q, e)
+    if not _miller_rabin(p):
+        raise NotAPrimePower(f"{q} has more than one prime factor")
+    return p, e
 
 
 class FieldElement:

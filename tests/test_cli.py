@@ -325,6 +325,21 @@ class TestGroup:
                              f"n^2 * bit_length(q) = 5774400 bits, over the cap of "
                              f"{MAX_GL_ORDER_BITS}")
 
+    @pytest.mark.parametrize("argv, code", [
+        (["subspaces", str(10 ** 18 + 3), "2", "1"], 3),
+        (["geometry", "affine", str(10 ** 18 + 3), "2"], 3),
+        (["group", "order", "GL", "2", str(10 ** 18 + 3)], 0),
+        (["group", "order", "PSL", "2", str(10 ** 18 + 3)], 0),
+        (["group", "order", "GL", "2", str(2 ** 127 - 1)], 3),
+    ])
+    def test_large_prime_q_is_decided_at_once(self, argv, code):
+        # q = 10^18 + 3 is prime with no factor below 2^16, so trial
+        # division alone would run to 10^9; 2^127 - 1 is past the exact bound
+        start = time.perf_counter()
+        res = run(argv)
+        assert time.perf_counter() - start < 0.1
+        assert res.exit_code == code, res.error
+
     def test_brute_force_cap(self):
         res = run(["group", "order", "PSL", "3", "4", "--brute-force"])
         assert res.exit_code == 3

@@ -1,9 +1,11 @@
 import itertools
+import math
 
 import pytest
 
 from qproj import (BudgetExceeded, DivisionByZero, FieldMismatch, FiniteField,
                    NotAPrimePower, factor_prime_power, make_field)
+from qproj.gf import MAX_FACTORED_Q
 
 SMALL_Q = [2, 3, 4, 5, 7, 8, 9]
 
@@ -15,6 +17,72 @@ def test_factor_prime_power():
     for bad in (0, 1, 6, 10, 12, 15):
         with pytest.raises(NotAPrimePower):
             factor_prime_power(bad)
+
+
+def _factor_or_message(n):
+    try:
+        return factor_prime_power(n)
+    except NotAPrimePower as err:
+        return str(err)
+
+
+def test_factor_prime_power_agrees_with_a_sieve_below_a_million():
+    n_max = 10 ** 6
+    smallest = list(range(n_max))  # smallest prime factor, by a sieve
+    for p in range(2, 1000):
+        if smallest[p] == p:
+            for m in range(p * p, n_max, p):
+                if smallest[m] == m:
+                    smallest[m] = p
+    expected = [None, None]
+    for n in range(2, n_max):
+        p = smallest[n]
+        below = expected[n // p] if n > p else (p, 0)
+        if isinstance(below, tuple) and below[0] == p:
+            expected.append((p, below[1] + 1))
+        else:
+            expected.append(f"{n} has more than one prime factor")
+    mismatch = next((n for n in range(2, n_max)
+                     if _factor_or_message(n) != expected[n]), None)
+    assert mismatch is None, (mismatch, expected[mismatch])
+
+
+@pytest.mark.parametrize("n, factors", [
+    # strong pseudoprimes to the first 1, 2, ..., 11 prime bases (psi_1 to
+    # psi_11); the last two have no prime factor below 2^16
+    (2047, (23, 89)), (1373653, (829, 1657)), (25326001, (2251, 11251)),
+    (3215031751, (151, 751, 28351)), (2152302898747, (6763, 10627, 29947)),
+    (3474749660383, (1303, 16927, 157543)),
+    (341550071728321, (10670053, 32010157)),
+    (3825123056546413051, (149491, 747451, 34233211)),
+    (561, (3, 11, 17)),  # a Carmichael number
+    ((65537 * 65539) ** 2, (65537, 65537, 65539, 65539)),
+    (999999937 * 1000000007, (999999937, 1000000007)),
+])
+def test_strong_pseudoprimes_have_more_than_one_prime_factor(n, factors):
+    assert math.prod(factors) == n
+    with pytest.raises(NotAPrimePower, match="more than one prime factor"):
+        factor_prime_power(n)
+
+
+@pytest.mark.parametrize("q, p, d", [
+    (1000000000000000003, 1000000000000000003, 1), (2 ** 61 - 1, 2 ** 61 - 1, 1),
+    (65537 ** 4, 65537, 4), (1000000007 ** 2, 1000000007, 2), (2 ** 400, 2, 400),
+    (3 ** 100, 3, 100), (65521 ** 2, 65521, 2), (4294967311, 4294967311, 1),
+])
+def test_prime_powers_with_large_factors(q, p, d):
+    assert factor_prime_power(q) == (p, d)
+
+
+def test_no_guess_past_the_exact_bound():
+    # psi_12 is a strong pseudoprime to all twelve bases, 2^89 - 1 and
+    # 2^127 - 1 are primes; none has a prime factor below 2^16
+    for q in (MAX_FACTORED_Q, 2 ** 89 - 1, 2 ** 127 - 1):
+        with pytest.raises(BudgetExceeded, match=str(MAX_FACTORED_Q)):
+            factor_prime_power(q)
+    # a small factor still decides at any size
+    with pytest.raises(NotAPrimePower, match="more than one prime factor"):
+        factor_prime_power(3 * (2 ** 89 - 1))
 
 
 def test_make_field_prime():
