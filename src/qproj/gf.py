@@ -37,14 +37,14 @@ MAX_FACTORED_Q = 318665857834031151167461
 
 
 @functools.cache
-def _small_primes() -> list[int]:
-    """The primes below 2^16, by the sieve of Eratosthenes."""
-    sieve = bytearray([1]) * (1 << 16)
+def _primes_below(n: int) -> list[int]:
+    """The primes below n >= 2, by the sieve of Eratosthenes."""
+    sieve = bytearray([1]) * n
     sieve[:2] = b"\0\0"
-    for p in range(2, 1 << 8):
+    for p in range(2, math.isqrt(n - 1) + 1):
         if sieve[p]:
-            sieve[p * p::p] = bytes(len(range(p * p, 1 << 16, p)))
-    return [p for p, is_prime in enumerate(sieve) if is_prime]
+            sieve[p * p::p] = bytes(len(range(p * p, n, p)))
+    return list(itertools.compress(range(n), sieve))
 
 
 def _integer_root(n: int, e: int) -> int:
@@ -92,9 +92,9 @@ def factor_prime_power(q: int) -> tuple[int, int]:
     if q < 2:
         raise NotAPrimePower(f"{q} is not a prime power (must be >= 2)")
     root = math.isqrt(q)
-    for p in _small_primes():
+    for p in _primes_below(1 << min(root.bit_length(), 16)):
         if p > root:
-            return q, 1  # q itself is prime
+            break
         if q % p == 0:
             d = 0
             m = q
@@ -104,6 +104,8 @@ def factor_prime_power(q: int) -> tuple[int, int]:
             if m != 1:
                 raise NotAPrimePower(f"{q} has more than one prime factor")
             return p, d
+    if root < 1 << 16:
+        return q, 1  # no prime factor up to its square root: q is prime
     if q >= MAX_FACTORED_Q:
         raise BudgetExceeded(
             f"{q} has no prime factor below 2^16, and prime powers are decided "
