@@ -37,14 +37,14 @@ MAX_FACTORED_Q = 318665857834031151167461
 
 
 @functools.cache
-def _primes_below(n: int) -> list[int]:
+def _primes_below(n: int) -> tuple[int, ...]:
     """The primes below n >= 2, by the sieve of Eratosthenes."""
     sieve = bytearray([1]) * n
     sieve[:2] = b"\0\0"
     for p in range(2, math.isqrt(n - 1) + 1):
         if sieve[p]:
             sieve[p * p::p] = bytes(len(range(p * p, n, p)))
-    return list(itertools.compress(range(n), sieve))
+    return tuple(itertools.compress(range(n), sieve))
 
 
 def _integer_root(n: int, e: int) -> int:
