@@ -122,14 +122,14 @@ LATTICE_CAP = 4096
 class _Lattice:
     """Containment structure of a subspace family, with exact meets and joins.
 
-    Built once per geometry (IncidenceGeometry._lattice).  Sets of members
-    are int bitsets over member indices:
+    Built once per geometry (IncidenceGeometry._lattice).  From up[p],
+    the members containing point p, it keeps two int bitsets over member
+    indices for each member i:
 
-      up[p]     the members containing point p;
-      above[i]  the members containing member i: the AND of up[p] over
-                the points p of i, or all members when i is empty;
-      below[i]  the members inside member i: all members minus the OR
-                of up[p] over the points outside i.
+      above[i]  the members containing i: the AND of up[p] over the
+                points p of i, or all members when i is empty;
+      below[i]  the members inside i: all members minus the OR of up[p]
+                over the points outside i.
 
     join_of and meet_of map above[u] and below[u] back to u, the first
     index winning as in index_of.  Members with distinct masks have
