@@ -43,6 +43,15 @@ code found by gathering lower bounds), P3(F2) with its first line's dim
 bumped (axioms 2 and 5 fail) and P2(F4) without its first line (axiom 5
 alone fails, so the pair pass runs to the end).
 
+Five cases were written from the code before the derived properties of
+a geometry that passes the axioms were certified by the axiom pass alone:
+``geometry check`` on P3(F3) and Boolean(7), valid and large enough that
+the certificate alone answers, and "fano line twice", the Fano plane
+with its first line inserted again right after itself.  Its ``geometry
+check`` and ``geometry collineations`` entries exit 2 ("duplicate
+subspace"), and its ``derived`` entry pins property 3 failing ("lie on
+2 lines") while every axiom passes.
+
 To extend the corpus, add the new cases here and write the new entries
 from a commit whose output is trusted:
 
@@ -60,7 +69,8 @@ from qproj import (build_boolean_geometry, build_projective_space,
                    plane_from_geometry, plane_to_json)
 from qproj.cli import run
 
-from util import drop_subspace, perturb_dim, shuffle_members, standard_mutations
+from util import (drop_subspace, duplicate_subspace, perturb_dim, shuffle_members,
+                  standard_mutations)
 
 GOLDEN = Path(__file__).with_name("golden_cli.json")
 FILE = "{file}"
@@ -78,6 +88,8 @@ def _geometries():
     }
     geoms.update(standard_mutations(geoms["P2(F2)"], geoms["P2(F3)"],
                                     geoms["Boolean(4)"]))
+    fano = geoms["P2(F2)"]
+    geoms["fano line twice"] = duplicate_subspace(fano, fano.dims.index(1))
     return geoms
 
 
@@ -102,7 +114,9 @@ def _cases():
         base[f"geometry check {name}"] = (["geometry", "check", FILE],
                                           geometry_to_json(g))
     for name, g in (("P2(F4)", build_projective_space(4, 2)),
-                    ("Boolean(6)", build_boolean_geometry(6))):
+                    ("Boolean(6)", build_boolean_geometry(6)),
+                    ("P3(F3)", build_projective_space(3, 3)),
+                    ("Boolean(7)", build_boolean_geometry(7))):
         base[f"geometry check {name}"] = (["geometry", "check", FILE],
                                           geometry_to_json(g))
     base["plane check fano"] = (["plane", "check", FILE],

@@ -20,6 +20,17 @@ def drop_subspace(g: IncidenceGeometry, idx: int) -> IncidenceGeometry:
         g.claimed_order)
 
 
+def duplicate_subspace(g: IncidenceGeometry, idx: int,
+                       at: int | None = None) -> IncidenceGeometry:
+    """Insert a second copy of member idx (and its dim) before index at,
+    by default right after idx itself.  The JSON reader rejects the copy
+    as a duplicate; the library constructor admits it."""
+    at = idx + 1 if at is None else at
+    return IncidenceGeometry(
+        g.points, g.subspaces[:at] + (g.subspaces[idx],) + g.subspaces[at:],
+        g.dims[:at] + (g.dims[idx],) + g.dims[at:], g.claimed_order)
+
+
 def delete_point(g: IncidenceGeometry, bit: int) -> IncidenceGeometry:
     """Excise one point from P and from every subspace, leaving L otherwise fixed."""
     keep = [i for i in range(len(g.points)) if i != bit]
