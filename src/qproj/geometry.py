@@ -104,10 +104,8 @@ class IncidenceGeometry:
         return _Lattice(self)
 
     @cached_property
-    def _axioms(self) -> tuple[dict[int, str | None], int | None,
-                               tuple[int, int] | None]:
-        """The six axioms' witnesses on all of L, the order and the first pair
-        whose intersection is not in L, found on first use."""
+    def _axioms(self) -> tuple[dict[int, str | None], int | None]:
+        """The six axioms' witnesses on all of L and the order, found on first use."""
         full = (1 << len(self.points)) - 1
         return _axiom_witnesses(self, range(len(self.subspaces)), full,
                                 self.claimed_order)
@@ -286,13 +284,16 @@ def _geometry_dimension(g: IncidenceGeometry) -> int | None:
 
 def _axiom_witnesses(g: IncidenceGeometry, members: Sequence[int], top: int,
                      claimed: int | None
-                     ) -> tuple[dict[int, str | None], int | None, tuple[int, int] | None]:
-    """Witness (or None) of each axiom on members, the order from
-    _line_order, and the first pair i <= j of members, row by row, whose
-    intersection is not in L.
+                     ) -> tuple[dict[int, str | None], int | None]:
+    """Witness (or None) of each axiom on members, and the order from
+    _line_order.
 
     members are increasing subspace indices: all of L, or for derived
     property 1 the interval [empty set, S] with top the point set of S.
+    Axioms 1 and 5 share one pass over the pairs i <= j of members, row
+    by row, which stops once both have a witness; axioms 2, 3, 4 and 6
+    are a pass over members each.  The witnesses are each axiom's first
+    counterexample in that order.
     """
     lat = g._lattice
     masks, dims = g.subspaces, g.dims
@@ -308,14 +309,10 @@ def _axiom_witnesses(g: IncidenceGeometry, members: Sequence[int], top: int,
     # bound sets, which give the same indices
     ax1_witness = None
     ax5_witness = None
-    meet_miss = None
-    rows = enumerate(members)
-    for a, i in rows:
+    for a, i in enumerate(members):
         rest, mi = members[a:], masks[i]
         meets = [get(mi & mj) for mj in member_masks[a:]]
         if None in meets:
-            if meet_miss is None:
-                meet_miss = (i, rest[meets.index(None)])
             bi = below[i]
             meets = [meet_of(bi & bj) for bj in member_below[a:]]
         joins = [get(mi | mj) for mj in member_masks[a:]]
@@ -346,16 +343,6 @@ def _axiom_witnesses(g: IncidenceGeometry, members: Sequence[int], top: int,
                     f"(meet {g.describe_subspace(meet)}, join {g.describe_subspace(join)})")
         if ax1_witness and ax5_witness:
             break
-    # the pass stops at its two witnesses; the first missing intersection
-    # is looked for in the rows it left
-    for a, i in rows:
-        if meet_miss is not None:
-            break
-        mi = masks[i]
-        for j, mj in zip(members[a:], member_masks[a:]):
-            if mi & mj not in index_of:
-                meet_miss = (i, j)
-                break
 
     # axiom 2: the members inside top are the members of the pass, so the
     # ones properly above i with no larger dim are above[i] minus below[i]
@@ -394,7 +381,7 @@ def _axiom_witnesses(g: IncidenceGeometry, members: Sequence[int], top: int,
     order, ax6_witness = _line_order(g, members, claimed)
     witnesses = {1: ax1_witness, 2: ax2_witness, 3: ax3_witness,
                  4: ax4_witness, 5: ax5_witness, 6: ax6_witness}
-    return witnesses, order, meet_miss
+    return witnesses, order
 
 
 def validate_axioms(g: IncidenceGeometry) -> AxiomReport:
@@ -405,7 +392,7 @@ def validate_axioms(g: IncidenceGeometry) -> AxiomReport:
     BudgetExceeded when |L| is over LATTICE_CAP, which bounds the pair
     pass.
     """
-    witnesses, order, _ = g._axioms
+    witnesses, order = g._axioms
     return AxiomReport(_checks(_AXIOM_DESCRIPTIONS, witnesses), order,
                        _geometry_dimension(g))
 
@@ -446,11 +433,7 @@ def _unique_line_witness(points: Sequence[str],
 
 
 def check_derived_properties(g: IncidenceGeometry) -> DerivedPropertiesReport:
-    """Exhaustively verify five structural consequences of the axioms.
-
-    Requires a geometry that already passes validate_axioms; on corrupted
-    input the witnesses are still meaningful but the preconditions of
-    individual checks may not hold.
+    """Verify five structural consequences of the axioms.
 
       1. each subspace, with the members of L it contains, is itself a
          projective geometry of the same order;
@@ -461,71 +444,77 @@ def check_derived_properties(g: IncidenceGeometry) -> DerivedPropertiesReport:
       5. for a hyperplane S (dim = dim(P)-1) and any T, either T is
          contained in S or dim(T meet S) = dim(T) - 1.
 
-    Property 1 on S is the six axioms on the interval [empty set, S]:
-    _axiom_witnesses on the members inside S, with S as the top and L's
-    own order as the claim, reading the geometry's one lattice.
-    Each of its reads is one that the axiom pass over all of L makes,
-    with the same predicate:
+    Certificate: if all six axioms pass on L (IncidenceGeometry._axioms,
+    the pass validate_axioms reports) and no two members share a mask,
+    every property passes, and the report is built with no further work
+    (Birkhoff, Lattice Theory, 3rd ed., ch. IV):
 
-      1, 5. the meets and joins of the pairs inside S, a subset of L's
-            pairs.  S is an upper bound of any two members inside it, so
-            their join in L is inside S and is their join in the
-            interval too, and so is their meet;
-      2.    the containments i in j with j inside S, a subset of L's
-            (every mask lies inside the point set, so the pass over L
-            tests every containment);
-      3.    the empty set and the singletons of the points of S;
-      4.    the members inside S, each tested on its own;
-      6.    the lines inside S against L's order: every line of L has
-            order + 1 points, order >= 1 and the claimed order agrees,
-            and an interval with no line returns that order unchanged.
+      1. needs the axioms.  Property 1 on S is the six axioms on the
+         interval [empty set, S]: _axiom_witnesses on the members inside
+         S, with S as the top and L's order as the claim, and each of
+         its reads is one that the pass over all of L makes, with the
+         same predicate.  For axioms 1 and 5, S is an upper bound of any
+         two members inside it, so their join and meet in L lie inside S
+         and are theirs in the interval too.  For axiom 2, every mask
+         lies inside the point set, so the pass over L tests every
+         containment.  Axiom 3 reads the singletons of the points of S,
+         and axiom 4 tests each member on its own.  For axiom 6, every
+         line of L has order + 1 points, order >= 1 and the claimed order
+         agrees, and an interval with no line returns that order.
+      2. needs axioms 1 and 3.  Each point of S and T is a singleton in
+         L and so a common lower bound; it lies inside the meet, which
+         is then their intersection.
+      3. needs property 4 and axiom 2.  The join of two points is a line
+         by property 4, and it lies inside every line through both, so
+         axiom 2 makes it equal to each of them.  It is the only one as
+         members are distinct; a line listed twice passes every axiom,
+         which is why the certificate also needs distinct members.  Two
+         lines sharing points a != b would put that pair on two lines.
+      4. needs axioms 1, 3, 4 and 5.  Take axiom 5 on the pair (S, {x}):
+         their meet is the empty member, of dim -1, and the singleton
+         has dim 0, so the join has dim dim(S) + 1.
+      5. needs axioms 1, 2 and 5.  The join of a hyperplane S with a T
+         outside it properly contains S, so axiom 2 gives it dim n, and
+         the modular law gives dim(T meet S) = dim(T) - 1.
 
-    So when the axioms pass on L (IncidenceGeometry._axioms, the pass
-    validate_axioms reports), property 1 passes without looking at any
-    interval.  Only when some axiom fails are the intervals checked, in
-    index order, to name the first failing restriction.  There a join
-    missing from L can fail an interval that has it (S and T inside two
-    upper bounds whose intersection is not in L), so the witness is only
-    meaningful once axiom 1 passes.
+    Otherwise (some axiom fails, or a mask is listed twice, which only
+    the library constructor admits) each property is checked directly,
+    and a failed one names its first counterexample: property 1 checks
+    each interval in index order, and there a join missing from L can
+    fail an interval that has it (S and T inside two upper bounds whose
+    intersection is not in L), so its witness is only meaningful once
+    axiom 1 passes.  Property 2 names the first pair i <= j whose
+    intersection is not in L.  Property 3 checks its first half, since
+    two lines with the same point set count as two.
 
-    Property 2 reads the axiom pass: a member equal to the intersection
-    of two members is their meet, so the first pair whose intersection
-    is not in L (the third part of IncidenceGeometry._axioms) is the
-    first pair whose meet is missing or is not their intersection.
-
-    Property 3 checks only its first half, that every pair of distinct
-    points lies on exactly one line.  The second half follows: if two
-    distinct lines shared points a != b, the pair {a, b} would lie on
-    two lines, and two lines with the same point set count as two.
-
-    Cost: on a geometry that passes the axioms, the one axiom pass of
-    about |L|^2/2 meets and joins, shared with validate_axioms, plus about
-    |L|*|P| joins (property 4), |P|^2 point pairs (property 3) and
-    |hyperplanes|*|L| meets (property 5).  On one that fails, the
-    interval checks add up to sum over S of |L_S|^2/2 meets and joins.
+    Cost: on a geometry the certificate covers, nothing beyond the one
+    axiom pass of about |L|^2/2 meets and joins, shared with
+    validate_axioms.  Otherwise up to sum over S of |L_S|^2/2 meets and
+    joins for the intervals, |L|^2/2 intersections, |P|^2 point pairs,
+    |L|*|P| joins and |hyperplanes|*|L| meets.
     """
     lat = g._lattice
     masks, dims = g.subspaces, g.dims
     ns = len(masks)
-    axioms, order, meet_miss = g._axioms
-    n = _geometry_dimension(g)
+    axioms, order = g._axioms
+    if (all(w is None for w in axioms.values())
+            and len(lat.index_of) == ns):
+        return DerivedPropertiesReport(
+            _checks(_PROPERTY_DESCRIPTIONS, dict.fromkeys(_PROPERTY_DESCRIPTIONS)))
 
     w1 = None
-    if any(w is not None for w in axioms.values()):
-        for i in range(ns):
-            witnesses, _, _ = _axiom_witnesses(g, list(_bits(lat.below[i])),
-                                               masks[i], order)
-            failed = next((k for k, w in witnesses.items() if w is not None), None)
-            if failed is not None:
-                w1 = (f"restriction to {g.describe_subspace(i)} fails axiom "
-                      f"{failed}: {witnesses[failed]}")
-                break
+    for i in range(ns):
+        witnesses, _ = _axiom_witnesses(g, list(_bits(lat.below[i])), masks[i], order)
+        failed = next((k for k, w in witnesses.items() if w is not None), None)
+        if failed is not None:
+            w1 = (f"restriction to {g.describe_subspace(i)} fails axiom "
+                  f"{failed}: {witnesses[failed]}")
+            break
 
-    w2 = None
-    if meet_miss is not None:
-        i, j = meet_miss
-        w2 = (f"meet of {g.describe_subspace(i)} and {g.describe_subspace(j)}"
-              f" is not their intersection")
+    w2 = next((f"meet of {g.describe_subspace(i)} and {g.describe_subspace(j)}"
+               f" is not their intersection"
+               for i, j in itertools.combinations_with_replacement(range(ns), 2)
+               if masks[i] & masks[j] not in lat.index_of), None)
 
     lines = [i for i in range(ns) if dims[i] == 1]
     w3 = _unique_line_witness(g.points, [masks[i] for i in lines])
@@ -547,6 +536,7 @@ def check_derived_properties(g: IncidenceGeometry) -> DerivedPropertiesReport:
             break
 
     w5 = None
+    n = _geometry_dimension(g)
     if n is not None:
         hyperplanes = [i for i in range(ns) if dims[i] == n - 1]
         for i in hyperplanes:

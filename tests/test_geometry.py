@@ -14,9 +14,10 @@ from qproj import (BudgetExceeded, GeometryFormatError, NotAPrimePower,
 from qproj import geometry
 from qproj.geometry import IncidenceGeometry
 
-from util import (delete_point, drop_subspace, lattice_reference, perturb_dim,
-                  property_one_reference, reference_derived_report,
-                  shuffle_members, standard_mutations, sweep_collineation_order)
+from util import (delete_point, drop_subspace, duplicate_subspace,
+                  lattice_reference, perturb_dim, property_one_reference,
+                  reference_derived_report, shuffle_members, standard_mutations,
+                  sweep_collineation_order)
 
 
 @functools.cache
@@ -324,9 +325,7 @@ class TestLatticeEdges:
         def check(g, seed, data):
             k = data.draw(st.integers(0, len(g.subspaces) - 1))
             at = data.draw(st.integers(0, len(g.subspaces)))
-            twice = IncidenceGeometry(
-                g.points, g.subspaces[:at] + (g.subspaces[k],) + g.subspaces[at:],
-                g.dims[:at] + (g.dims[k],) + g.dims[at:], g.claimed_order)
+            twice = duplicate_subspace(g, k, at)
             for h in (g, shuffle_members(g, seed), twice):
                 ref, lat = lattice_reference(h), h._lattice
                 ns = range(len(h.subspaces))
@@ -359,14 +358,52 @@ class TestDerivedProperties:
         branches = set()
 
         @settings(max_examples=300, deadline=None)
-        @given(derived_mutants())
-        def check(g):
-            # implied when the axioms pass on L, evaluated on intervals otherwise
-            branches.add(validate_axioms(g).passed)
-            assert check_derived_properties(g).as_dict() == reference_derived_report(g)
+        @given(derived_mutants(), st.data())
+        def check(g, data):
+            # certified when the axioms pass on L with distinct members,
+            # evaluated directly otherwise; the copy with one mask twice
+            # passes the axioms whenever g does, and is never certified
+            k = data.draw(st.integers(0, len(g.subspaces) - 1))
+            at = data.draw(st.integers(0, len(g.subspaces)))
+            for h in (g, duplicate_subspace(g, k, at)):
+                if not validate_axioms(h).passed:
+                    branches.add("axioms fail")
+                elif len(set(h.subspaces)) == len(h.subspaces):
+                    branches.add("axioms pass, distinct members")
+                else:
+                    branches.add("axioms pass, a member twice")
+                assert check_derived_properties(h).as_dict() == reference_derived_report(h)
 
         check()
-        assert branches == {True, False}
+        assert branches == {"axioms fail", "axioms pass, distinct members",
+                            "axioms pass, a member twice"}
+
+    def test_certificate_reads_no_meet_join_or_line(self, monkeypatch):
+        # once the axiom pass has run, a valid geometry's report costs no
+        # meet, join, line count or interval check; a line listed twice
+        # makes every one of them run
+        calls = []
+
+        def counting(owner, name):
+            fn = getattr(owner, name)
+
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+            monkeypatch.setattr(owner, name, wrapper)
+
+        g = build_projective_space(2, 3)
+        twice = duplicate_subspace(g, g.dims.index(1))
+        assert validate_axioms(g).passed and validate_axioms(twice).passed
+        counting(geometry._Lattice, "meet")
+        counting(geometry._Lattice, "join")
+        counting(geometry, "_unique_line_witness")
+        counting(geometry, "_axiom_witnesses")
+        assert check_derived_properties(g).passed
+        assert calls == []
+        assert not check_derived_properties(twice).passed
+        assert set(calls) == {"meet", "join", "_unique_line_witness",
+                              "_axiom_witnesses"}
 
     def test_boolean_lines_are_pairs(self, geometry_corpus):
         g = geometry_corpus["Boolean(4)"]

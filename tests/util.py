@@ -157,7 +157,7 @@ def property_one_reference(g: IncidenceGeometry) -> str | None:
     contained = lattice_reference(g).contained
     order, _ = geometry._line_order(g, range(len(g.subspaces)), g.claimed_order)
     for i, mask in enumerate(g.subspaces):
-        witnesses, _, _ = geometry._axiom_witnesses(g, contained[i], mask, order)
+        witnesses, _ = geometry._axiom_witnesses(g, contained[i], mask, order)
         failed = next((k for k, w in witnesses.items() if w is not None), None)
         if failed is not None:
             return (f"restriction to {g.describe_subspace(i)} fails axiom "
@@ -180,12 +180,15 @@ def property_two_reference(g: IncidenceGeometry) -> str | None:
 
 
 def property_three_reference(g: IncidenceGeometry) -> str | None:
-    """Oracle: derived property 3 in two parts, points on lines and then
-    every pair of lines sharing more than one point."""
+    """Oracle: derived property 3 in two parts, every pair of distinct
+    points counted against every line, and then every pair of lines
+    sharing more than one point."""
     lines = [i for i, d in enumerate(g.dims) if d == 1]
-    witness = geometry._unique_line_witness(g.points, [g.subspaces[i] for i in lines])
-    if witness is not None:
-        return witness
+    for a, b in itertools.combinations(range(len(g.points)), 2):
+        pair = 1 << a | 1 << b
+        count = sum(1 for i in lines if g.subspaces[i] & pair == pair)
+        if count != 1:
+            return f"points {g.points[a]} and {g.points[b]} lie on {count} lines"
     for i, j in itertools.combinations(lines, 2):
         common = (g.subspaces[i] & g.subspaces[j]).bit_count()
         if common > 1:
@@ -194,12 +197,59 @@ def property_three_reference(g: IncidenceGeometry) -> str | None:
     return None
 
 
+def property_four_reference(g: IncidenceGeometry) -> str | None:
+    """Oracle: derived property 4 by reading, for each member S and each
+    point x outside S whose singleton is in L, the join of S and {x}
+    gathered by lattice_reference."""
+    joins = lattice_reference(g).joins
+    masks, dims = g.subspaces, g.dims
+    singletons = {}
+    for idx, m in enumerate(masks):
+        if m.bit_count() == 1:
+            singletons.setdefault(m.bit_length() - 1, idx)
+    for i, mask in enumerate(masks):
+        for b in range(len(g.points)):
+            if mask >> b & 1 or b not in singletons:
+                continue
+            join = joins[i][singletons[b]]
+            if join is None or dims[join] != dims[i] + 1:
+                got = "missing" if join is None else f"dim {dims[join]}"
+                return (f"join of {g.describe_subspace(i)} with point "
+                        f"{g.points[b]} is {got}, expected dim {dims[i] + 1}")
+    return None
+
+
+def property_five_reference(g: IncidenceGeometry) -> str | None:
+    """Oracle: derived property 5 by reading, for each hyperplane S (dim
+    one less than the first full-set member's) and each T not inside S,
+    the meet of S and T gathered by lattice_reference."""
+    meets = lattice_reference(g).meets
+    masks, dims = g.subspaces, g.dims
+    full = (1 << len(g.points)) - 1
+    n = next((d for m, d in zip(masks, dims) if m == full), None)
+    if n is None:
+        return None
+    for i, hyperplane in enumerate(masks):
+        if dims[i] != n - 1:
+            continue
+        for j, mask in enumerate(masks):
+            if mask & ~hyperplane == 0:
+                continue
+            meet = meets[i][j]
+            if meet is None or dims[meet] != dims[j] - 1:
+                got = "missing" if meet is None else f"dim {dims[meet]}"
+                return (f"hyperplane {g.describe_subspace(i)} meets "
+                        f"{g.describe_subspace(j)} in {got}, expected dim "
+                        f"{dims[j] - 1}")
+    return None
+
+
 def reference_derived_report(g: IncidenceGeometry) -> dict:
-    """check_derived_properties(g).as_dict() with properties 1, 2 and 3
-    taken from the reference loops above, which always evaluate."""
+    """check_derived_properties(g).as_dict() from the reference loops
+    above, which always evaluate and read lattice_reference, never
+    _Lattice."""
     witnesses = {1: property_one_reference(g), 2: property_two_reference(g),
-                 3: property_three_reference(g)}
-    for p in geometry.check_derived_properties(g).properties[3:]:
-        witnesses[p.number] = p.witness
+                 3: property_three_reference(g), 4: property_four_reference(g),
+                 5: property_five_reference(g)}
     checks = geometry._checks(geometry._PROPERTY_DESCRIPTIONS, witnesses)
     return DerivedPropertiesReport(checks).as_dict()
