@@ -28,7 +28,7 @@ from typing import Iterable, Sequence
 
 from .errors import BudgetExceeded, DimensionMismatch, FieldMismatch
 from .gf import FieldElement, FiniteField, make_field
-from .qcalc import q_binomial_recurrence
+from .qcalc import MAX_Q_SERIES_N, over_q_series_cap, q_binomial_recurrence
 
 DEFAULT_SUBSPACE_BUDGET = 10 ** 6
 
@@ -216,7 +216,9 @@ def enumerate_subspaces(q: int, n: int, k: int,
 
     Deterministic order: pivot-column patterns in lexicographic order,
     then free entries filled in canonical element order.  Raises
-    BudgetExceeded if the projected output size is over budget.
+    BudgetExceeded if the projected output size is over budget, or if n
+    is over the q-series cap: past it [n choose k]_q is formed only for
+    k = 0 and k = n, where the one basis still holds k rows of n codes.
 
     The checks of SubspaceCanonical run once per pivot pattern (the
     pivots strictly increase) and once per row filling (_row_pivot,
@@ -228,6 +230,8 @@ def enumerate_subspaces(q: int, n: int, k: int,
     if not 0 <= k <= n:
         raise ValueError("requires 0 <= k <= n")
     field = make_field(q)
+    if n > MAX_Q_SERIES_N:
+        raise over_q_series_cap(n, f"[{n} choose {k}] has degree {k * (n - k)}")
     projected = q_binomial_recurrence(n, k).evaluate(q)
     if projected > budget:
         raise BudgetExceeded(

@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import BudgetExceeded
-from .qcalc import QPoly
+from .qcalc import MAX_Q_SERIES_N, QPoly, over_q_series_cap
 
 DEFAULT_MAX_STEPS = 24
 
@@ -44,11 +44,16 @@ class LatticePath:
 
 
 def _check_box(m: int, n: int, max_steps: int) -> None:
+    """Refuse an empty box, one over max_steps, and one past the q-series
+    cap, whose C(m+n, m) >= C(121, 60) > 10^35 paths no budget admits and
+    whose [m+n choose m]_q cannot be formed to compare with."""
     if m < 1 or n < 1:
         raise ValueError("box sides must be positive")
     if m + n > max_steps:
         raise BudgetExceeded(
             f"{m}+{n} steps exceed the path budget of {max_steps}")
+    if m + n > MAX_Q_SERIES_N:
+        raise over_q_series_cap(m + n, f"[{m + n} choose {m}] has degree {m * n}")
 
 
 def enumerate_paths(m: int, n: int,

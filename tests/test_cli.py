@@ -1,5 +1,6 @@
 import itertools
 import json
+import operator
 import sys
 import time
 
@@ -399,6 +400,25 @@ class TestQSeriesCap:
         assert res.exit_code == 0
         assert res.text == " ".join(["1"] * MAX_Q_SERIES_N)
 
+    @pytest.mark.parametrize("argv", [
+        ["paths", "gf", str(10 ** 20), "1", "--max-steps", str(10 ** 21)],
+        ["paths", "gf", str(MAX_Q_SERIES_N), "1", "--max-steps", "200"],
+        ["subspaces", "2", str(10 ** 20), "0"],
+        ["subspaces", "2", str(MAX_Q_SERIES_N + 1), str(MAX_Q_SERIES_N + 1)]])
+    def test_box_and_ambient_space_past_the_cap(self, argv):
+        # the 20-digit ones used to end in an OverflowError (exit 4)
+        res = run(argv)
+        assert res.exit_code == 3
+        assert res.error.startswith("budget exceeded: n = ")
+        assert f"cap of n <= {MAX_Q_SERIES_N}" in res.error
+
+    def test_box_and_ambient_space_at_the_cap(self):
+        res = run(["paths", "gf", str(MAX_Q_SERIES_N - 1), "1", "--max-steps", "200"])
+        assert res.exit_code == 0
+        assert res.text.splitlines()[0] == " ".join(["1"] * MAX_Q_SERIES_N)
+        res = run(["subspaces", "2", str(MAX_Q_SERIES_N), str(MAX_Q_SERIES_N)])
+        assert res.exit_code == 0 and res.text == "count: 1 (expected 1)"
+
 
 def test_unexpected_exception_is_internal_error(monkeypatch):
     def broken(args):
@@ -455,7 +475,10 @@ def fuzz_files(tmp_path_factory):
 @given(data=st.data())
 @settings(max_examples=150, deadline=None)
 def test_fuzzed_argv_exits_with_a_documented_code(fuzz_files, data):
-    number = st.integers(-2, 4).map(str)
+    # small ints reach the verdicts; 20-digit ints, either sign, must meet
+    # a cap or a usage error at once, whatever command or flag takes them
+    huge = st.integers(10 ** 19, 10 ** 21)
+    number = st.one_of(st.integers(-2, 4), huge, huge.map(operator.neg)).map(str)
     kinds = {"n": number, "f": st.sampled_from(fuzz_files),
              "g": st.sampled_from(["PSL", "gl", "SL", "pgl", "AN"])}
     command, shape = data.draw(st.sampled_from(_FUZZ_COMMANDS))
@@ -464,5 +487,7 @@ def test_fuzzed_argv_exits_with_a_documented_code(fuzz_files, data):
     junk = st.tuples(st.sampled_from(_FUZZ_JUNK + fuzz_files), st.just([]))
     for flag, values in data.draw(st.lists(st.one_of(option, junk), max_size=3)):
         argv += [flag, *values]
+    start = time.perf_counter()
     res = run(argv)
     assert res.exit_code in (0, 1, 2, 3), (argv, res.error)
+    assert time.perf_counter() - start < 2, argv
