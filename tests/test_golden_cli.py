@@ -52,6 +52,12 @@ check`` and ``geometry collineations`` entries exit 2 ("duplicate
 subspace"), and its ``derived`` entry pins property 3 failing ("lie on
 2 lines") while every axiom passes.
 
+Four cases were written from the code before the collineation search kept
+one trace list per depth: ``geometry collineations`` with ``--max-points``
+set to the point count on P2(F3) (13 points), P3(F2) (15), P2(F4) (21)
+and "P2(F3) minus line" (13 points, order 432), past the default cap of
+the other collineation cases.
+
 To extend the corpus, add the new cases here and write the new entries
 from a commit whose output is trusted:
 
@@ -152,6 +158,12 @@ def _cases():
     for name, g in _collineation_geometries().items():
         base[f"geometry collineations {name}"] = (
             ["geometry", "collineations", FILE], geometry_to_json(g))
+    for name, g in (("P2(F3)", geoms["P2(F3)"]), ("P3(F2)", p3f2),
+                    ("P2(F4)", p2f4), ("P2(F3) minus line", geoms["P2(F3) minus line"])):
+        npts = str(len(g.points))
+        base[f"geometry collineations {name} --max-points {npts}"] = (
+            ["geometry", "collineations", FILE, "--max-points", npts],
+            geometry_to_json(g))
     for m, n in ((3, 3), (4, 5), (1, 6), (6, 1)):
         base[f"paths gf {m} {n}"] = (["paths", "gf", str(m), str(n)], None)
     base["group order SL 3 4"] = (["group", "order", "SL", "3", "4"], None)
