@@ -771,13 +771,16 @@ def collineation_order(g: IncidenceGeometry,
     dims.  A collineation maps the members through a point onto those
     through its image, so the image of b_d must lie in as many members of
     each size as b_d.  For a member m through b_d, let M be the points
-    mapped so far and A the image of m & M.  A collineation s extending
-    the map sends m to a member that contains A, so the intersection C of
-    all members containing A exists, lies inside s(m), has |C| <= |m|,
-    and meets s(M) in s(m & M) = A.  A member inside M must map onto a
-    member.  Every map the search accepts is then checked member by
-    member, as a permutation is a collineation iff the image of every
-    member is a member (dims follow, being fixed by containment).
+    mapped so far and A the image of the trace t = m & M.  A collineation
+    s extending the map sends m to a member that contains A, so the
+    intersection C of all members containing A exists, lies inside s(m),
+    has |C| <= |m|, and meets s(M) in s(t) = A.  Each trace is tested
+    once, bounded by the least |m| over the members with that trace.  An
+    A in L passes, being its own C.  A trace that is itself a member must
+    map onto a member, so its bound is |t| - 1, which no C containing A
+    meets.  Every map the search accepts is then checked member by member
+    (_is_collineation), as a permutation is a collineation iff the image
+    of every member is a member (dims follow, being fixed by containment).
 
     max_points caps |P| before any work.  The search raises
     BudgetExceeded when it visits more than max_nodes nodes (one per
@@ -804,7 +807,8 @@ def _orbit(points: Iterable[int], maps: list[list[int]]) -> set[int]:
 
 
 class _CollineationSearch:
-    """The base, its per-depth member tests and the node count of one count."""
+    """The base, one list of trace tests per depth, and the node count of
+    one count."""
 
     def __init__(self, g: IncidenceGeometry, max_nodes: int):
         npts = len(g.points)
@@ -832,29 +836,22 @@ class _CollineationSearch:
             met |= self.through[x]
         depth = {x: d for d, x in enumerate(self.base)}
 
-        # At depth d the d-th base point x gets its image.  complete[d]
-        # lists the members through x inside the mapped points M, and
-        # partial[d] the traces m & M of the other members m through x,
-        # each with the least |m|, both as tuples of depths.  A trace that
-        # is itself a member is in complete[d], and once its image is a
-        # member the trace test passes on it, so partial[d] leaves it out.
-        self.complete: list[list[tuple[int, ...]]] = []
-        self.partial: list[list[tuple[tuple[int, ...], int]]] = []
+        # At depth d the d-th base point x gets its image.  traces[d] lists
+        # the traces t = m & M of the members m through x on the mapped
+        # points M, each once, as a tuple of depths with a bound: the least
+        # |m| with that trace, or |t| - 1 when t is itself a member.
+        self.traces: list[list[tuple[tuple[int, ...], int]]] = []
         mapped = 0
         for x in self.base:
             mapped |= 1 << x
-            complete, partial = [], {}
+            bounds: dict[int, int] = {}
             for k in _bits(self.through[x]):
                 m = self.members[k]
                 trace = m & mapped
-                if trace == m:
-                    complete.append(tuple(depth[y] for y in _bits(m)))
-                elif trace not in self.member_set:
-                    size = min(partial.get(trace, m.bit_count()), m.bit_count())
-                    partial[trace] = size
-            self.complete.append(complete)
-            self.partial.append([(tuple(depth[y] for y in _bits(t)), size)
-                                 for t, size in partial.items()])
+                bound = m.bit_count() - (trace == m)
+                bounds[trace] = min(bounds.get(trace, bound), bound)
+            self.traces.append([(tuple(depth[y] for y in _bits(t)), bound)
+                                for t, bound in bounds.items()])
 
     def order(self) -> int:
         maps: list[list[int]] = []  # collineations found, as point -> image
@@ -914,19 +911,14 @@ class _CollineationSearch:
         return None
 
     def _fits(self, d: int, images: list[int], used: int) -> bool:
-        member_set = self.member_set
-        for depths in self.complete[d]:
+        for depths, bound in self.traces[d]:
             a = 0
             for j in depths:
                 a |= images[j]
-            if a not in member_set:
-                return False
-        for depths, size in self.partial[d]:
-            a = 0
-            for j in depths:
-                a |= images[j]
+            if a in self.member_set:
+                continue
             c = self._closure(a)
-            if c & used != a or c.bit_count() > size:
+            if c & used != a or c.bit_count() > bound:
                 return False
         return True
 
