@@ -294,119 +294,147 @@ def _nonnegative_int(text: str) -> int:
     return value
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="qproj",
-        description="Exact q-analogues, subspace enumeration over F_q, and "
-                    "finite projective geometry validation.")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_json(p):
-        p.add_argument("--json", action="store_true",
-                       help="emit a uniform JSON payload")
-
-    p = sub.add_parser("qbinom", help="Gaussian binomial by both routes")
+def _args_qbinom(p):
     p.add_argument("n", type=int)
     p.add_argument("k", type=int)
     p.add_argument("--at", type=int, default=None, metavar="Q0",
                    help="evaluate at q = Q0 instead of printing coefficients")
-    add_json(p)
-    p.set_defaults(handler=_cmd_qbinom)
 
-    p = sub.add_parser("expand", help="normal-ordered expansion of (x+y)^n")
+
+def _args_expand(p):
     p.add_argument("n", type=int)
-    add_json(p)
-    p.set_defaults(handler=_cmd_expand)
 
-    p = sub.add_parser("subspaces", help="enumerate k-subspaces of F_q^n")
+
+def _args_subspaces(p):
     p.add_argument("q", type=int)
     p.add_argument("n", type=int)
     p.add_argument("k", type=int)
     p.add_argument("--list", action="store_true", help="print canonical bases")
     p.add_argument("--budget", type=_nonnegative_int,
                    default=DEFAULT_SUBSPACE_BUDGET)
-    add_json(p)
-    p.set_defaults(handler=_cmd_subspaces)
 
-    pg = sub.add_parser("geometry", help="incidence geometry commands")
-    gsub = pg.add_subparsers(dest="subcommand", required=True)
 
-    p = gsub.add_parser("build", help="construct a geometry, JSON to stdout")
+def _args_geometry_build(p):
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--projective", nargs=2, type=int, metavar=("Q", "N"))
     group.add_argument("--boolean", type=int, metavar="N")
     p.add_argument("--budget", type=_nonnegative_int,
                    default=geo.DEFAULT_GEOMETRY_BUDGET)
-    add_json(p)
-    p.set_defaults(handler=_cmd_geometry_build)
 
-    p = gsub.add_parser("check", help="validate axioms, counts and census")
+
+def _args_file(p):
     p.add_argument("file")
-    add_json(p)
-    p.set_defaults(handler=_cmd_geometry_check)
 
-    p = gsub.add_parser("collineations",
-                        help="collineation group order by orbit-stabiliser search")
+
+def _args_geometry_collineations(p):
     p.add_argument("file")
     p.add_argument("--max-points", type=_nonnegative_int,
                    default=geo.DEFAULT_COLLINEATION_CAP,
                    help="refuse more points than this (default %(default)s)")
-    add_json(p)
-    p.set_defaults(handler=_cmd_geometry_collineations)
 
-    p = gsub.add_parser("affine", help="affine piece sizes of P^n(F_q)")
+
+def _args_q_n(p):
     p.add_argument("q", type=int)
     p.add_argument("n", type=int)
-    add_json(p)
-    p.set_defaults(handler=_cmd_geometry_affine)
 
-    pp = sub.add_parser("plane", help="projective plane commands")
-    psub = pp.add_subparsers(dest="subcommand", required=True)
 
-    p = psub.add_parser("check", help="validate the plane conditions")
-    p.add_argument("file")
-    add_json(p)
-    p.set_defaults(handler=_cmd_plane_check)
-
-    p = psub.add_parser("bruck-ryser", help="sum-of-two-squares order test")
+def _args_order(p):
     p.add_argument("order", type=int)
-    add_json(p)
-    p.set_defaults(handler=_cmd_plane_bruck_ryser)
 
-    pq = sub.add_parser("paths", help="lattice path commands")
-    qsub = pq.add_subparsers(dest="subcommand", required=True)
 
-    p = qsub.add_parser("gf", help="area generating function of the m-by-n box")
+def _args_paths_gf(p):
     p.add_argument("m", type=int)
     p.add_argument("n", type=int)
     p.add_argument("--max-steps", type=_nonnegative_int, default=DEFAULT_MAX_STEPS)
-    add_json(p)
-    p.set_defaults(handler=_cmd_paths_gf)
 
-    pr = sub.add_parser("group", help="classical group orders")
-    rsub = pr.add_subparsers(dest="subcommand", required=True)
 
-    p = rsub.add_parser("order", help="order of GL/SL/PGL/PSL over F_q")
+def _args_group_order(p):
     p.add_argument("family", choices=["GL", "SL", "PGL", "PSL",
                                       "gl", "sl", "pgl", "psl"])
     p.add_argument("n", type=int)
     p.add_argument("q", type=int)
     p.add_argument("--brute-force", action="store_true",
                    help="recount by matrix enumeration and compare")
-    add_json(p)
-    p.set_defaults(handler=_cmd_group_order)
 
-    p = rsub.add_parser("an", help="alternating group vs order-1 collineations")
+
+def _args_n(p):
     p.add_argument("n", type=int)
-    add_json(p)
-    p.set_defaults(handler=_cmd_group_an)
 
+
+# name -> (help, handler, adds the arguments before --json), or (help,
+# table of subcommands) for a command group; in the order of the help text
+_COMMANDS = {
+    "qbinom": ("Gaussian binomial by both routes", _cmd_qbinom, _args_qbinom),
+    "expand": ("normal-ordered expansion of (x+y)^n", _cmd_expand, _args_expand),
+    "subspaces": ("enumerate k-subspaces of F_q^n", _cmd_subspaces, _args_subspaces),
+    "geometry": ("incidence geometry commands", {
+        "build": ("construct a geometry, JSON to stdout",
+                  _cmd_geometry_build, _args_geometry_build),
+        "check": ("validate axioms, counts and census",
+                  _cmd_geometry_check, _args_file),
+        "collineations": ("collineation group order by orbit-stabiliser search",
+                          _cmd_geometry_collineations, _args_geometry_collineations),
+        "affine": ("affine piece sizes of P^n(F_q)", _cmd_geometry_affine, _args_q_n),
+    }),
+    "plane": ("projective plane commands", {
+        "check": ("validate the plane conditions", _cmd_plane_check, _args_file),
+        "bruck-ryser": ("sum-of-two-squares order test",
+                        _cmd_plane_bruck_ryser, _args_order),
+    }),
+    "paths": ("lattice path commands", {
+        "gf": ("area generating function of the m-by-n box",
+               _cmd_paths_gf, _args_paths_gf),
+    }),
+    "group": ("classical group orders", {
+        "order": ("order of GL/SL/PGL/PSL over F_q", _cmd_group_order,
+                  _args_group_order),
+        "an": ("alternating group vs order-1 collineations", _cmd_group_an, _args_n),
+    }),
+}
+
+
+def _build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
+    """The parser for argv, or the whole tree when argv is None.
+
+    Only the subparser of the command that argv names is built, and for a
+    command group only the subcommand's.  Where argv names none or an
+    unknown one, that level gets all its subparsers, so help and usage
+    errors read as with the whole tree.
+    """
+    parser = argparse.ArgumentParser(
+        prog="qproj",
+        description="Exact q-analogues, subspace enumeration over F_q, and "
+                    "finite projective geometry validation.")
+    _add_commands(parser, "command", _COMMANDS, argv)
     return parser
+
+
+def _add_commands(parser, dest, table, argv):
+    name = argv[0] if argv else None
+    if name in table:
+        # an unrecognised-arguments error prints the top usage line, which
+        # lists every name
+        sub = parser.add_subparsers(dest=dest, required=True,
+                                    metavar="{" + ",".join(table) + "}")
+        table, argv = {name: table[name]}, argv[1:]
+    else:
+        sub = parser.add_subparsers(dest=dest, required=True)
+        argv = None
+    for name, (help_text, *spec) in table.items():
+        p = sub.add_parser(name, help=help_text)
+        if len(spec) == 1:
+            _add_commands(p, "subcommand", spec[0], argv)
+            continue
+        handler, add_arguments = spec
+        add_arguments(p)
+        p.add_argument("--json", action="store_true",
+                       help="emit a uniform JSON payload")
+        p.set_defaults(handler=handler)
 
 
 def run(argv: list[str]) -> CommandResult:
     """Parse and execute; printing is left to main()."""
-    parser = _build_parser()
+    parser = _build_parser(argv)
     try:
         args = parser.parse_args(argv)
     except SystemExit as e:
