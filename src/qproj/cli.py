@@ -301,10 +301,6 @@ def _args_qbinom(p):
                    help="evaluate at q = Q0 instead of printing coefficients")
 
 
-def _args_expand(p):
-    p.add_argument("n", type=int)
-
-
 def _args_subspaces(p):
     p.add_argument("q", type=int)
     p.add_argument("n", type=int)
@@ -361,36 +357,38 @@ def _args_n(p):
     p.add_argument("n", type=int)
 
 
-# name -> (help, handler, adds the arguments before --json), or (help,
-# table of subcommands) for a command group; in the order of the help text
-_COMMANDS = {
-    "qbinom": ("Gaussian binomial by both routes", _cmd_qbinom, _args_qbinom),
-    "expand": ("normal-ordered expansion of (x+y)^n", _cmd_expand, _args_expand),
-    "subspaces": ("enumerate k-subspaces of F_q^n", _cmd_subspaces, _args_subspaces),
-    "geometry": ("incidence geometry commands", {
-        "build": ("construct a geometry, JSON to stdout",
-                  _cmd_geometry_build, _args_geometry_build),
-        "check": ("validate axioms, counts and census",
-                  _cmd_geometry_check, _args_file),
-        "collineations": ("collineation group order by orbit-stabiliser search",
-                          _cmd_geometry_collineations, _args_geometry_collineations),
-        "affine": ("affine piece sizes of P^n(F_q)", _cmd_geometry_affine, _args_q_n),
-    }),
-    "plane": ("projective plane commands", {
-        "check": ("validate the plane conditions", _cmd_plane_check, _args_file),
-        "bruck-ryser": ("sum-of-two-squares order test",
-                        _cmd_plane_bruck_ryser, _args_order),
-    }),
-    "paths": ("lattice path commands", {
-        "gf": ("area generating function of the m-by-n box",
-               _cmd_paths_gf, _args_paths_gf),
-    }),
-    "group": ("classical group orders", {
-        "order": ("order of GL/SL/PGL/PSL over F_q", _cmd_group_order,
-                  _args_group_order),
-        "an": ("alternating group vs order-1 collineations", _cmd_group_an, _args_n),
-    }),
-}
+def _commands() -> dict:
+    """name -> (help, handler, adds the arguments before --json), or (help,
+    table of subcommands) for a command group, in the order of the help
+    text.  Built per parser, so each handler is the module's at that time."""
+    return {
+        "qbinom": ("Gaussian binomial by both routes", _cmd_qbinom, _args_qbinom),
+        "expand": ("normal-ordered expansion of (x+y)^n", _cmd_expand, _args_n),
+        "subspaces": ("enumerate k-subspaces of F_q^n", _cmd_subspaces, _args_subspaces),
+        "geometry": ("incidence geometry commands", {
+            "build": ("construct a geometry, JSON to stdout",
+                      _cmd_geometry_build, _args_geometry_build),
+            "check": ("validate axioms, counts and census",
+                      _cmd_geometry_check, _args_file),
+            "collineations": ("collineation group order by orbit-stabiliser search",
+                              _cmd_geometry_collineations, _args_geometry_collineations),
+            "affine": ("affine piece sizes of P^n(F_q)", _cmd_geometry_affine, _args_q_n),
+        }),
+        "plane": ("projective plane commands", {
+            "check": ("validate the plane conditions", _cmd_plane_check, _args_file),
+            "bruck-ryser": ("sum-of-two-squares order test",
+                            _cmd_plane_bruck_ryser, _args_order),
+        }),
+        "paths": ("lattice path commands", {
+            "gf": ("area generating function of the m-by-n box",
+                   _cmd_paths_gf, _args_paths_gf),
+        }),
+        "group": ("classical group orders", {
+            "order": ("order of GL/SL/PGL/PSL over F_q", _cmd_group_order,
+                      _args_group_order),
+            "an": ("alternating group vs order-1 collineations", _cmd_group_an, _args_n),
+        }),
+    }
 
 
 def _build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
@@ -405,15 +403,15 @@ def _build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
         prog="qproj",
         description="Exact q-analogues, subspace enumeration over F_q, and "
                     "finite projective geometry validation.")
-    _add_commands(parser, "command", _COMMANDS, argv)
+    _add_commands(parser, "command", _commands(), argv)
     return parser
 
 
 def _add_commands(parser, dest, table, argv):
     name = argv[0] if argv else None
     if name in table:
-        # an unrecognised-arguments error prints the top usage line, which
-        # lists every name
+        # the usage line of an unrecognised-arguments error still lists
+        # every name
         sub = parser.add_subparsers(dest=dest, required=True,
                                     metavar="{" + ",".join(table) + "}")
         table, argv = {name: table[name]}, argv[1:]

@@ -146,10 +146,13 @@ class _Lattice:
     Cost: building the sets takes |L|*|P| ANDs and ORs of |L|-bit ints,
     and they hold 2*|L|^2 bits; a meet or join is then one AND and one
     dict lookup, and no table of them is stored.  At |L| = 4096
-    (Boolean(12), 2-core VM) the build takes about 0.04 s with a
+    (Boolean(12), 2-core VM) the build takes about 0.03-0.05 s with a
     tracemalloc peak of 5.4 MB, where a stored |L|^2 table took 3.5-4.7 s
-    and 59 MB; the axiom pass then takes about 3.2-3.6 s.  LATTICE_CAP
-    bounds the |L|^2/2 pairs of that pass.
+    and 59 MB.  On a geometry that passes, the axiom pass then certifies
+    axioms 1 and 5 from the sets (_modular_certificate) in about 0.13 s
+    on Boolean(12) and 0.15 s on P4(F3), where reading every pair's meet
+    and join took 3.0-3.6 s.  Input that fails the certificate still
+    runs that pair pass, and LATTICE_CAP bounds its |L|^2/2 pairs.
     """
 
     def __init__(self, g: IncidenceGeometry):
@@ -375,15 +378,15 @@ def _modular_certificate(lat: _Lattice, dims: Sequence[int],
     member with a coatom.  With top, L is then a lattice whose meet is
     intersection (a finite meet-semilattice with a top is a lattice), so
     axiom 1 holds.  Given the lattice and axiom 2, a pair y != z in U_w
-    is counted in check 1 at most once, at u = y join z: each u counted
-    contains y join z, which properly contains y, so has dim at least
-    d(w) + 2 = d(u) and, by axiom 2, is u.  So check 1 holds iff every
-    such pair has a join of dim d(w) + 2, and dually check 2 holds iff
-    every pair in D_w has a meet of dim d(w) - 2.
+    is counted in check 1 at most once, at u = y join z: y join z
+    properly contains y, so by axiom 2 its dim is at least d(w) + 2 =
+    d(u), and each u counted contains it, so by axiom 2 again is it.  So
+    check 1 holds iff every such pair has a join of dim d(w) + 2, and
+    dually check 2 holds iff every pair in D_w has a meet of dim d(w) - 2.
 
     Gradedness follows: for every member x and point p outside x,
-    d(x join p) = d(x) + 1, by induction on d(x).  For x empty that is
-    axioms 3 and 4.  Otherwise take a lower cover x'' of x and a point a
+    d(x join p) = d(x) + 1, by induction on d(x), which is at least -1
+    by axioms 2 to 4.  For x empty that is axioms 3 and 4.  Otherwise take a lower cover x'' of x and a point a
     in x outside x''.  Then x = x'' join a, so by induction d(x) =
     d(x'') + 1 = d(x'' join p).  Both x and x'' join p lie in U_x'', and
     p tells them apart, so check 1 gives d(x join p) = d(x'') + 2 =
@@ -408,23 +411,29 @@ def _modular_certificate(lat: _Lattice, dims: Sequence[int],
     coatom and member (4,096 * 12 on Boolean(12), 2,664 * 121 on P4(F3)),
     where a lookup of every pairwise intersection would take |L|^2/2.
     """
-    above, below, masks = lat.above, lat.below, lat.masks
+    return (_cover_count(lat.above, lat.below, dims, at_dim, 1)
+            and _cover_count(lat.below, lat.above, dims, at_dim, -1)
+            and _coatom_intersections(lat, top))
+
+
+def _cover_count(over: list[int], under: list[int], dims: Sequence[int],
+                 at_dim: dict[int, int], step: int) -> bool:
+    """Check 1 of _modular_certificate with over the up-sets, under the
+    down-sets and step 1; check 2 with the two swapped and step -1."""
     for w, d in enumerate(dims):
-        up = above[w] & at_dim.get(d + 1, 0)
-        n = up.bit_count()
+        near = over[w] & at_dim.get(d + step, 0)
+        n = near.bit_count()
         if n > 1 and n * (n - 1) // 2 != sum(
                 c * (c - 1) // 2 for c in (
-                    (up & below[u]).bit_count()
-                    for u in _bits(above[w] & at_dim.get(d + 2, 0)))):
+                    (near & under[u]).bit_count()
+                    for u in _bits(over[w] & at_dim.get(d + 2 * step, 0)))):
             return False
-    for w, d in enumerate(dims):
-        down = below[w] & at_dim.get(d - 1, 0)
-        n = down.bit_count()
-        if n > 1 and n * (n - 1) // 2 != sum(
-                c * (c - 1) // 2 for c in (
-                    (down & above[v]).bit_count()
-                    for v in _bits(below[w] & at_dim.get(d - 2, 0)))):
-            return False
+    return True
+
+
+def _coatom_intersections(lat: _Lattice, top: int) -> bool:
+    """Check 3 of _modular_certificate; top is the point set, a member."""
+    above, masks = lat.above, lat.masks
     t = lat.index_of[top]
     coatoms = 0
     for h, a in enumerate(above):
@@ -499,9 +508,13 @@ def validate_axioms(g: IncidenceGeometry) -> AxiomReport:
     """Check all six axioms; failures are reported with a witness, never thrown.
 
     Witnesses are the first counterexample in canonical order (subspace
-    index order, pairs with i <= j), so reports are deterministic.  Raises
-    BudgetExceeded when |L| is over LATTICE_CAP, which bounds the pair
-    pass.
+    index order, pairs with i <= j), so reports are deterministic.  Where
+    axioms 2, 3 and 4 hold, no mask is listed twice and the point set is
+    a member, axioms 1 and 5 are first tried by a certificate from the
+    covers and the coatoms (_modular_certificate); it holds exactly when
+    both axioms do, and then no pair is read.  Otherwise the pass over
+    all pairs finds the witnesses.  Raises BudgetExceeded when |L| is
+    over LATTICE_CAP, which bounds that pair pass.
     """
     witnesses, order = g._axioms
     return AxiomReport(_checks(_AXIOM_DESCRIPTIONS, witnesses), order,
@@ -562,16 +575,18 @@ def check_derived_properties(g: IncidenceGeometry) -> DerivedPropertiesReport:
 
       1. needs the axioms.  Property 1 on S is the six axioms on the
          interval [empty set, S]: _axiom_witnesses on the members inside
-         S, with S as the top and L's order as the claim, and each of
-         its reads is one that the pass over all of L makes, with the
-         same predicate.  For axioms 1 and 5, S is an upper bound of any
-         two members inside it, so their join and meet in L lie inside S
-         and are theirs in the interval too.  For axiom 2, every mask
-         lies inside the point set, so the pass over L tests every
-         containment.  Axiom 3 reads the singletons of the points of S,
-         and axiom 4 tests each member on its own.  For axiom 6, every
-         line of L has order + 1 points, order >= 1 and the claimed order
-         agrees, and an interval with no line returns that order.
+         S, with S as the top and L's order as the claim.  For axioms 1
+         and 5, axioms 1 and 5 on L make L a modular lattice, and each
+         interval [empty set, S] of it is a sublattice with the same
+         meets and joins: S is an upper bound of any two members inside
+         it, so their join lies inside S, and so does their meet.  So
+         every pair of the interval has its meet and join there, with
+         the dims of L, and obeys the modular law.  For axiom 2, a
+         containment inside S is one of L.  Axiom 3 needs the singletons
+         of the points of S, which are in L and inside S, and axiom 4
+         holds on each member on its own.  For axiom 6, every line of L
+         has order + 1 points, order >= 1 and the claimed order agrees,
+         and an interval with no line returns that order.
       2. needs axioms 1 and 3.  Each point of S and T is a singleton in
          L and so a common lower bound; it lies inside the meet, which
          is then their intersection.
@@ -599,10 +614,10 @@ def check_derived_properties(g: IncidenceGeometry) -> DerivedPropertiesReport:
     two lines with the same point set count as two.
 
     Cost: on a geometry the certificate covers, nothing beyond the one
-    axiom pass of about |L|^2/2 meets and joins, shared with
-    validate_axioms.  Otherwise up to sum over S of |L_S|^2/2 meets and
-    joins for the intervals, |L|^2/2 intersections, |P|^2 point pairs,
-    |L|*|P| joins and |hyperplanes|*|L| meets.
+    axiom pass shared with validate_axioms, which itself certifies
+    axioms 1 and 5 without reading pairs.  Otherwise up to sum over S of
+    |L_S|^2/2 meets and joins for the intervals, |L|^2/2 intersections,
+    |P|^2 point pairs, |L|*|P| joins and |hyperplanes|*|L| meets.
     """
     lat = g._lattice
     masks, dims = g.subspaces, g.dims

@@ -1,3 +1,4 @@
+import argparse
 import itertools
 import json
 import operator
@@ -366,6 +367,43 @@ class TestUsage:
 
     def test_help_is_success(self):
         assert run(["--help"]).exit_code == 0
+
+    @pytest.mark.parametrize("argv", [
+        [], [""], ["--help"], ["-h"], ["bogus"], ["--", "qbinom", "4", "2"],
+        ["qbin", "4", "2"], ["qbinom", "4", "2"], ["qbinom", "x", "2"],
+        ["qbinom", "4", "2", "extra"], ["qbinom", "-h"], ["geometry"],
+        ["geometry", "bogus"], ["geometry", "--help"], ["geometry", "check"],
+        ["geometry", "check", "g.json", "extra"], ["geometry", "build"],
+        ["geometry", "collineations", "g.json", "--max-points", "-1"],
+        ["plane"], ["paths", "gf", "2"], ["group", "order", "XX", "2", "2"],
+        ["group", "an", "5", "--json"]])
+    def test_partial_parser_reads_as_the_whole_tree(self, argv, capsys):
+        # the parser built for argv holds only the subparsers argv names,
+        # yet parses, prints and exits as the whole tree does
+        def outcome(parser):
+            try:
+                parsed = parser.parse_args(argv)
+            except SystemExit as e:
+                parsed = e.code
+            out = capsys.readouterr()
+            return parsed, out.out, out.err
+
+        assert outcome(cli._build_parser(argv)) == outcome(cli._build_parser())
+
+    def test_only_the_named_subparsers_are_built(self, monkeypatch):
+        built = []
+        add_parser = argparse._SubParsersAction.add_parser
+
+        def counting(self, name, **kwargs):
+            built.append(name)
+            return add_parser(self, name, **kwargs)
+
+        monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counting)
+        cli._build_parser(["geometry", "check", "g.json"])
+        assert built == ["geometry", "check"]
+        built.clear()
+        cli._build_parser(["bogus"])
+        assert len(built) == 16  # every parser but the top one
 
 
 class TestCapFlags:

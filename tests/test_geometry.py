@@ -1,4 +1,5 @@
 import functools
+import itertools
 import json
 
 import pytest
@@ -16,8 +17,8 @@ from qproj.geometry import IncidenceGeometry
 
 from util import (corrupt_family, delete_point, drop_subspace, duplicate_subspace,
                   lattice_reference, perturb_dim, property_one_reference,
-                  reference_derived_properties, shuffle_members, standard_mutations,
-                  sweep_collineation_order)
+                  reference_axioms, reference_derived_properties, shuffle_members,
+                  standard_mutations, sweep_collineation_order)
 
 
 @functools.cache
@@ -316,6 +317,22 @@ class TestLatticeEdges:
         assert prop1.witness.startswith("restriction to")
         assert len(calls) > 1  # one call per interval up to the first failure
 
+    def test_pair_pass_only_where_the_certificate_fails(self, monkeypatch):
+        calls = []
+
+        def counting(g, members):
+            calls.append(len(members))
+            return pair_witnesses(g, members)
+
+        pair_witnesses = geometry._pair_witnesses
+        monkeypatch.setattr(geometry, "_pair_witnesses", counting)
+        g = build_projective_space(2, 3)
+        assert validate_axioms(g).passed
+        assert calls == []
+        broken = drop_subspace(g, g.dims.index(1))
+        assert not validate_axioms(broken).passed
+        assert calls == [len(broken.subspaces)]
+
     def test_meets_and_joins_equal_the_gathered_reference(self):
         # on each mutant, a shuffle of its members and a copy with one mask
         # twice, every pair's meet and join is the first index the gather
@@ -339,6 +356,105 @@ class TestLatticeEdges:
             IncidenceGeometry(("a", "b"), (0, 1, 4), (-1, 0, 0))
         with pytest.raises(ValueError, match="outside the point set"):
             IncidenceGeometry(("a", "b"), (0, -1), (-1, 0))
+
+
+def _pairs(letters):
+    return ["".join(p) for p in itertools.combinations(letters, 2)]
+
+
+# name -> (family, the axioms it fails, the verdicts of certificate checks
+# 1, 2 and 3); each family passes axioms 2, 3 and 4 but one, which fails
+# axiom 4 and passes all three checks, so only the axiom-4 gate stops it
+_CERTIFICATE_FAMILIES = {
+    # the uniform matroid U(3,4): Boolean(4) without its 3-point members
+    "U(3,4)": (IncidenceGeometry.from_point_sets(
+        "abcd", [(-1, ""), *((0, x) for x in "abcd"),
+                 *((1, p) for p in _pairs("abcd")), (2, "abcd")]),
+        {5}, (True, False, True)),
+    # its dual: the pairs of {a,b,c,d} as points, a line per letter
+    "dual of U(3,4)": (IncidenceGeometry.from_point_sets(
+        _pairs("abcd"), [(-1, ()), *((0, (p,)) for p in _pairs("abcd")),
+                         *((1, [p for p in _pairs("abcd") if x in p]) for x in "abcd"),
+                         (2, _pairs("abcd"))]),
+        {5}, (False, True, True)),
+    # a (7_3) configuration whose lines {0,1,2}, {0,1,3}, {0,1,4} share two points
+    "(7_3)": (IncidenceGeometry.from_point_sets(
+        "0123456", [(-1, ""), *((0, x) for x in "0123456"),
+                    *((1, line) for line in ("012", "013", "014", "234", "256",
+                                             "356", "456")),
+                    (2, "0123456")]),
+        {1, 5}, (True, True, False)),
+    # another (7_3), where each point is the intersection of the lines
+    # through it, but {0,2,3} and {1,2,3} share two points
+    "(7_3), points cut out by lines": (IncidenceGeometry.from_point_sets(
+        "0123456", [(-1, ""), *((0, x) for x in "0123456"),
+                    *((1, line) for line in ("023", "045", "046", "123", "125",
+                                             "136", "456")),
+                    (2, "0123456")]),
+        {1, 5}, (True, True, False)),
+    "empty set at dim -2": (IncidenceGeometry.from_point_sets(
+        "abcd", [(-2, ""), *((0, x) for x in "abcd"), (3, "abcd")]),
+        {4, 5}, (True, True, True)),
+}
+
+
+class TestAxiomCertificate:
+    @pytest.mark.parametrize("name", list(_CERTIFICATE_FAMILIES))
+    def test_family_report_equals_the_reference(self, name):
+        # each family fails the certificate at one check alone, or passes
+        # all three and is stopped by the axiom-4 gate
+        g, failing, checks = _CERTIFICATE_FAMILIES[name]
+        report = validate_axioms(g).as_dict()
+        assert report == reference_axioms(g)
+        assert {a["number"] for a in report["axioms"] if not a["passed"]} == failing
+        lat = g._lattice
+        at_dim = {d: sum(1 << i for i, e in enumerate(g.dims) if e == d)
+                  for d in set(g.dims)}
+        top = (1 << len(g.points)) - 1
+        assert (geometry._cover_count(lat.above, lat.below, g.dims, at_dim, 1),
+                geometry._cover_count(lat.below, lat.above, g.dims, at_dim, -1),
+                geometry._coatom_intersections(lat, top)) == checks
+
+    def test_coatoms_must_cut_out_every_member(self):
+        # the coatoms {a,b,c,d} and {e} meet every member in L, yet {a,b,c}
+        # and {a,b,d} meet in {a,b}, which is not in L; only the coatoms
+        # above {a} failing to cut it out stops check 3
+        g = IncidenceGeometry.from_point_sets(
+            "abcde", [(-1, ""), *((0, x) for x in "abcde"), (1, "abc"), (1, "abd"),
+                      (2, "abcd"), (3, "abcde")])
+        assert not geometry._coatom_intersections(g._lattice, 0b11111)
+        assert not validate_axioms(g).axioms[0].passed
+
+    def test_corpus_is_certified(self, geometry_corpus, monkeypatch):
+        monkeypatch.setattr(geometry, "_pair_witnesses", None)  # never called
+        for name, g in geometry_corpus.items():
+            fresh = IncidenceGeometry(g.points, g.subspaces, g.dims, g.claimed_order)
+            assert validate_axioms(fresh).as_dict() == reference_axioms(fresh), name
+
+    def test_report_equals_the_reference_on_mutants(self, monkeypatch):
+        # certified where the certificate holds, the pair pass otherwise;
+        # the copy with one mask twice always takes the pair pass
+        branches, calls = set(), []
+
+        def counting(g, members):
+            calls.append(g)
+            return pair_witnesses(g, members)
+
+        pair_witnesses = geometry._pair_witnesses
+        monkeypatch.setattr(geometry, "_pair_witnesses", counting)
+
+        @settings(max_examples=300, deadline=None)
+        @given(derived_mutants(), st.integers(0, 2 ** 32), st.data())
+        def check(g, seed, data):
+            k = data.draw(st.integers(0, len(g.subspaces) - 1))
+            at = data.draw(st.integers(0, len(g.subspaces)))
+            for h in (g, shuffle_members(g, seed), duplicate_subspace(g, k, at)):
+                calls.clear()
+                assert validate_axioms(h).as_dict() == reference_axioms(h)
+                branches.add("pair pass" if calls else "certified")
+
+        check()
+        assert branches == {"certified", "pair pass"}
 
 
 class TestDerivedProperties:

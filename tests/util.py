@@ -9,7 +9,7 @@ import random
 from typing import NamedTuple
 
 from qproj import geometry
-from qproj.geometry import DerivedPropertiesReport, IncidenceGeometry
+from qproj.geometry import AxiomReport, DerivedPropertiesReport, IncidenceGeometry
 
 
 def drop_subspace(g: IncidenceGeometry, idx: int) -> IncidenceGeometry:
@@ -160,6 +160,57 @@ def lattice_reference(g: IncidenceGeometry) -> LatticeReference:
         meets.append([first.get(m) for m in union])
         joins.append([first.get(m) for m in inter])
     return LatticeReference(contained, meets, joins)
+
+
+def reference_axioms(g: IncidenceGeometry) -> dict:
+    """Oracle: validate_axioms(g).as_dict() by plain loops, with axioms 1
+    and 5 read from every pair i <= j of lattice_reference's meets and
+    joins, and axioms 2, 3 and 4 from every member or pair of members.
+    Test-only: it reads neither _Lattice nor the certificate, which
+    validate_axioms uses for axioms 1 and 5 where it holds.  Axiom 6 and
+    the order come from geometry._line_order, which neither path changes.
+    """
+    ref = lattice_reference(g)
+    masks, dims = g.subspaces, g.dims
+    ns = len(masks)
+    describe = g.describe_subspace
+    witnesses = dict.fromkeys(range(1, 7))
+    for i in range(ns):
+        for j in range(i, ns):
+            meet, join = ref.meets[i][j], ref.joins[i][j]
+            if meet is None or join is None:
+                if witnesses[1] is None:
+                    missing = "meet" if meet is None else "join"
+                    witnesses[1] = (f"no {missing} in L for S={describe(i)}"
+                                    f" and T={describe(j)}")
+            elif witnesses[5] is None and dims[i] + dims[j] != dims[meet] + dims[join]:
+                witnesses[5] = (
+                    f"S={describe(i)}, T={describe(j)}: {dims[i]} + {dims[j]} != "
+                    f"{dims[meet]} + {dims[join]} (meet {describe(meet)}, "
+                    f"join {describe(join)})")
+    for i in range(ns):
+        j = next((j for j in range(ns) if masks[i] & masks[j] == masks[i]
+                  and masks[i] != masks[j] and dims[j] <= dims[i]), None)
+        if j is not None:
+            witnesses[2] = (f"{describe(i)} is properly contained in "
+                            f"{describe(j)} but dim does not increase")
+            break
+    if 0 not in masks:
+        witnesses[3] = "the empty set is not in L"
+    else:
+        b = next((b for b in range(len(g.points)) if 1 << b not in masks), None)
+        if b is not None:
+            witnesses[3] = f"singleton {{{g.points[b]}}} is not in L"
+    for i in range(ns):
+        size = masks[i].bit_count()
+        if (dims[i] == -1) != (size == 0) or (dims[i] == 0) != (size == 1):
+            witnesses[4] = f"{describe(i)} has {size} point(s)"
+            break
+    order, witnesses[6] = geometry._line_order(g, range(ns), g.claimed_order)
+    full = (1 << len(g.points)) - 1
+    dimension = next((d for m, d in zip(masks, dims) if m == full), None)
+    return AxiomReport(geometry._checks(geometry._AXIOM_DESCRIPTIONS, witnesses),
+                       order, dimension).as_dict()
 
 
 def property_one_reference(g: IncidenceGeometry) -> tuple[int, int] | None:
