@@ -426,6 +426,7 @@ class TestAxiomCertificate:
         assert not validate_axioms(g).axioms[0].passed
 
     def test_corpus_is_certified(self, geometry_corpus, monkeypatch):
+        # input that passes the axioms never falls back to the pair pass
         monkeypatch.setattr(geometry, "_pair_witnesses", None)  # never called
         for name, g in geometry_corpus.items():
             fresh = IncidenceGeometry(g.points, g.subspaces, g.dims, g.claimed_order)
