@@ -150,9 +150,9 @@ class _Lattice:
     tracemalloc peak of 5.4 MB, where a stored |L|^2 table took 3.5-4.7 s
     and 59 MB.  On a geometry that passes, the axiom pass then certifies
     axioms 1 and 5 from the sets (_modular_certificate) in about 0.13 s
-    on Boolean(12) and 0.15 s on P4(F3), where reading every pair's meet
-    and join took 3.0-3.6 s.  Input that fails the certificate still
-    runs that pair pass, and LATTICE_CAP bounds its |L|^2/2 pairs.
+    on Boolean(12) and 0.15 s on P4(F3).  Input that fails the
+    certificate runs the pass over all pairs, 3-4 s there, and
+    LATTICE_CAP bounds its |L|^2/2 pairs.
     """
 
     def __init__(self, g: IncidenceGeometry):
@@ -400,10 +400,12 @@ def _modular_certificate(lat: _Lattice, dims: Sequence[int],
 
     Conversely, where axioms 1 to 5 hold the checks pass, so on input
     that passes the axioms the certificate never fails.  Checks 1 and 2
-    are then semimodularity.  For check 3, L is modular and each member
-    is the join of its points, so L is complemented (Birkhoff, ch. IV),
-    its dual is complemented modular too, and each member is the meet,
-    here the intersection, of the coatoms above it.
+    are then semimodularity.  For check 3, each meet is the intersection
+    (every common point is a singleton of L below both), so every
+    intersection is in L; and L is modular with each member the join of
+    its points, so L is complemented (Birkhoff, ch. IV), its dual is
+    complemented modular too, and each member is the meet of the
+    coatoms above it.
 
     Cost: one AND and one bit count of |L|-bit ints per pair (w, u) of
     members two dims apart in each count (67,584 each way on Boolean(12)),
