@@ -58,6 +58,15 @@ set to the point count on P2(F3) (13 points), P3(F2) (15), P2(F4) (21)
 and "P2(F3) minus line" (13 points, order 432), past the default cap of
 the other collineation cases.
 
+Four failing cases were written from the code before the pair pass
+stopped once axioms 1 and 5 were settled, each a ``geometry check`` on a
+copy shuffled by ``SHUFFLE_SEED``: P3(F3) without its first line (axiom
+1 fails and axiom 5 never does, so every row after axiom 1's witness is
+read), P3(F3) with its first line's dim bumped (every intersection is in
+L, so axiom 1 holds while axioms 2 and 5 fail), Boolean(7) without its
+first line, and P3(F2) without the line at index 18 and with the line at
+index 16 bumped (axiom 2 fails and axiom 1 has a witness).
+
 To extend the corpus, add the new cases here and write the new entries
 from a commit whose output is trusted:
 
@@ -147,6 +156,15 @@ def _cases():
                     ("Boolean(5) minus line", drop_subspace(b5, b5.dims.index(1))),
                     ("P3(F2) line dim bumped", perturb_dim(p3f2, p3f2.dims.index(1))),
                     ("P2(F4) minus line", drop_subspace(p2f4, p2f4.dims.index(1)))):
+        base[f"geometry check {name} shuffled"] = (
+            ["geometry", "check", FILE],
+            geometry_to_json(shuffle_members(g, SHUFFLE_SEED)))
+    p3f3, b7 = build_projective_space(3, 3), build_boolean_geometry(7)
+    for name, g in (("P3(F3) minus line", drop_subspace(p3f3, p3f3.dims.index(1))),
+                    ("P3(F3) line dim bumped", perturb_dim(p3f3, p3f3.dims.index(1))),
+                    ("Boolean(7) minus line", drop_subspace(b7, b7.dims.index(1))),
+                    ("P3(F2) minus line 18, line 16 dim bumped",
+                     perturb_dim(drop_subspace(p3f2, 18), 16))):
         base[f"geometry check {name} shuffled"] = (
             ["geometry", "check", FILE],
             geometry_to_json(shuffle_members(g, SHUFFLE_SEED)))
