@@ -36,6 +36,8 @@ from typing import Iterable, NamedTuple, Sequence
 
 from .errors import BudgetExceeded, GeometryFormatError
 from .gf import make_field
+from .lattice import (LATTICE_CAP, _bits, _coatom_intersections, _cover_count,
+                      _full_row, _Lattice, _screened_row)
 from .linalg import SubspaceCanonical, enumerate_subspaces
 from .qcalc import q_binomial_quotient, q_binomial_recurrence, q_integer
 
@@ -43,14 +45,6 @@ DEFAULT_BOOLEAN_CAP = 12
 DEFAULT_COLLINEATION_CAP = 9
 DEFAULT_COLLINEATION_NODES = 10 ** 7  # search nodes; about 2 us each on a 2-core VM
 DEFAULT_GEOMETRY_BUDGET = 10 ** 6
-
-
-def _bits(mask: int):
-    """The indices of the set bits of mask, lowest first."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 @dataclass(frozen=True)
@@ -109,95 +103,6 @@ class IncidenceGeometry:
         full = (1 << len(self.points)) - 1
         return _axiom_witnesses(self, range(len(self.subspaces)), full,
                                 self.claimed_order)
-
-
-# ---------------------------------------------------------------------------
-# lattice machinery
-
-LATTICE_CAP = 4096
-
-
-class _Lattice:
-    """Containment structure of a subspace family, with exact meets and joins.
-
-    Built once per geometry (IncidenceGeometry._lattice).  From up[p],
-    the members containing point p, it keeps two int bitsets over member
-    indices for each member i:
-
-      above[i]  the members containing i: the AND of up[p] over the
-                points p of i, or all members when i is empty;
-      below[i]  the members inside i: all members minus the OR of up[p]
-                over the points outside i.
-
-    join_of and meet_of map above[u] and below[u] back to u, the first
-    index winning as in index_of.  Members with distinct masks have
-    distinct up-sets and down-sets, since each member lies in its own.
-
-    The join u of i and j, when it exists, lies in every common upper
-    bound, so above[u] is exactly the set above[i] & above[j] of common
-    upper bounds.  Conversely a member u with that up-set lies in it, so
-    it is an upper bound, and every upper bound contains it: u is the
-    join.  So join looks up above[i] & above[j] in join_of, and meet
-    dually looks up below[i] & below[j] in meet_of (Davey & Priestley,
-    Introduction to Lattices and Order, 2nd ed., ch. 2).  An empty set of
-    common bounds matches no member.  Fast path: if the plain union
-    (resp. intersection) of i and j is in L it is the join (resp. meet).
-
-    Cost: building the sets takes |L|*|P| ANDs and ORs of |L|-bit ints,
-    and they hold 2*|L|^2 bits; a meet or join is then one AND and one
-    dict lookup, and no table of them is stored.  At |L| = 4096
-    (Boolean(12), 2-core VM) the build takes about 0.03-0.05 s with a
-    tracemalloc peak of 5.4 MB, where a stored |L|^2 table took 3.5-4.7 s
-    and 59 MB.  On a geometry that passes, the axiom pass then certifies
-    axioms 1 and 5 from the sets (_modular_certificate) in about 0.13 s
-    on Boolean(12) and 0.15 s on P4(F3).  Input that fails the
-    certificate runs the pass over all pairs, 3-4 s there, and
-    LATTICE_CAP bounds its |L|^2/2 pairs.
-    """
-
-    def __init__(self, g: IncidenceGeometry):
-        masks = g.subspaces
-        ns = len(masks)
-        if ns > LATTICE_CAP:
-            raise BudgetExceeded(
-                f"|L| = {ns} subspaces ({ns * (ns + 1) // 2} pairs) exceeds "
-                f"the lattice cap of |L| <= {LATTICE_CAP}")
-        self.masks = masks
-        self.index_of: dict[int, int] = {}
-        for idx, m in enumerate(masks):
-            self.index_of.setdefault(m, idx)
-        up = [0] * len(g.points)
-        for k, m in enumerate(masks):
-            for p in _bits(m):
-                up[p] |= 1 << k
-        everything = (1 << ns) - 1
-        full = (1 << len(g.points)) - 1
-        self.above: list[int] = []
-        self.below: list[int] = []
-        for m in masks:
-            a = everything
-            for p in _bits(m):
-                a &= up[p]
-            outside = 0
-            for p in _bits(full ^ m):
-                outside |= up[p]
-            self.above.append(a)
-            self.below.append(everything ^ outside)
-        self.join_of: dict[int, int] = {}
-        self.meet_of: dict[int, int] = {}
-        for u, (a, b) in enumerate(zip(self.above, self.below)):
-            self.join_of.setdefault(a, u)
-            self.meet_of.setdefault(b, u)
-
-    def meet(self, i: int, j: int) -> int | None:
-        """The index of the meet of members i and j, or None if L has none."""
-        u = self.index_of.get(self.masks[i] & self.masks[j])
-        return u if u is not None else self.meet_of.get(self.below[i] & self.below[j])
-
-    def join(self, i: int, j: int) -> int | None:
-        """The index of the join of members i and j, or None if L has none."""
-        u = self.index_of.get(self.masks[i] | self.masks[j])
-        return u if u is not None else self.join_of.get(self.above[i] & self.above[j])
 
 
 @dataclass(frozen=True)
@@ -293,12 +198,25 @@ def _axiom_witnesses(g: IncidenceGeometry, members: Sequence[int], top: int,
 
     members are increasing subspace indices: all of L, or for derived
     property 1 the interval [empty set, S] with top the point set of S.
-    Axioms 2, 3, 4 and 6 are a pass over members each.  Axioms 1 and 5
-    are certified by _modular_certificate when the call covers all of L,
-    axioms 2 to 4 hold, no two members share a mask and the point set is
-    a member; otherwise, or when the certificate fails, they share one
-    pass over the pairs i <= j of members (_pair_witnesses).  The
-    witnesses are each axiom's first counterexample in that order.
+    Axioms 2, 3, 4 and 6 are a pass over members each.  For axioms 1 and
+    5, where the call covers all of L:
+
+      closed     the point set is a member and _coatom_intersections
+                 holds.  Then every pairwise intersection is in L, and
+                 with the point set as a top L is a lattice whose meet is
+                 intersection (a finite meet-semilattice with a top is a
+                 lattice), so axiom 1 has no witness.  This reads no dim
+                 and holds whether or not a mask is listed twice.
+      certified  closed, no mask listed twice, axioms 2 to 4 hold and
+                 _modular_certificate passes: neither axiom has a
+                 witness, and no pair is read.
+
+    Otherwise axioms 1 and 5 share one pass over the pairs i <= j of
+    members (_pair_witnesses), told whether L is closed and, where axiom
+    2 holds and no mask is listed twice, given the dim layers for its
+    screened rows.  The intervals of derived property 1 take the plain
+    pass.  The witnesses are each axiom's first counterexample in that
+    order.
     """
     lat = g._lattice
     masks, dims = g.subspaces, g.dims
@@ -339,12 +257,16 @@ def _axiom_witnesses(g: IncidenceGeometry, members: Sequence[int], top: int,
             ax4_witness = f"{g.describe_subspace(i)} has {size} point(s)"
             break
 
-    if (len(members) == len(masks) == len(index_of) and top in index_of
-            and not (ax2_witness or ax3_witness or ax4_witness)
-            and _modular_certificate(lat, dims, at_dim, top)):
+    whole = len(members) == len(masks)
+    distinct = len(masks) == len(index_of)
+    closed = whole and top in index_of and _coatom_intersections(lat, top)
+    if (closed and distinct and not (ax2_witness or ax3_witness or ax4_witness)
+            and _modular_certificate(lat, dims, at_dim)):
         ax1_witness = ax5_witness = None
     else:
-        ax1_witness, ax5_witness = _pair_witnesses(g, members)
+        ax1_witness, ax5_witness = _pair_witnesses(
+            g, members, closed,
+            at_dim if whole and distinct and not ax2_witness else None)
 
     order, ax6_witness = _line_order(g, members, claimed)
     witnesses = {1: ax1_witness, 2: ax2_witness, 3: ax3_witness,
@@ -353,14 +275,16 @@ def _axiom_witnesses(g: IncidenceGeometry, members: Sequence[int], top: int,
 
 
 def _modular_certificate(lat: _Lattice, dims: Sequence[int],
-                         at_dim: dict[int, int], top: int) -> bool:
+                         at_dim: dict[int, int]) -> bool:
     """True only if every pair of members has a meet and a join in L and
     satisfies the modular law: axioms 1 and 5 then have no witness.
 
     The caller has checked that the members are all of L with distinct
-    masks, that the point set top is a member and that axioms 2, 3 and 4
-    hold.  at_dim maps each dim d to the bitset of the members of dim d.
-    Write d(w) for the dim of w.  Three checks, cheapest first:
+    masks, that the point set top is a member, that axioms 2, 3 and 4
+    hold and that check 3 passes (_coatom_intersections, run first since
+    the pair pass reads it too); this runs checks 1 and 2
+    (lattice._cover_count).  at_dim maps each dim d to the bitset of the
+    members of dim d.  Write d(w) for the dim of w.  The three checks:
 
       1. upper count: for each member w, with U_w the members above w of
          dim d(w) + 1, the sum of C(|U_w inside u|, 2) over the members
@@ -386,8 +310,9 @@ def _modular_certificate(lat: _Lattice, dims: Sequence[int],
 
     Gradedness follows: for every member x and point p outside x,
     d(x join p) = d(x) + 1, by induction on d(x), which is at least -1
-    by axioms 2 to 4.  For x empty that is axioms 3 and 4.  Otherwise take a lower cover x'' of x and a point a
-    in x outside x''.  Then x = x'' join a, so by induction d(x) =
+    by axioms 2 to 4.  For x empty that is axioms 3 and 4.  Otherwise
+    take a lower cover x'' of x and a point a in x outside x''.  Then
+    x = x'' join a, so by induction d(x) =
     d(x'') + 1 = d(x'' join p).  Both x and x'' join p lie in U_x'', and
     p tells them apart, so check 1 gives d(x join p) = d(x'') + 2 =
     d(x) + 1.  A cover u of x is x join p for any point p of u outside
@@ -414,94 +339,57 @@ def _modular_certificate(lat: _Lattice, dims: Sequence[int],
     where a lookup of every pairwise intersection would take |L|^2/2.
     """
     return (_cover_count(lat.above, lat.below, dims, at_dim, 1)
-            and _cover_count(lat.below, lat.above, dims, at_dim, -1)
-            and _coatom_intersections(lat, top))
+            and _cover_count(lat.below, lat.above, dims, at_dim, -1))
 
 
-def _cover_count(over: list[int], under: list[int], dims: Sequence[int],
-                 at_dim: dict[int, int], step: int) -> bool:
-    """Check 1 of _modular_certificate with over the up-sets, under the
-    down-sets and step 1; check 2 with the two swapped and step -1."""
-    for w, d in enumerate(dims):
-        near = over[w] & at_dim.get(d + step, 0)
-        n = near.bit_count()
-        if n > 1 and n * (n - 1) // 2 != sum(
-                c * (c - 1) // 2 for c in (
-                    (near & under[u]).bit_count()
-                    for u in _bits(over[w] & at_dim.get(d + 2 * step, 0)))):
-            return False
-    return True
-
-
-def _coatom_intersections(lat: _Lattice, top: int) -> bool:
-    """Check 3 of _modular_certificate; top is the point set, a member."""
-    above, masks = lat.above, lat.masks
-    t = lat.index_of[top]
-    coatoms = 0
-    for h, a in enumerate(above):
-        if h != t and a.bit_count() == 2:  # above h: h and top alone
-            coatoms |= 1 << h
-    for i, m in enumerate(masks):
-        meet = top  # of the coatoms containing i
-        for h in _bits(above[i] & coatoms):
-            meet &= masks[h]
-        if meet != m:
-            return False
-    in_l = frozenset(lat.index_of)
-    return all(in_l.issuperset(map(masks[h].__and__, masks)) for h in _bits(coatoms))
-
-
-def _pair_witnesses(g: IncidenceGeometry, members: Sequence[int]
+def _pair_witnesses(g: IncidenceGeometry, members: Sequence[int], closed: bool,
+                    at_dim: dict[int, int] | None
                     ) -> tuple[str | None, str | None]:
     """Witnesses of axioms 1 and 5 from one pass over the pairs i <= j of
-    members, row by row, which stops once both have a witness."""
+    members, row by row, which stops once both are settled: axiom 1 by
+    its witness or by closed (it has none, see _axiom_witnesses), axiom
+    5 by its witness.
+
+    A full row (lattice._full_row) computes every meet and join of
+    members[a] with members[a:] and yields the row's first pair missing
+    one (axiom 1) and its first pair whose dims break the modular law
+    (axiom 5), so the rows in order give each axiom's first witness in
+    row-major order.  at_dim, the members of each dim, is given where the call
+    covers all of L, axiom 2 holds and no mask is listed twice.  Then
+    each row after axiom 1 is settled is screened instead
+    (lattice._screened_row): there the least dim of a common upper bound
+    and the greatest dim of a common lower bound, read for the whole row
+    from bitset layers, are the dims of the join and the meet where
+    these exist, so only the pairs where the modular law can fail are
+    read, and the row's first axiom-5 witness is the same.
+
+    Cost: a full row reads all its pairs; a screened row makes one OR of
+    |L|-bit ints per member comparable with members[a].  Full rows are
+    paid up to axiom 1's first witness, or throughout on input that
+    fails axiom 2 or lists a mask twice until both witnesses are found.
+    """
     lat = g._lattice
     masks, dims = g.subspaces, g.dims
-    below, above = lat.below, lat.above
-    get, meet_of, join_of = lat.index_of.get, lat.meet_of.get, lat.join_of.get
-    member_masks = [masks[j] for j in members]
-    member_dims = [dims[j] for j in members]
-    member_below = [below[j] for j in members]
-    member_above = [above[j] for j in members]
-
-    # one row of meets and joins at a time; a row that misses the fast
-    # path reads all its pairs from the bound sets, which give the same
-    # indices
-    ax1_witness = None
-    ax5_witness = None
+    columns = ([masks[j] for j in members], [dims[j] for j in members],
+               [lat.below[j] for j in members], [lat.above[j] for j in members])
+    layers = sorted(at_dim.items()) if at_dim is not None else None
+    ax1_witness = ax5_witness = None
     for a, i in enumerate(members):
-        rest, mi = members[a:], masks[i]
-        meets = [get(mi & mj) for mj in member_masks[a:]]
-        if None in meets:
-            bi = below[i]
-            meets = [meet_of(bi & bj) for bj in member_below[a:]]
-        joins = [get(mi | mj) for mj in member_masks[a:]]
-        if None in joins:
-            ai = above[i]
-            joins = [join_of(ai & aj) for aj in member_above[a:]]
-        whole = None not in meets and None not in joins
-        if ax1_witness is None and not whole:
-            k = next(k for k, (meet, join) in enumerate(zip(meets, joins))
-                     if meet is None or join is None)
-            missing = "meet" if meets[k] is None else "join"
-            ax1_witness = (f"no {missing} in L for S={g.describe_subspace(i)}"
-                           f" and T={g.describe_subspace(rest[k])}")
-        if ax5_witness is None:
-            di = dims[i]
-            sums = [di + dj for dj in member_dims[a:]]
-            if whole:
-                got = [dims[meet] + dims[join] for meet, join in zip(meets, joins)]
-            else:  # a pair with no meet or join is axiom 1's, never axiom 5's
-                got = [s if meet is None or join is None else dims[meet] + dims[join]
-                       for s, meet, join in zip(sums, meets, joins)]
-            if got != sums:
-                k = next(k for k, (s, t) in enumerate(zip(sums, got)) if s != t)
-                j, meet, join = rest[k], meets[k], joins[k]
-                ax5_witness = (
-                    f"S={g.describe_subspace(i)}, T={g.describe_subspace(j)}: "
-                    f"{di} + {dims[j]} != {dims[meet]} + {dims[join]} "
-                    f"(meet {g.describe_subspace(meet)}, join {g.describe_subspace(join)})")
-        if ax1_witness and ax5_witness:
+        if layers is not None and (closed or ax1_witness):
+            bad = _screened_row(lat, dims, layers, i)
+        else:
+            missing, bad = _full_row(lat, dims, members, columns, a, ax5_witness is None)
+            if missing and not ax1_witness:
+                j, which = missing
+                ax1_witness = (f"no {which} in L for S={g.describe_subspace(i)}"
+                               f" and T={g.describe_subspace(j)}")
+        if bad and not ax5_witness:
+            j, meet, join = bad
+            ax5_witness = (
+                f"S={g.describe_subspace(i)}, T={g.describe_subspace(j)}: "
+                f"{dims[i]} + {dims[j]} != {dims[meet]} + {dims[join]} "
+                f"(meet {g.describe_subspace(meet)}, join {g.describe_subspace(join)})")
+        if (closed or ax1_witness) and ax5_witness:
             break
     return ax1_witness, ax5_witness
 
@@ -514,9 +402,14 @@ def validate_axioms(g: IncidenceGeometry) -> AxiomReport:
     axioms 2, 3 and 4 hold, no mask is listed twice and the point set is
     a member, axioms 1 and 5 are first tried by a certificate from the
     covers and the coatoms (_modular_certificate); it holds exactly when
-    both axioms do, and then no pair is read.  Otherwise the pass over
-    all pairs finds the witnesses.  Raises BudgetExceeded when |L| is
-    over LATTICE_CAP, which bounds that pair pass.
+    both axioms do, and then no pair is read.  Otherwise a pass over the
+    pairs finds the witnesses and stops once both axioms are settled.
+    When every intersection is in L, axiom 1 is settled before any pair
+    is read; where axiom 2 holds and no mask is listed twice, the rows
+    after axiom 1 is settled read only the pairs that a screen by dim
+    layers cannot clear (_axiom_witnesses, _pair_witnesses).  Raises
+    BudgetExceeded when |L| is over LATTICE_CAP, which bounds the pairs
+    read.
     """
     witnesses, order = g._axioms
     return AxiomReport(_checks(_AXIOM_DESCRIPTIONS, witnesses), order,

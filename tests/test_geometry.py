@@ -320,9 +320,9 @@ class TestLatticeEdges:
     def test_pair_pass_only_where_the_certificate_fails(self, monkeypatch):
         calls = []
 
-        def counting(g, members):
+        def counting(g, members, *rest):
             calls.append(len(members))
-            return pair_witnesses(g, members)
+            return pair_witnesses(g, members, *rest)
 
         pair_witnesses = geometry._pair_witnesses
         monkeypatch.setattr(geometry, "_pair_witnesses", counting)
@@ -433,16 +433,24 @@ class TestAxiomCertificate:
             assert validate_axioms(fresh).as_dict() == reference_axioms(fresh), name
 
     def test_report_equals_the_reference_on_mutants(self, monkeypatch):
-        # certified where the certificate holds, the pair pass otherwise;
-        # the copy with one mask twice always takes the pair pass
-        branches, calls = set(), []
+        # each report equals the reference, and each way of answering
+        # axioms 1 and 5 is drawn: the certificate alone, axiom 1 certified
+        # by coatom closure, rows screened by dim and rows computed in full;
+        # the copy with one mask twice never reaches the certificate
+        branches, ran = set(), set()
 
-        def counting(g, members):
-            calls.append(g)
-            return pair_witnesses(g, members)
+        def spy(name, label):
+            fn = getattr(geometry, name)
 
-        pair_witnesses = geometry._pair_witnesses
-        monkeypatch.setattr(geometry, "_pair_witnesses", counting)
+            def wrapper(*args):
+                ran.add(label(*args))
+                return fn(*args)
+            monkeypatch.setattr(geometry, name, wrapper)
+
+        spy("_pair_witnesses", lambda g, members, closed, at_dim:
+            "axiom 1 certified" if closed else "pair pass")
+        spy("_screened_row", lambda *args: "screened rows")
+        spy("_full_row", lambda *args: "full rows")
 
         @settings(max_examples=300, deadline=None)
         @given(derived_mutants(), st.integers(0, 2 ** 32), st.data())
@@ -450,12 +458,109 @@ class TestAxiomCertificate:
             k = data.draw(st.integers(0, len(g.subspaces) - 1))
             at = data.draw(st.integers(0, len(g.subspaces)))
             for h in (g, shuffle_members(g, seed), duplicate_subspace(g, k, at)):
-                calls.clear()
+                ran.clear()
                 assert validate_axioms(h).as_dict() == reference_axioms(h)
-                branches.add("pair pass" if calls else "certified")
+                branches.update(ran or {"certificate"})
 
         check()
-        assert branches == {"certified", "pair pass"}
+        assert branches == {"certificate", "pair pass", "axiom 1 certified",
+                            "screened rows", "full rows"}
+
+    def test_full_rows_stop_at_the_first_axiom_1_witness(self, monkeypatch):
+        # P3(F3) without a line fails axiom 1 and never axiom 5, so the pass
+        # reads every row: in full up to the row of axiom 1's first witness,
+        # screened after it
+        p3f3 = build_projective_space(3, 3)
+        g = shuffle_members(drop_subspace(p3f3, p3f3.dims.index(1)), 12)
+        ref = lattice_reference(g)
+        ns = len(g.subspaces)
+        first = next(i for i in range(ns) if None in ref.meets[i][i:] + ref.joins[i][i:])
+        rows = {"full": [], "screened": []}
+
+        def spy(name, key, row):
+            fn = getattr(geometry, name)
+
+            def wrapper(*args):
+                rows[key].append(row(*args))
+                return fn(*args)
+            monkeypatch.setattr(geometry, name, wrapper)
+
+        spy("_full_row", "full", lambda lat, dims, members, columns, a, need5: a)
+        spy("_screened_row", "screened", lambda lat, dims, layers, i: i)
+        report = validate_axioms(g).as_dict()
+        assert report == reference_axioms(g)
+        assert [a["number"] for a in report["axioms"] if not a["passed"]] == [1]
+        assert 0 < first < ns - 1
+        assert rows == {"full": list(range(first + 1)),
+                        "screened": list(range(first + 1, ns))}
+
+    def test_a_closed_family_computes_no_axiom_1_witness(self, monkeypatch):
+        # P3(F3) with a line's dim bumped keeps every intersection in L, so
+        # axiom 1 is certified and the rows stop at axiom 5's first witness
+        p3f3 = build_projective_space(3, 3)
+        g = shuffle_members(perturb_dim(p3f3, p3f3.dims.index(1)), 12)
+        rows = []
+        full_row = geometry._full_row
+
+        def counting(lat, dims, members, columns, a, need5):
+            rows.append(a)
+            return full_row(lat, dims, members, columns, a, need5)
+        monkeypatch.setattr(geometry, "_full_row", counting)
+        report = validate_axioms(g).as_dict()
+        assert report == reference_axioms(g)
+        assert [a["number"] for a in report["axioms"] if not a["passed"]] == [2, 5]
+        witness = report["axioms"][4]["witness"]
+        last = next(i for i in range(len(g.subspaces))
+                    if witness.startswith(f"S={g.describe_subspace(i)}, "))
+        assert rows == list(range(last + 1)) and last < len(g.subspaces) - 1
+
+
+def _screen_families():
+    """name -> (family, the axioms it fails, whether rows are screened).
+
+    Every intersection of members is a member in each, so axiom 1 is
+    certified and no full row is needed where the rows can be screened.
+    Each family gets axiom 5's witness wrong if the screen by dim layers
+    loses one of its conditions: the axiom-2 gate, the distinct-mask
+    gate, or least dims up and greatest dims down.
+    """
+    fano, b4 = build_projective_space(2, 2), build_boolean_geometry(4)
+    # {p0,p1,p2} at dim 4 lies in the top at dim 3: the least dim among
+    # the upper bounds of {p0} and {p1,p2} is the top's, not their join's
+    bumped = perturb_dim(perturb_dim(b4, b4.subspaces.index(0b0110)),
+                         b4.subspaces.index(0b0111), 2)
+    # {a,b} at dim 2 and again at dim 1: both copies lie above {a} and
+    # {b}, whose join is the first copy, at dim 2
+    specs = [(-1, "")] + [(0, x) for x in "abcd"] + [(1, p) for p in _pairs("abcd")]
+    specs[5] = (2, "ab")
+    specs.insert(6, (1, "ab"))
+    specs += [(3, "".join(t)) for t in itertools.combinations("abcd", 3)] + [(4, "abcd")]
+    twice = IncidenceGeometry.from_point_sets("abcd", specs)
+    # two points meet in the empty set at dim -2 and join in a line at
+    # dim 1; the top's dim 2 and the empty set's add up to theirs
+    low_empty = perturb_dim(fano, fano.subspaces.index(0), -1)
+    return {
+        "Boolean(4), {p1,p2} at dim 2 and {p0,p1,p2} at dim 4": (bumped, {2, 5}, False),
+        "Boolean(4), {a,b} at dims 2 and 1": (twice, {5}, False),
+        "Fano plane, empty set at dim -2": (low_empty, {4, 5}, True),
+    }
+
+
+class TestScreenedRows:
+    @pytest.mark.parametrize("name", list(_screen_families()))
+    def test_family_report_equals_the_reference(self, name, monkeypatch):
+        g, failing, screened = _screen_families()[name]
+        rows = []
+        screened_row = geometry._screened_row
+
+        def counting(lat, dims, layers, i):
+            rows.append(i)
+            return screened_row(lat, dims, layers, i)
+        monkeypatch.setattr(geometry, "_screened_row", counting)
+        report = validate_axioms(g).as_dict()
+        assert report == reference_axioms(g)
+        assert {a["number"] for a in report["axioms"] if not a["passed"]} == failing
+        assert bool(rows) == screened
 
 
 class TestDerivedProperties:
