@@ -312,12 +312,12 @@ def _modular_certificate(lat: _Lattice, dims: Sequence[int],
     d(x join p) = d(x) + 1, by induction on d(x), which is at least -1
     by axioms 2 to 4.  For x empty that is axioms 3 and 4.  Otherwise
     take a lower cover x'' of x and a point a in x outside x''.  Then
-    x = x'' join a, so by induction d(x) =
-    d(x'') + 1 = d(x'' join p).  Both x and x'' join p lie in U_x'', and
-    p tells them apart, so check 1 gives d(x join p) = d(x'') + 2 =
-    d(x) + 1.  A cover u of x is x join p for any point p of u outside
-    x, so dim rises by exactly one on every cover: L is graded with rank
-    dim + 1, and U_w and D_w are the upper and lower covers of w.
+    x = x'' join a, so by induction d(x) = d(x'') + 1 = d(x'' join p).
+    Both x and x'' join p lie in U_x'', and p tells them apart, so check
+    1 gives d(x join p) = d(x'') + 2 = d(x) + 1.  A cover u of x is
+    x join p for any point p of u outside x, so dim rises by exactly one
+    on every cover: L is graded with rank dim + 1, and U_w and D_w are
+    the upper and lower covers of w.
     Checks 1 and 2 then say that L is upper and lower semimodular, so L
     is modular (Stanley, Enumerative Combinatorics I, 2nd ed., Prop.
     3.3.2; Birkhoff, Lattice Theory, 3rd ed., ch. IV): rank(S) + rank(T)
@@ -354,9 +354,9 @@ def _pair_witnesses(g: IncidenceGeometry, members: Sequence[int], closed: bool,
     members[a] with members[a:] and yields the row's first pair missing
     one (axiom 1) and its first pair whose dims break the modular law
     (axiom 5), so the rows in order give each axiom's first witness in
-    row-major order.  at_dim, the members of each dim, is given where the call
-    covers all of L, axiom 2 holds and no mask is listed twice.  Then
-    each row after axiom 1 is settled is screened instead
+    row-major order.  at_dim, the members of each dim, is given where
+    the call covers all of L, axiom 2 holds and no mask is listed
+    twice.  Then each row after axiom 1 is settled is screened instead
     (lattice._screened_row): there the least dim of a common upper bound
     and the greatest dim of a common lower bound, read for the whole row
     from bitset layers, are the dims of the join and the meet where
@@ -378,7 +378,8 @@ def _pair_witnesses(g: IncidenceGeometry, members: Sequence[int], closed: bool,
         if layers is not None and (closed or ax1_witness):
             bad = _screened_row(lat, dims, layers, i)
         else:
-            missing, bad = _full_row(lat, dims, members, columns, a, ax5_witness is None)
+            missing, bad = _full_row(lat, dims, members, columns, a,
+                                     ax5_witness is None)
             if missing and not ax1_witness:
                 j, which = missing
                 ax1_witness = (f"no {which} in L for S={g.describe_subspace(i)}"

@@ -474,7 +474,8 @@ class TestAxiomCertificate:
         g = shuffle_members(drop_subspace(p3f3, p3f3.dims.index(1)), 12)
         ref = lattice_reference(g)
         ns = len(g.subspaces)
-        first = next(i for i in range(ns) if None in ref.meets[i][i:] + ref.joins[i][i:])
+        first = next(i for i in range(ns)
+                     if None in ref.meets[i][i:] + ref.joins[i][i:])
         rows = {"full": [], "screened": []}
 
         def spy(name, key, row):
@@ -534,7 +535,8 @@ def _screen_families():
     specs = [(-1, "")] + [(0, x) for x in "abcd"] + [(1, p) for p in _pairs("abcd")]
     specs[5] = (2, "ab")
     specs.insert(6, (1, "ab"))
-    specs += [(3, "".join(t)) for t in itertools.combinations("abcd", 3)] + [(4, "abcd")]
+    specs += [(3, "".join(t)) for t in itertools.combinations("abcd", 3)]
+    specs.append((4, "abcd"))
     twice = IncidenceGeometry.from_point_sets("abcd", specs)
     # two points meet in the empty set at dim -2 and join in a line at
     # dim 1; the top's dim 2 and the empty set's add up to theirs
