@@ -358,6 +358,17 @@ class TestLatticeEdges:
             IncidenceGeometry(("a", "b"), (0, -1), (-1, 0))
 
 
+def _spy(monkeypatch, name, record):
+    """Replace geometry.<name> by a wrapper that calls record with the
+    arguments of each call before passing it on."""
+    fn = getattr(geometry, name)
+
+    def wrapper(*args):
+        record(*args)
+        return fn(*args)
+    monkeypatch.setattr(geometry, name, wrapper)
+
+
 def _pairs(letters):
     return ["".join(p) for p in itertools.combinations(letters, 2)]
 
@@ -438,19 +449,10 @@ class TestAxiomCertificate:
         # by coatom closure, rows screened by dim and rows computed in full;
         # the copy with one mask twice never reaches the certificate
         branches, ran = set(), set()
-
-        def spy(name, label):
-            fn = getattr(geometry, name)
-
-            def wrapper(*args):
-                ran.add(label(*args))
-                return fn(*args)
-            monkeypatch.setattr(geometry, name, wrapper)
-
-        spy("_pair_witnesses", lambda g, members, closed, at_dim:
-            "axiom 1 certified" if closed else "pair pass")
-        spy("_screened_row", lambda *args: "screened rows")
-        spy("_full_row", lambda *args: "full rows")
+        _spy(monkeypatch, "_pair_witnesses", lambda g, members, closed, at_dim:
+             ran.add("axiom 1 certified" if closed else "pair pass"))
+        _spy(monkeypatch, "_screened_row", lambda *args: ran.add("screened rows"))
+        _spy(monkeypatch, "_full_row", lambda *args: ran.add("full rows"))
 
         @settings(max_examples=300, deadline=None)
         @given(derived_mutants(), st.integers(0, 2 ** 32), st.data())
@@ -477,17 +479,10 @@ class TestAxiomCertificate:
         first = next(i for i in range(ns)
                      if None in ref.meets[i][i:] + ref.joins[i][i:])
         rows = {"full": [], "screened": []}
-
-        def spy(name, key, row):
-            fn = getattr(geometry, name)
-
-            def wrapper(*args):
-                rows[key].append(row(*args))
-                return fn(*args)
-            monkeypatch.setattr(geometry, name, wrapper)
-
-        spy("_full_row", "full", lambda lat, dims, members, columns, a, need5: a)
-        spy("_screened_row", "screened", lambda lat, dims, layers, i: i)
+        _spy(monkeypatch, "_full_row", lambda lat, dims, members, columns, a, need5:
+             rows["full"].append(a))
+        _spy(monkeypatch, "_screened_row", lambda lat, dims, layers, i:
+             rows["screened"].append(i))
         report = validate_axioms(g).as_dict()
         assert report == reference_axioms(g)
         assert [a["number"] for a in report["axioms"] if not a["passed"]] == [1]
@@ -495,18 +490,14 @@ class TestAxiomCertificate:
         assert rows == {"full": list(range(first + 1)),
                         "screened": list(range(first + 1, ns))}
 
-    def test_a_closed_family_computes_no_axiom_1_witness(self, monkeypatch):
+    def test_closed_family_stops_at_the_first_axiom_5_witness(self, monkeypatch):
         # P3(F3) with a line's dim bumped keeps every intersection in L, so
         # axiom 1 is certified and the rows stop at axiom 5's first witness
         p3f3 = build_projective_space(3, 3)
         g = shuffle_members(perturb_dim(p3f3, p3f3.dims.index(1)), 12)
         rows = []
-        full_row = geometry._full_row
-
-        def counting(lat, dims, members, columns, a, need5):
-            rows.append(a)
-            return full_row(lat, dims, members, columns, a, need5)
-        monkeypatch.setattr(geometry, "_full_row", counting)
+        _spy(monkeypatch, "_full_row", lambda lat, dims, members, columns, a, need5:
+             rows.append(a))
         report = validate_axioms(g).as_dict()
         assert report == reference_axioms(g)
         assert [a["number"] for a in report["axioms"] if not a["passed"]] == [2, 5]
@@ -553,12 +544,7 @@ class TestScreenedRows:
     def test_family_report_equals_the_reference(self, name, monkeypatch):
         g, failing, screened = _screen_families()[name]
         rows = []
-        screened_row = geometry._screened_row
-
-        def counting(lat, dims, layers, i):
-            rows.append(i)
-            return screened_row(lat, dims, layers, i)
-        monkeypatch.setattr(geometry, "_screened_row", counting)
+        _spy(monkeypatch, "_screened_row", lambda lat, dims, layers, i: rows.append(i))
         report = validate_axioms(g).as_dict()
         assert report == reference_axioms(g)
         assert {a["number"] for a in report["axioms"] if not a["passed"]} == failing
