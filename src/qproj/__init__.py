@@ -10,12 +10,12 @@ arithmetic is exact.
 """
 
 from .errors import (BudgetExceeded, DegenerateQ, DimensionMismatch,
-                     DivisionByZero, FieldMismatch, GeometryFormatError,
-                     InexactDivision, NotAPrimePower)
+                     FieldMismatch, GeometryFormatError, InexactDivision,
+                     NotAPrimePower)
 from .qcalc import (QPoly, evaluate, q_binomial_quotient,
                     q_binomial_recurrence, q_factorial, q_integer)
 from .qword import NoncommPoly, expand_binomial, nc_coefficient, nc_multiply
-from .gf import FieldElement, FiniteField, factor_prime_power, make_field
+from .gf import FiniteField, factor_prime_power, make_field
 from .linalg import (SubspaceCanonical, count_independent_tuples,
                      enumerate_subspaces, orthogonal_complement, rref,
                      span_canonical, subspace_join, subspace_meet)

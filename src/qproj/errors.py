@@ -9,10 +9,6 @@ class FieldMismatch(ValueError):
     """Raised when operands belong to different finite fields."""
 
 
-class DivisionByZero(ZeroDivisionError):
-    """Raised on inversion of the zero field element."""
-
-
 class InexactDivision(ArithmeticError):
     """Polynomial division left a remainder where exactness was guaranteed.
 

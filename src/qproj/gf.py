@@ -1,10 +1,10 @@
 """Arithmetic in finite fields F_q for small prime powers q.
 
 Elements of F_(p^d) are residues of F_p[x] modulo a fixed monic
-irreducible polynomial of degree d.  An element is stored as an integer
-code in [0, q): the code of the residue c_0 + c_1 x + ... is
-sum(c_i * p^i), so codes 0 and 1 are the field's zero and one, and code
-order (ascending) is the canonical element order used everywhere.
+irreducible polynomial of degree d.  An element is its integer code in
+[0, q), with no wrapper object: the code of the residue c_0 + c_1 x + ...
+is sum(c_i * p^i), so codes 0 and 1 are the field's zero and one, and
+code order (ascending) is the canonical element order used everywhere.
 
 The four code tables are the only arithmetic, built at construction (q
 is capped, 16 by default).  Addition works digit by digit; the negative
@@ -27,7 +27,7 @@ import functools
 import itertools
 import math
 
-from .errors import BudgetExceeded, DivisionByZero, FieldMismatch, NotAPrimePower
+from .errors import BudgetExceeded, NotAPrimePower
 
 DEFAULT_MAX_Q = 16
 # Miller-Rabin to the twelve prime bases 2, 3, ..., 37 is exact below psi_12
@@ -118,79 +118,6 @@ def factor_prime_power(q: int) -> tuple[int, int]:
     return p, e
 
 
-class FieldElement:
-    """An element of a FiniteField, identified by its integer code."""
-
-    __slots__ = ("field", "code")
-
-    def __init__(self, field: "FiniteField", code: int):
-        self.field = field
-        self.code = code
-
-    @property
-    def coeffs(self) -> tuple[int, ...]:
-        """Coefficient vector of the residue polynomial, constant first."""
-        return self.field.code_to_coeffs(self.code)
-
-    def _check(self, other: "FieldElement") -> None:
-        if not isinstance(other, FieldElement):
-            raise TypeError("expected a FieldElement")
-        if self.field.key != other.field.key:
-            raise FieldMismatch(
-                f"elements of F_{self.field.q} and F_{other.field.q} cannot mix")
-
-    def __add__(self, other: "FieldElement") -> "FieldElement":
-        self._check(other)
-        return FieldElement(self.field, self.field.add_table[self.code][other.code])
-
-    def __sub__(self, other: "FieldElement") -> "FieldElement":
-        self._check(other)
-        neg = self.field.neg_table[other.code]
-        return FieldElement(self.field, self.field.add_table[self.code][neg])
-
-    def __neg__(self) -> "FieldElement":
-        return FieldElement(self.field, self.field.neg_table[self.code])
-
-    def __mul__(self, other: "FieldElement") -> "FieldElement":
-        self._check(other)
-        return FieldElement(self.field, self.field.mul_table[self.code][other.code])
-
-    def __truediv__(self, other: "FieldElement") -> "FieldElement":
-        self._check(other)
-        return self * other.inverse()
-
-    def __pow__(self, n: int) -> "FieldElement":
-        if n < 0:
-            return self.inverse() ** (-n)
-        result = self.field.one
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
-    def inverse(self) -> "FieldElement":
-        if self.code == 0:
-            raise DivisionByZero(f"inverse of zero in F_{self.field.q}")
-        return FieldElement(self.field, self.field.inv_table[self.code])
-
-    def __bool__(self) -> bool:
-        return self.code != 0
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, FieldElement):
-            return NotImplemented
-        return self.field.key == other.field.key and self.code == other.code
-
-    def __hash__(self) -> int:
-        return hash((self.field.key, self.code))
-
-    def __repr__(self) -> str:
-        return f"F{self.field.q}({self.code})"
-
-
 class FiniteField:
     """F_(p^d) modulo the smallest monic irreducible of degree d, so one
     modulus per q; immutable once built."""
@@ -249,23 +176,6 @@ class FiniteField:
         for c in reversed(coeffs[: self.degree]):
             code = code * self.p + (c % self.p)
         return code
-
-    @property
-    def zero(self) -> FieldElement:
-        return FieldElement(self, 0)
-
-    @property
-    def one(self) -> FieldElement:
-        return FieldElement(self, 1)
-
-    def element(self, code: int) -> FieldElement:
-        if not 0 <= code < self.q:
-            raise ValueError(f"code {code} out of range for F_{self.q}")
-        return FieldElement(self, code)
-
-    def elements(self) -> list[FieldElement]:
-        """All q elements in canonical (code) order, zero first."""
-        return [FieldElement(self, c) for c in range(self.q)]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, FiniteField):

@@ -16,9 +16,10 @@ checks once per pivot pattern and row filling instead of once per
 basis, then builds its bases through a private classmethod that skips
 them.
 
-Vectors are tuples of element codes, indexed straight into the field's
-tables; boxed field elements are accepted only by span_canonical and
-contains, which check that each entry belongs to the field.
+Vectors are sequences of element codes, indexed straight into the
+field's tables; span_canonical (through rref) and contains refuse an
+entry that is not a code of the field and a vector whose length is not
+the ambient dimension.
 """
 
 from __future__ import annotations
@@ -27,13 +28,13 @@ import itertools
 from typing import Iterable, Sequence
 
 from .errors import BudgetExceeded, DimensionMismatch, FieldMismatch
-from .gf import FieldElement, FiniteField, make_field
+from .gf import FiniteField, make_field
 from .qcalc import MAX_Q_SERIES_N, over_q_series_cap, q_binomial_recurrence
 
 DEFAULT_SUBSPACE_BUDGET = 10 ** 6
 
 
-def rref(field: FiniteField, rows: Sequence[Sequence[int]]
+def rref(field: FiniteField, rows: Iterable[Sequence[int]]
          ) -> tuple[tuple[tuple[int, ...], ...], int]:
     """Reduced row echelon form and rank of a matrix of element codes.
 
@@ -63,17 +64,6 @@ def rref(field: FiniteField, rows: Sequence[Sequence[int]]
         if r == nrows:
             break
     return tuple(tuple(row) for row in rows), r
-
-
-def _codes(field: FiniteField, ambient: int,
-           vector: Sequence[FieldElement]) -> list[int]:
-    """The element codes of a vector of length ambient over field."""
-    if len(vector) != ambient:
-        raise DimensionMismatch("vector length differs from ambient dimension")
-    for e in vector:
-        if e.field.key != field.key:
-            raise FieldMismatch("vector entry from a different field")
-    return [e.code for e in vector]
 
 
 def _check_pivots(pivots: Sequence[int]) -> None:
@@ -143,10 +133,15 @@ class SubspaceCanonical:
     def dim(self) -> int:
         return len(self.basis)
 
-    def contains(self, vector: Sequence[FieldElement]) -> bool:
-        """Membership test by reducing the vector against the basis."""
+    def contains(self, vector: Sequence[int]) -> bool:
+        """Membership test by reducing a vector of element codes against the basis."""
         field = self.field
-        v = _codes(field, self.ambient, vector)
+        if len(vector) != self.ambient:
+            raise DimensionMismatch("vector length differs from ambient dimension")
+        # a negative code would index the tables from the end
+        if vector and (min(vector) < 0 or max(vector) >= field.q):
+            raise ValueError(f"matrix entry is not a code of F_{field.q}")
+        v = vector
         add, mul, neg = field.add_table, field.mul_table, field.neg_table
         for row, piv in zip(self.basis, self.pivots):
             if v[piv]:
@@ -167,16 +162,13 @@ class SubspaceCanonical:
         return f"SubspaceCanonical(dim={self.dim}, ambient={self.ambient}, rows={self.basis})"
 
 
-def _span(field: FiniteField, ambient: int,
-          rows: Sequence[Sequence[int]]) -> SubspaceCanonical:
-    reduced, rank = rref(field, rows)
-    return SubspaceCanonical(field, ambient, reduced[:rank])
-
-
 def span_canonical(field: FiniteField, ambient: int,
-                   vectors: Iterable[Sequence[FieldElement]]) -> SubspaceCanonical:
-    """Canonical representative of the span of the given vectors."""
-    return _span(field, ambient, [_codes(field, ambient, v) for v in vectors])
+                   vectors: Iterable[Sequence[int]]) -> SubspaceCanonical:
+    """Canonical representative of the span of vectors of element codes."""
+    reduced, rank = rref(field, vectors)
+    if reduced and len(reduced[0]) != ambient:
+        raise DimensionMismatch("vector length differs from ambient dimension")
+    return SubspaceCanonical(field, ambient, reduced[:rank])
 
 
 def count_independent_tuples(q: int, n: int, k: int) -> int:
@@ -265,7 +257,7 @@ def _check_compatible(a: SubspaceCanonical, b: SubspaceCanonical) -> None:
 def subspace_join(a: SubspaceCanonical, b: SubspaceCanonical) -> SubspaceCanonical:
     """Span of the two subspaces (their least upper bound)."""
     _check_compatible(a, b)
-    return _span(a.field, a.ambient, a.basis + b.basis)
+    return span_canonical(a.field, a.ambient, a.basis + b.basis)
 
 
 def orthogonal_complement(s: SubspaceCanonical) -> SubspaceCanonical:
@@ -286,7 +278,7 @@ def orthogonal_complement(s: SubspaceCanonical) -> SubspaceCanonical:
         for row, piv in zip(s.basis, s.pivots):
             v[piv] = neg[row[f]]
         vectors.append(v)
-    return _span(s.field, n, vectors)
+    return span_canonical(s.field, n, vectors)
 
 
 def subspace_meet(a: SubspaceCanonical, b: SubspaceCanonical) -> SubspaceCanonical:

@@ -60,7 +60,7 @@ def test_criterion_3_subspace_counting():
     for q in (2, 3):
         field = make_field(q)
         for n in range(4):
-            vectors = [v for v in itertools.product(field.elements(), repeat=n)
+            vectors = [v for v in itertools.product(range(q), repeat=n)
                        if any(v)]
             for k in range(n + 1):
                 if k == 0:
