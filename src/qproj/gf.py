@@ -2,9 +2,9 @@
 
 Elements of F_(p^d) are residues of F_p[x] modulo a fixed monic
 irreducible polynomial of degree d.  An element is its integer code in
-[0, q), with no wrapper object: the code of the residue c_0 + c_1 x + ...
-is sum(c_i * p^i), so codes 0 and 1 are the field's zero and one, and
-code order (ascending) is the canonical element order used everywhere.
+[0, q): the code of the residue c_0 + c_1 x + ... is sum(c_i * p^i), so
+codes 0 and 1 are the field's zero and one, and code order (ascending)
+is the canonical element order used everywhere.
 
 The four code tables are the only arithmetic, built at construction (q
 is capped, 16 by default).  Addition works digit by digit; the negative

@@ -175,9 +175,8 @@ def test_field_axioms_exhaustive(q):
     add, mul, neg, inv = f.add_table, f.mul_table, f.neg_table, f.inv_table
     es = range(q)
     # closed: a code outside [0, q) would index the tables from the end
-    for table in (add, mul, [neg], [inv]):
-        assert all(len(row) == q and set(row) <= set(es) for row in table)
     assert len(add) == len(mul) == q
+    assert all(len(row) == q and set(row) <= set(es) for row in add + mul + [neg, inv])
     for a, b in itertools.product(es, repeat=2):
         assert add[a][b] == add[b][a]
         assert mul[a][b] == mul[b][a]
