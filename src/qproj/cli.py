@@ -26,8 +26,8 @@ from dataclasses import asdict, dataclass
 from . import geometry as geo
 from . import planes as pl
 from .errors import BudgetExceeded, GeometryFormatError
-from .groups import (alternating_group_comparison, brute_force_psl_order,
-                     group_order)
+from .groups import (MAX_GL_ORDER_BITS, alternating_group_comparison,
+                     brute_force_psl_order, group_order)
 from .linalg import DEFAULT_SUBSPACE_BUDGET, enumerate_subspaces
 from .paths import DEFAULT_MAX_STEPS, area_generating_function
 from .qcalc import QPoly, q_binomial_recurrence, q_binomial_quotient
@@ -73,6 +73,47 @@ def _unlimited_int_digits():
         sys.set_int_max_str_digits(old)
 
 
+# Above this many bits _int_text leaves str(), which is quadratic in the
+# digits on Python 3.11 (about 8 ms at 2^16 bits on a 2-core VM), for
+# halves joined in decimal arithmetic
+_STR_INT_BITS = 2 ** 16
+
+
+def _int_text(value: int) -> str:
+    """The decimal digits of an exact integer the CLI prints, as str(value).
+
+    Up to _STR_INT_BITS bits this is str(value), with the digit limit
+    lifted.  Above it the bits are split in halves, recursively down to
+    _STR_INT_BITS, and the halves are joined as hi * 2^w + lo in the
+    decimal module, whose multiplication is subquadratic; at 2^20 bits,
+    the cap on group orders and --at values, that is four levels.  The
+    context has MAX_PREC digits and traps Inexact, so every step is exact
+    or raises.  decimal is imported only here, since importing it costs
+    about 0.5 MB of memory.
+    """
+    with _unlimited_int_digits():
+        if value.bit_length() <= _STR_INT_BITS:
+            return str(value)
+        import decimal
+        ctx = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX,
+                              traps=[decimal.Inexact])
+        powers = {}
+
+        def join(v: int, bits: int):
+            """v, with 0 <= v < 2^bits, as a Decimal."""
+            if bits <= _STR_INT_BITS:
+                return decimal.Decimal(str(v))
+            w = bits // 2
+            if w not in powers:
+                powers[w] = ctx.power(2, w)
+            hi = join(v >> w, bits - w)
+            lo = join(v & ((1 << w) - 1), w)
+            return ctx.add(ctx.multiply(hi, powers[w]), lo)
+
+        digits = str(join(abs(value), value.bit_length()))
+    return "-" + digits if value < 0 else digits
+
+
 def _load_json(path: str):
     try:
         with open(path, encoding="utf-8") as fh:
@@ -100,9 +141,15 @@ def _cmd_qbinom(args):
         payload["quotient_coefficients"] = list(quo.coeffs)
         return EXIT_VERIFY, lines, payload
     if args.at is not None:
+        bits = args.k * (args.n - args.k) * abs(args.at).bit_length()
+        if bits > MAX_GL_ORDER_BITS:
+            raise BudgetExceeded(
+                f"[{args.n} choose {args.k}] at Q0 has about "
+                f"k(n-k) * bit_length(|Q0|) = {bits} bits, "
+                f"over the cap of {MAX_GL_ORDER_BITS}")
         value = rec.evaluate(args.at)
         payload["value_at"] = {"q": args.at, "value": value}
-        return EXIT_OK, [str(value)], payload
+        return EXIT_OK, [_int_text(value)], payload
     return EXIT_OK, [_poly_text(rec)], payload
 
 
@@ -254,8 +301,7 @@ def _cmd_paths_gf(args):
 
 def _cmd_group_order(args):
     report = group_order(args.family, args.n, args.q)
-    with _unlimited_int_digits():
-        lines = [f"|{report.family}_{report.n}(F_{report.q})| = {report.order}"]
+    lines = [f"|{report.family}_{report.n}(F_{report.q})| = {_int_text(report.order)}"]
     payload = asdict(report)
     if args.brute_force:
         if report.family != "PSL":

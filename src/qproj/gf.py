@@ -131,7 +131,7 @@ class FiniteField:
         self.degree = degree
         self.q = q = p ** degree
         digits = [self.code_to_coeffs(i) for i in range(q)]
-        self.add_table = [[self.coeffs_to_code(tuple(x + y for x, y in zip(a, b)))
+        self.add_table = [[self._code_mod_p(tuple(x + y for x, y in zip(a, b)))
                            for b in digits] for a in digits]
         self.neg_table = [row.index(0) for row in self.add_table]
         # smallest irreducible first: a reducible f = g*h makes g*h = 0
@@ -152,7 +152,7 @@ class FiniteField:
         top = q // p
         # x times a code shifts its digits up one place; the digit h that
         # falls off the top comes back as -h * tail, since x^d = -tail
-        drop = [self.coeffs_to_code(tuple(-h * t for t in tail)) for h in range(p)]
+        drop = [self._code_mod_p(tuple(-h * t for t in tail)) for h in range(p)]
         times_x = [add[c % top * p][drop[c // top]] for c in range(q)]
         table = []
         for a in range(q):
@@ -172,9 +172,19 @@ class FiniteField:
         return tuple(cs)
 
     def coeffs_to_code(self, coeffs: tuple[int, ...]) -> int:
+        """The code of c_0 + c_1 x + ...; raises ValueError unless there
+        are ``degree`` coefficients, each in [0, p)."""
+        if len(coeffs) != self.degree or not all(0 <= c < self.p for c in coeffs):
+            raise ValueError(f"expected {self.degree} coefficients in [0, {self.p}), "
+                             f"got {coeffs!r}")
+        return self._code_mod_p(coeffs)
+
+    def _code_mod_p(self, coeffs: tuple[int, ...]) -> int:
+        """The code of ``degree`` coefficients, each reduced mod p first;
+        the table build passes digit sums and negated products."""
         code = 0
-        for c in reversed(coeffs[: self.degree]):
-            code = code * self.p + (c % self.p)
+        for c in reversed(coeffs):
+            code = code * self.p + c % self.p
         return code
 
     def __eq__(self, other: object) -> bool:

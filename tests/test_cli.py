@@ -2,6 +2,9 @@ import argparse
 import itertools
 import json
 import operator
+import os
+import random
+import subprocess
 import sys
 import time
 
@@ -12,7 +15,7 @@ from hypothesis import strategies as st
 from qproj import cli
 from qproj.cli import _unlimited_int_digits, run
 from qproj.groups import MAX_GL_ORDER_BITS, gl_order
-from qproj.qcalc import MAX_Q_SERIES_N
+from qproj.qcalc import MAX_Q_SERIES_N, q_binomial_quotient
 
 
 def _write(tmp_path, name, doc):
@@ -44,6 +47,90 @@ class TestQbinom:
     def test_out_of_range_is_usage_error(self):
         res = run(["qbinom", "3", "5"])
         assert res.exit_code == 2
+
+    @pytest.mark.parametrize("flags", [[], ["--json"]])
+    def test_value_past_default_int_str_digit_limit(self, flags):
+        # the value has 4,501 digits; str() refused it, which read as exit 2
+        res = run(["qbinom", "60", "30", "--at", "100000"] + flags)
+        assert res.exit_code == 0
+        value = q_binomial_quotient(60, 30).evaluate(100000)
+        with _unlimited_int_digits():
+            if flags:
+                assert json.loads(res.text)["data"]["value_at"]["value"] == value
+            else:
+                assert res.text == str(value)
+
+    def test_value_size_cap(self):
+        # evaluating this took 90 s to build a 12M-bit value
+        start = time.perf_counter()
+        res = run(["qbinom", "120", "60", "--at", str(10 ** 1000)])
+        assert time.perf_counter() - start < 1
+        assert res.exit_code == 3
+        assert res.error == ("budget exceeded: [120 choose 60] at Q0 has about "
+                             "k(n-k) * bit_length(|Q0|) = 11959200 bits, over the "
+                             f"cap of {MAX_GL_ORDER_BITS}")
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_value_one_bit_over_the_cap(self, sign):
+        # k(n-k) = 8 * 16 and an 8193-bit Q0 give 2^20 + 128 bits
+        res = run(["qbinom", "24", "8", "--at", str(sign * 2 ** 8192)])
+        assert res.exit_code == 3
+        assert res.error.endswith(f"= {MAX_GL_ORDER_BITS + 128} bits, over the "
+                                  f"cap of {MAX_GL_ORDER_BITS}")
+
+    def test_value_at_the_cap_is_answered(self):
+        # an 8192-bit Q0 gives k(n-k) * bit_length(|Q0|) = 2^20 exactly
+        q0 = 2 ** 8191
+        res = run(["qbinom", "24", "8", "--at", str(q0)])
+        assert res.exit_code == 0
+        value = q_binomial_quotient(24, 8).evaluate(q0)
+        assert 10 ** (len(res.text) - 1) <= value < 10 ** len(res.text)
+        assert int(res.text[-40:]) == value % 10 ** 40
+
+
+def _int_text_cases():
+    """(id, value) pairs on both sides of _STR_INT_BITS and at 2^20 bits."""
+    t = cli._STR_INT_BITS
+    yield "0", 0
+    yield "-1", -1
+    yield "10^4300", 10 ** 4300
+    yield "-2^(T+1)", -2 ** (t + 1)
+    for e, name in ((t - 1, "T-1"), (t, "T"), (t + 1, "T+1")):
+        yield f"2^{name}-1", 2 ** e - 1
+        yield f"2^{name}", 2 ** e
+    # 10^19728 has 65,535 bits and 10^19729 has 65,539
+    for d in (19728, 19729):
+        yield f"10^{d}-1", 10 ** d - 1
+        yield f"10^{d}", 10 ** d
+    yield "random 2^18 bits", random.Random(0).getrandbits(2 ** 18)
+    yield "random 2^20 bits", random.Random(1).getrandbits(2 ** 20) | 1 << (2 ** 20 - 1)
+
+
+class TestIntText:
+    @pytest.mark.parametrize("value", [pytest.param(v, id=i) for i, v in _int_text_cases()])
+    def test_equals_str(self, value):
+        with _unlimited_int_digits():
+            assert cli._int_text(value) == str(value)
+
+    @pytest.mark.parametrize("d", [315652, 315653])
+    def test_powers_of_ten_near_the_cap(self, d):
+        # 10^315652 has 1,048,574 bits and 10^315653 has 2^20 + 1
+        assert cli._int_text(10 ** d - 1) == "9" * d
+        assert cli._int_text(10 ** d) == "1" + "0" * d
+
+    def test_decimal_imported_only_past_the_threshold(self):
+        # decimal raises the memory peak of every command that imports it
+        script = ("import sys\n"
+                  "from qproj.cli import run\n"
+                  "run(['group', 'order', 'GL', '100', '2'])\n"
+                  "print('decimal' in sys.modules)\n"
+                  "run(['group', 'order', 'GL', '300', '2'])\n"
+                  "print('decimal' in sys.modules)\n")
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+        res = subprocess.run([sys.executable, "-c", script], env=env,
+                             capture_output=True, text=True, timeout=60)
+        assert res.returncode == 0, res.stderr
+        assert res.stdout == "False\nTrue\n"
 
 
 class TestExpand:
@@ -298,6 +385,14 @@ class TestGroup:
         res = run(["group", "order", "PSL", "2", "3", "--brute-force"])
         assert res.exit_code == 0
         assert "brute force: 12 - MATCH" in res.text
+
+    def test_order_at_the_cap(self):
+        # 457^2 * bit_length(16) = 1,044,245, just under the cap; the
+        # order has 835,396 bits
+        res = run(["group", "order", "GL", "457", "16"])
+        assert res.exit_code == 0
+        with _unlimited_int_digits():
+            assert res.text == f"|GL_457(F_16)| = {gl_order(457, 16)}"
 
     def test_order_past_default_int_str_digit_limit(self):
         limit = getattr(sys, "get_int_max_str_digits", lambda: None)()

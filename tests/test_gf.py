@@ -159,6 +159,13 @@ def test_elements_distinct_and_complete(q):
     assert [f.coeffs_to_code(cs) for cs in coeffs] == list(range(q))
 
 
+@pytest.mark.parametrize("coeffs", [(1, 1, 1), (3, -1), (), (1,), (2, 0), (0, -1)])
+def test_coeffs_to_code_rejects_malformed(coeffs):
+    # each was read silently before: (1, 1, 1) and (3, -1) as 3, () as 0
+    with pytest.raises(ValueError, match=r"expected 2 coefficients in \[0, 2\)"):
+        make_field(4).coeffs_to_code(coeffs)
+
+
 @pytest.mark.parametrize("q", SMALL_Q)
 def test_little_fermat(q):
     mul = make_field(q).mul_table

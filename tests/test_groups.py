@@ -21,6 +21,16 @@ class TestGlOrder:
             for q in (2, 3, 4):
                 assert gl_order(n, q) == count_independent_tuples(q, n, n)
 
+    def test_equals_sequential_product(self):
+        # the product tree regroups the factors; a running product is the
+        # formula as written
+        for q in (2, 3, 4, 5, 7, 9, 16, 27):
+            for n in range(1, 31):
+                out = 1
+                for i in range(n):
+                    out *= q ** n - q ** i
+                assert gl_order(n, q) == out, (n, q)
+
     def test_errors(self):
         with pytest.raises(ValueError):
             gl_order(0, 2)

@@ -189,8 +189,10 @@ class TestQSeriesCap:
         assert f"cap of n <= {MAX_Q_SERIES_N}" in str(err.value)
 
     def test_routes_agree_at_cap(self):
+        # k = 59, 60, 61 hold [120 choose k]'s largest coefficients, 108
+        # bits, which the packed recurrence keeps in 120-bit slots
         n = MAX_Q_SERIES_N
-        for k in (1, 7, n // 2):
+        for k in (1, 2, 7, n // 2 - 1, n // 2, n // 2 + 1, n - 2, n - 1):
             assert q_binomial_recurrence(n, k) == q_binomial_quotient(n, k), k
         assert q_factorial(n).evaluate(1) == math.factorial(n)
 
