@@ -67,6 +67,10 @@ L, so axiom 1 holds while axioms 2 and 5 fail), Boolean(7) without its
 first line, and P3(F2) without the line at index 18 and with the line at
 index 16 bumped (axiom 2 fails and axiom 1 has a witness).
 
+Five ``paths gf`` cases were written from the code before the area
+generating function split each path at its midpoint: the boxes 10x10,
+11x11 and 12x12, and the lopsided 5x19 and 1x23 at the 24-step budget.
+
 To extend the corpus, add the new cases here and write the new entries
 from a commit whose output is trusted:
 
@@ -182,7 +186,8 @@ def _cases():
         base[f"geometry collineations {name} --max-points {npts}"] = (
             ["geometry", "collineations", FILE, "--max-points", npts],
             geometry_to_json(g))
-    for m, n in ((3, 3), (4, 5), (1, 6), (6, 1)):
+    for m, n in ((3, 3), (4, 5), (1, 6), (6, 1), (10, 10), (11, 11), (12, 12),
+                 (5, 19), (1, 23)):
         base[f"paths gf {m} {n}"] = (["paths", "gf", str(m), str(n)], None)
     base["group order SL 3 4"] = (["group", "order", "SL", "3", "4"], None)
     base["group order PGL 4 3"] = (["group", "order", "PGL", "4", "3"], None)
