@@ -10,14 +10,20 @@ that identity is what pins the area convention down, and it is asserted
 wherever these paths are used.
 
 The area generating function reads each path as the positions of its R
-steps and takes the area from their sum; LatticePath and its step
-strings are built only when paths are listed.
+steps and takes the area from their sum.  It splits each path at step
+h = (m+n)//2 into a first half with some j R steps in positions 0..h-1
+and a second half with the other m - j in positions h..m+n-1; every path
+is exactly one such pair, and its position sum is the sum of the two
+halves'.  So it lists half-paths, at most 2^h + 2^(m+n-h) of them, and
+never whole paths.  LatticePath and its step strings are built only when
+paths are listed.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 from .errors import BudgetExceeded
@@ -90,13 +96,30 @@ def area_generating_function(m: int, n: int,
     """Sum of q^area over all paths in the m-by-n box.
 
     Each path is read as the sum of the positions of its R steps, with
-    no step tuple built.  Equals the Gaussian binomial [m+n choose m]_q;
-    checked in the tests and by the CLI rather than assumed here.
+    no step tuple built.  Splitting at h = (m+n)//2, a path with j R steps
+    among its first h is one j-subset of range(h) followed by one
+    (m-j)-subset of range(h, m+n), and every such pair is one path, so
+    the number of paths with position sum s is the sum, over j and over
+    s_left + s_right = s, of the product of the two halves' counts.  Only
+    the half-paths are listed, sum_j C(h, j) + C(m+n-h, m-j) <=
+    2^h + 2^(m+n-h) of them.  The pairing loop visits pairs of distinct
+    half sums, at most sum_j C(h, j) C(m+n-h, m-j) = C(m+n, m)
+    (Vandermonde), the number of whole paths, and far fewer once m+n
+    passes a few steps.  It is plain counting, with no q-identity and no
+    recursion, so the result stays independent of both q-binomial
+    routes.  Equals the Gaussian binomial [m+n choose m]_q; checked in
+    the tests and by the CLI rather than assumed here.
     """
     _check_box(m, n, max_steps)
     counts = [0] * (m * n + 1)
     offset = _area_offset(m)
-    for s in map(sum, itertools.combinations(range(m + n), m)):
-        counts[s - offset] += 1
+    total = m + n
+    h = total // 2
+    for j in range(max(0, m - (total - h)), min(m, h) + 1):
+        left = Counter(map(sum, itertools.combinations(range(h), j)))
+        right = Counter(map(sum, itertools.combinations(range(h, total), m - j)))
+        for s_left, c_left in left.items():
+            for s_right, c_right in right.items():
+                counts[s_left + s_right - offset] += c_left * c_right
     assert sum(counts) == math.comb(m + n, m)
     return QPoly(counts)

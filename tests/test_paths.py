@@ -1,7 +1,11 @@
+import itertools
 import math
+import types
+from collections import Counter
 
 import pytest
 
+import qproj.paths
 from qproj import (BudgetExceeded, LatticePath, area_generating_function,
                    enumerate_paths, path_area, q_binomial_recurrence)
 
@@ -83,6 +87,34 @@ def test_generating_function_is_gaussian_binomial():
     for m in range(1, 7):
         for n in range(1, 7):
             assert area_generating_function(m, n) == q_binomial_recurrence(m + n, m)
+
+
+def test_generating_function_matches_per_path_areas():
+    # the reference lists every whole path and reads its area one path at
+    # a time; it shares no code with the midpoint split or with qcalc
+    for total in range(2, 15):
+        for m in range(1, total):
+            n = total - m
+            areas = Counter(path_area(p) for p in enumerate_paths(m, n))
+            expected = [areas[a] for a in range(m * n + 1)]
+            assert list(area_generating_function(m, n).coeffs) == expected, (m, n)
+
+
+def test_generating_function_lists_half_paths_only(monkeypatch):
+    # listing whole paths at 12x12 draws C(24, 12) = 2,704,156 tuples; the
+    # split draws sum_j C(12, j) + C(12, 12 - j) = 2 * 2^12
+    drawn = 0
+
+    def counting_combinations(pool, r):
+        nonlocal drawn
+        for t in itertools.combinations(pool, r):
+            drawn += 1
+            yield t
+
+    monkeypatch.setattr(qproj.paths, "itertools",
+                        types.SimpleNamespace(combinations=counting_combinations))
+    area_generating_function(12, 12)
+    assert 0 < drawn <= 2 * 2 ** 12
 
 
 def test_palindromic_coefficients():

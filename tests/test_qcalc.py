@@ -68,6 +68,18 @@ class TestQPoly:
         assert (a * b).evaluate(v) == a.evaluate(v) * b.evaluate(v)
         assert (a + b).evaluate(v) == a.evaluate(v) + b.evaluate(v)
 
+    @given(st.integers(0, 300).flatmap(lambda n: st.lists(
+               st.integers(-10 ** 6, 10 ** 6), min_size=n, max_size=n)),
+           st.sampled_from([0, 1, -1, 2, -2, 2 ** 290]))
+    @settings(max_examples=120, deadline=None)
+    def test_evaluate_matches_plain_horner(self, xs, v):
+        # lengths drawn evenly up to 300 cross several levels of halving
+        # above the short Horner pieces
+        acc = 0
+        for c in reversed(xs):
+            acc = acc * v + c
+        assert QPoly(xs).evaluate(v) == acc
+
 
 class TestQInteger:
     def test_known_values(self):
