@@ -141,14 +141,13 @@ def _json_walk(x, indent: str) -> str:
     inner = indent + "  "
     if isinstance(x, dict) and x:
         # json.dumps writes a non-str key as the text of its JSON value
-        items = [f"{inner}{json.dumps(k if isinstance(k, str) else json.dumps(k))}: "
-                 f"{_json_walk(v, inner)}" for k, v in x.items()]
-    elif isinstance(x, (list, tuple)) and x:
-        items = [inner + _json_walk(v, inner) for v in x]
-    else:
-        return json.dumps(x)
-    brackets = "{}" if isinstance(x, dict) else "[]"
-    return brackets[0] + "\n" + ",\n".join(items) + "\n" + indent + brackets[1]
+        items = (f"{inner}{json.dumps(k if isinstance(k, str) else json.dumps(k))}: "
+                 f"{_json_walk(v, inner)}" for k, v in x.items())
+        return "{\n" + ",\n".join(items) + "\n" + indent + "}"
+    if isinstance(x, (list, tuple)) and x:
+        items = (inner + _json_walk(v, inner) for v in x)
+        return "[\n" + ",\n".join(items) + "\n" + indent + "]"
+    return json.dumps(x)
 
 
 def _load_json(path: str):
