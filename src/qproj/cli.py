@@ -55,19 +55,18 @@ def _poly_text(p: QPoly) -> str:
 
 
 @contextlib.contextmanager
-def _int_digit_limit(limit: int = 0):
-    """Set Python's int-to-str digit limit (4300 by default) while output
-    is formatted, and restore it afterwards; 0, the default, lifts it.
+def _unlimited_int_digits():
+    """Lift Python's int-to-str digit limit (4300 by default) for printing.
 
-    Exact group orders can pass the default limit.  It is changed only
-    where output is formatted, so parsing input keeps the guard against
-    quadratic str-to-int conversion.
+    Exact group orders can pass the limit.  It is lifted only where output
+    is formatted and restored afterwards, so parsing input keeps the guard
+    against quadratic str-to-int conversion.
     """
     if not hasattr(sys, "set_int_max_str_digits"):
         yield
         return
     old = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(limit)
+    sys.set_int_max_str_digits(0)
     try:
         yield
     finally:
@@ -92,7 +91,7 @@ def _int_text(value: int) -> str:
     or raises.  decimal is imported only here, since importing it costs
     about 0.5 MB of memory.
     """
-    with _int_digit_limit():
+    with _unlimited_int_digits():
         if value.bit_length() <= _STR_INT_BITS:
             return str(value)
         import decimal
@@ -115,37 +114,24 @@ def _int_text(value: int) -> str:
     return "-" + digits if value < 0 else digits
 
 
-def _json_text(doc) -> str:
-    """json.dumps(doc, indent=2), with every int past _STR_INT_BITS bits
-    formatted by _int_text.
+def _json_text(x, indent: str = "") -> str:
+    """x as json.dumps(x, indent=2) writes it at this indent, with ints
+    past _STR_INT_BITS bits formatted by _int_text; run it under
+    _unlimited_int_digits.
 
     json.dumps prints ints by int.__repr__, which is quadratic in the
-    digits on Python 3.11.  It is tried first under a digit limit a little
-    below the digits of 2^_STR_INT_BITS, so a larger int raises ValueError
-    before any digit is made; only then is the document written by
-    _json_walk, which hands every other leaf back to json.dumps.
+    digits on Python 3.11.  Every other leaf goes to json.dumps.
     """
-    try:
-        with _int_digit_limit(_STR_INT_BITS * 3 // 10):
-            return json.dumps(doc, indent=2)
-    except ValueError:
-        with _int_digit_limit():
-            return _json_walk(doc, "")
-
-
-def _json_walk(x, indent: str) -> str:
-    """x as json.dumps(x, indent=2) writes it at this indent, with ints
-    past _STR_INT_BITS bits formatted by _int_text."""
     if isinstance(x, int) and not isinstance(x, bool) and x.bit_length() > _STR_INT_BITS:
         return _int_text(x)
     inner = indent + "  "
     if isinstance(x, dict) and x:
         # json.dumps writes a non-str key as the text of its JSON value
         items = (f"{inner}{json.dumps(k if isinstance(k, str) else json.dumps(k))}: "
-                 f"{_json_walk(v, inner)}" for k, v in x.items())
+                 f"{_json_text(v, inner)}" for k, v in x.items())
         return "{\n" + ",\n".join(items) + "\n" + indent + "}"
     if isinstance(x, (list, tuple)) and x:
-        items = (inner + _json_walk(v, inner) for v in x)
+        items = (inner + _json_text(v, inner) for v in x)
         return "[\n" + ",\n".join(items) + "\n" + indent + "]"
     return json.dumps(x)
 
@@ -536,7 +522,8 @@ def run(argv: list[str]) -> CommandResult:
         command = args.command + (
             f" {args.subcommand}" if getattr(args, "subcommand", None) else "")
         wrapped = {"command": command, "ok": exit_code == EXIT_OK, "data": payload}
-        return CommandResult(exit_code, _json_text(wrapped))
+        with _unlimited_int_digits():
+            return CommandResult(exit_code, _json_text(wrapped))
     return CommandResult(exit_code, "\n".join(lines))
 
 

@@ -125,34 +125,23 @@ class QPoly:
     def evaluate(self, value: int) -> int:
         """Value at q = value in exact integers.
 
-        Horner's rule multiplies the growing value by q once per
-        coefficient, O(degree * size of the value) in all, so it runs only
-        on pieces of at most _HORNER_TERMS coefficients.  Longer vectors
-        are split in halves, p_lo(v) + v^h p_hi(v) with h = _HORNER_TERMS
-        * 2^i, and the powers v^h are computed once and shared by all
-        pieces.  Each level then multiplies numbers of similar size, where
-        Python's Karatsuba multiplication pays off.  A polynomial of at
-        most _HORNER_TERMS coefficients, like the small subspace and point
-        counts, takes Horner's rule alone.
+        Neighbouring coefficients are paired, a + v b, and the pairs are
+        read as a polynomial in v^2, until one value is left.  Horner's
+        rule would multiply the growing value by q once per coefficient,
+        O(degree * size of the value) in all; pairing multiplies numbers
+        of similar size at each level, which Python's Karatsuba
+        multiplication makes subquadratic.  That pays off on long
+        polynomials and large q; on a few coefficients it costs a few
+        microseconds more than Horner's rule.
         """
-        cs = self._coeffs
-        if len(cs) <= _HORNER_TERMS:
-            return _horner(cs, value)
-        powers = [value ** _HORNER_TERMS]
-        while _HORNER_TERMS << len(powers) < len(cs):
-            powers.append(powers[-1] * powers[-1])
-
-        def piece(lo: int, level: int) -> int:
-            """The value of cs[lo : lo + _HORNER_TERMS * 2^level] read from q^0."""
-            if level == 0:
-                return _horner(cs[lo:lo + _HORNER_TERMS], value)
-            half = _HORNER_TERMS << (level - 1)
-            low = piece(lo, level - 1)
-            if lo + half >= len(cs):
-                return low
-            return low + powers[level - 1] * piece(lo + half, level - 1)
-
-        return piece(0, len(powers))
+        cs = list(self._coeffs) or [0]
+        while len(cs) > 1:
+            if len(cs) % 2:
+                cs.append(0)
+            cs = [a + value * b for a, b in zip(cs[::2], cs[1::2])]
+            if len(cs) > 1:
+                value *= value
+        return cs[0]
 
     def is_palindromic(self) -> bool:
         return self._coeffs == self._coeffs[::-1]
@@ -179,18 +168,6 @@ class QPoly:
 
     def __repr__(self) -> str:
         return f"QPoly({list(self._coeffs)!r})"
-
-
-# QPoly.evaluate runs Horner's rule on pieces of at most this many
-# coefficients and joins the pieces by halves
-_HORNER_TERMS = 32
-
-
-def _horner(coeffs: tuple[int, ...], value: int) -> int:
-    acc = 0
-    for c in reversed(coeffs):
-        acc = acc * value + c
-    return acc
 
 
 def _as_poly(x: "QPoly | int") -> QPoly:

@@ -1,6 +1,5 @@
 import itertools
 import math
-import types
 from collections import Counter
 
 import pytest
@@ -104,15 +103,15 @@ def test_generating_function_lists_half_paths_only(monkeypatch):
     # listing whole paths at 12x12 draws C(24, 12) = 2,704,156 tuples; the
     # split draws sum_j C(12, j) + C(12, 12 - j) = 2 * 2^12
     drawn = 0
+    combinations = itertools.combinations
 
     def counting_combinations(pool, r):
         nonlocal drawn
-        for t in itertools.combinations(pool, r):
+        for t in combinations(pool, r):
             drawn += 1
             yield t
 
-    monkeypatch.setattr(qproj.paths, "itertools",
-                        types.SimpleNamespace(combinations=counting_combinations))
+    monkeypatch.setattr(qproj.paths.itertools, "combinations", counting_combinations)
     area_generating_function(12, 12)
     assert 0 < drawn <= 2 * 2 ** 12
 

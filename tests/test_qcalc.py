@@ -73,8 +73,8 @@ class TestQPoly:
            st.sampled_from([0, 1, -1, 2, -2, 2 ** 290]))
     @settings(max_examples=120, deadline=None)
     def test_evaluate_matches_plain_horner(self, xs, v):
-        # lengths drawn evenly up to 300 cross several levels of halving
-        # above the short Horner pieces
+        # lengths drawn evenly up to 300 take up to nine levels of
+        # pairing, odd lengths included
         acc = 0
         for c in reversed(xs):
             acc = acc * v + c
