@@ -71,6 +71,13 @@ Five ``paths gf`` cases were written from the code before the area
 generating function split each path at its midpoint: the boxes 10x10,
 11x11 and 12x12, and the lopsided 5x19 and 1x23 at the 24-step budget.
 
+Four q-series cases were written from the code before the quotient route
+ran over min(k, n-k) and the expansion read its slots with one struct
+call: ``qbinom 120 119`` (k next to n, where the old quotient built a
+product of degree about 7,000), ``qbinom 66 36``, ``qbinom 40 39 --at 3``
+and ``group order PSL 60 3``, whose formula takes [60]! from
+``q_factorial``.
+
 To extend the corpus, add the new cases here and write the new entries
 from a commit whose output is trusted:
 
@@ -207,6 +214,10 @@ def _cases():
         base[f"geometry affine {q} {n}"] = (["geometry", "affine", q, n], None)
     base["qbinom 12 5"] = (["qbinom", "12", "5"], None)
     base["qbinom 12 5 --at 3"] = (["qbinom", "12", "5", "--at", "3"], None)
+    for argv in (["qbinom", "120", "119"], ["qbinom", "66", "36"],
+                 ["qbinom", "40", "39", "--at", "3"],
+                 ["group", "order", "PSL", "60", "3"]):
+        base[" ".join(argv)] = (argv, None)
     for argv in (["subspaces", "6", "2", "1"], ["group", "order", "PSL", "3", "1"],
                  ["group", "order", "GL", "2", "2", "--brute-force"],
                  ["qbinom", "5", "7"], ["group", "an", "1"], ["group", "an", "5"]):
