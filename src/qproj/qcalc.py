@@ -10,21 +10,27 @@ the Pascal-style recurrence and the q-factorial quotient.  Their
 agreement is one of the identities this package exists to check, so the
 two routes share no code beyond plain polynomial arithmetic.  Both are
 plain loops, with no recursion and no memo.  The recurrence keeps its
-row packed, one integer per polynomial, in code of its own; the
-quotient runs on coefficient lists.
+row packed, one integer per polynomial, in code of its own.  The
+quotient runs on coefficient lists, over min(k, n-k) factors; it
+multiplies by [j] and divides by [i] with running sums
+(``itertools.accumulate``), so their inner loops run in C.
 """
 
 from __future__ import annotations
 
+from itertools import accumulate
+from operator import sub
 from typing import Iterable, Iterator
 
 from .errors import BudgetExceeded, InexactDivision
 
 # Largest n for [n]!, [n choose k] and the (x+y)^n expansion.  Their
 # polynomials grow like n^2 in degree and far faster in coefficient size.
-# At n = 120 each path takes under half a second.  At n = 160 the packed
-# recurrence takes about 0.2 s, but the (x+y)^n expansion still takes
-# about a second, plus 0.4 s to read its terms.
+# At n = 120, in process on a 2-core VM: [120 choose 60] takes about
+# 0.025 s by either route, [120]! 0.035 s, and the (x+y)^n expansion
+# 0.13 s plus 0.08 s to read its terms.  At n = 160 the quotient takes
+# about 0.05 s and the packed recurrence 0.11 s, but the expansion still
+# takes about a second, plus 0.23 s to read its terms.
 MAX_Q_SERIES_N = 120
 
 
@@ -117,7 +123,9 @@ class QPoly:
         return result
 
     def shift(self, k: int) -> "QPoly":
-        """Multiply by q^k."""
+        """Multiply by q^k, for k >= 0."""
+        if k < 0:
+            raise ValueError("shift must be nonnegative")
         if not self._coeffs:
             return self
         return QPoly((0,) * k + self._coeffs)
@@ -192,22 +200,25 @@ def q_integer(n: int) -> QPoly:
 
 
 def _times_q_integer(p: QPoly, j: int) -> QPoly:
-    """p * [j]: coefficient d sums those of p at d-j+1..d, a sliding window."""
-    cs = p.coeffs + (0,) * (j - 1)
-    out, window = [], 0
-    for d, c in enumerate(cs):
-        window += c - (cs[d - j] if d >= j else 0)
-        out.append(window)
-    return QPoly(out)
+    """p * [j]: coefficient d sums those of p at d-j+1..d, a sliding window,
+    read as the running sums of p - q^j p."""
+    cs, pad = p.coeffs, (0,) * j
+    return QPoly(accumulate(map(sub, cs + pad, pad + cs)))
 
 
 def _divide_by_q_integer(p: QPoly, i: int) -> QPoly:
-    """p / [i] = p (1 - q) / (1 - q^i), dividing by 1 - q^i by the recurrence
-    r[d] += r[d - i]; its last i terms are the remainder, and must be zero."""
+    """p / [i] = p (1 - q) / (1 - q^i), for i >= 1.
+
+    Dividing by 1 - q^i is the recurrence r[d] += r[d - i], which runs
+    along each residue class d = c mod i on its own: a running sum of the
+    slice r[c::i].  The last i terms are the remainder, and must be zero.
+    """
+    if i < 1:
+        raise ValueError("can only divide by [i] for i >= 1")
     cs = p.coeffs
-    r = [c - prev for c, prev in zip(cs + (0,), (0,) + cs)]
-    for d in range(i, len(r)):
-        r[d] += r[d - i]
+    r = list(map(sub, cs + (0,), (0,) + cs))
+    for c in range(min(i, len(r))):
+        r[c::i] = accumulate(r[c::i])
     cut = max(len(r) - i, 0)
     if any(r[cut:]):
         raise InexactDivision(f"nonzero remainder dividing by [{i}]")
@@ -265,10 +276,14 @@ def q_binomial_recurrence(n: int, k: int) -> QPoly:
 def q_binomial_quotient(n: int, k: int) -> QPoly:
     """Gaussian binomial via the quotient route: [n]! / ([k]! [n-k]!).
 
-    Formed as [n-k+1]...[n], then divided exactly by [2], ..., [k]; each
-    partial quotient is [n choose k] [k]! / [i]!, a polynomial.  That the
-    quotient is a polynomial at all is not obvious from this formula; a
-    nonzero remainder would raise InexactDivision and flag a bug.
+    With k' = min(k, n-k), which the formula allows since it is symmetric
+    in k and n-k, the quotient is formed one factor at a time:
+    p <- p [n-k'+i] / [i] for i = 1, ..., k'.  After step i, p is
+    [n-k'+1]...[n-k'+i] / [i]!, that is [n-k'+i choose i], a polynomial of
+    degree i (n-k').  So no partial result has degree above k' (n-k'),
+    and no product more than k' - 1 above that.  That each quotient is a
+    polynomial at all is not obvious from this formula; a nonzero
+    remainder would raise InexactDivision and flag a bug.
     """
     if n < 0 or k < 0 or k > n:
         raise ValueError("requires 0 <= k <= n")
@@ -276,11 +291,10 @@ def q_binomial_quotient(n: int, k: int) -> QPoly:
         return QPoly.one()
     if n > MAX_Q_SERIES_N:
         raise over_q_series_cap(n, f"[{n} choose {k}] has degree {k * (n - k)}")
+    k = min(k, n - k)
     p = QPoly.one()
-    for j in range(n - k + 1, n + 1):
-        p = _times_q_integer(p, j)
-    for i in range(2, k + 1):
-        p = _divide_by_q_integer(p, i)
+    for i in range(1, k + 1):
+        p = _divide_by_q_integer(_times_q_integer(p, n - k + i), i)
     return p
 
 

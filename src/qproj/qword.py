@@ -30,13 +30,16 @@ result are repacked first.
 Slots are signed.  A packed value sum c_i 2^(B*i) with |c_i| < 2^(B-1)
 is read back as balanced digits: a negative slot borrows one from the
 slot above.  Adding 2^(B-1) to every slot undoes all the borrows at
-once, since each shifted slot lies in [1, 2^B - 1], so packing and
-unpacking are each one bytes join or one run of byte slices, linear in
-the size of the polynomial.
+once, since each shifted slot lies in [1, 2^B - 1].  Packing is one
+bytes join.  Unpacking reads the shifted slots as 64-bit words with one
+``struct.unpack`` call, then, while the words are narrower than B,
+pairs neighbours as lo + hi 2^w; every B is 64 * 2^j bits, so that
+ends at B.  Both are linear in the size of the polynomial.
 """
 
 from __future__ import annotations
 
+import struct
 from typing import Iterator, Mapping
 
 from .qcalc import MAX_Q_SERIES_N, QPoly, over_q_series_cap
@@ -65,9 +68,14 @@ def _unpack(value: int, nbytes: int) -> QPoly:
     # the top nonzero slot d has |value| > 2^(B*d - 1), so d <= bits // B
     slots = abs(value).bit_length() // (8 * nbytes) + 1
     raw = (value + _offset(slots, nbytes)).to_bytes(slots * nbytes, "little")
-    half = 1 << (8 * nbytes - 1)
-    return QPoly([int.from_bytes(raw[i:i + nbytes], "little") - half
-                  for i in range(0, len(raw), nbytes)])
+    words = struct.unpack(f"<{slots * nbytes // 8}Q", raw)
+    width = 64
+    while width < 8 * nbytes:
+        # slots are 8 * 2^j bytes: pair neighbouring words into the wider slot
+        words = [lo + (hi << width) for lo, hi in zip(words[::2], words[1::2])]
+        width *= 2
+    half = 1 << (width - 1)
+    return QPoly([w - half for w in words])
 
 
 class NoncommPoly:

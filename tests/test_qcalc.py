@@ -4,10 +4,11 @@ import subprocess
 import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import qproj
+from qproj import qcalc
 from qproj import (BudgetExceeded, InexactDivision, QPoly, evaluate,
                    expand_binomial, q_binomial_quotient, q_binomial_recurrence,
                    q_factorial, q_integer)
@@ -35,6 +36,11 @@ class TestQPoly:
         assert (a * 0) == QPoly.zero()
         assert (a ** 2).coeffs == (1, 2, 1)
         assert a.shift(2).coeffs == (0, 0, 1, 1)
+
+    def test_negative_shift_refused(self):
+        for p in (QPoly([1, 2, 3]), QPoly.zero()):
+            with pytest.raises(ValueError):
+                p.shift(-1)
 
     def test_evaluate(self):
         p = QPoly([1, 2, 3])
@@ -96,9 +102,13 @@ class TestQInteger:
         with pytest.raises(ValueError):
             q_integer(-1)
 
-    @given(st.lists(st.integers(-50, 50), max_size=10), st.integers(1, 12))
+    @given(st.lists(st.integers(-50, 50), max_size=10), st.integers(1, 30))
+    @example([3, -1, 2], 1)
+    @example([1, 2], 25)
     @settings(max_examples=120, deadline=None)
     def test_window_product_and_division_round_trip(self, xs, i):
+        # i = 1 is the identity; an i longer than the polynomial leaves
+        # residue classes that hold one coefficient or none
         c = QPoly(xs)
         product = _times_q_integer(c, i)
         assert product == c * q_integer(i)
@@ -110,6 +120,11 @@ class TestQInteger:
         with pytest.raises(InexactDivision):
             _divide_by_q_integer(QPoly.one(), 3)
         assert _divide_by_q_integer(QPoly.zero(), 3) == QPoly.zero()
+
+    def test_division_by_q_integer_below_one_refused(self):
+        for i in (0, -1):
+            with pytest.raises(ValueError):
+                _divide_by_q_integer(QPoly([1, 2]), i)
 
 
 class TestQFactorial:
@@ -138,6 +153,23 @@ class TestQBinomial:
         assert q_binomial_quotient(4, 2).coeffs == (1, 1, 2, 1, 1)
         for n in range(6):
             assert q_binomial_quotient(n, n) == QPoly.one()
+
+    def test_quotient_runs_over_the_smaller_of_k_and_n_minus_k(self, monkeypatch):
+        degrees = []
+        times = qcalc._times_q_integer
+
+        def spy(p, j):
+            degrees.append(p.degree)
+            return times(p, j)
+
+        monkeypatch.setattr(qcalc, "_times_q_integer", spy)
+        assert q_binomial_quotient(120, 119) == q_integer(120)
+        assert len(degrees) == 1
+        degrees.clear()
+        assert q_binomial_quotient(120, 60) == q_binomial_recurrence(120, 60)
+        # each input is [60 + i choose i] for some i < 60
+        assert len(degrees) == 60
+        assert max(degrees) <= 60 * 60
 
     def test_quotient_pre(self):
         with pytest.raises(ValueError):

@@ -1,11 +1,12 @@
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qproj import (NoncommPoly, QPoly, expand_binomial, nc_coefficient,
                    nc_multiply, q_binomial_recurrence)
+from qproj.qword import _pack, _unpack
 
 
 def test_yx_rewrites_to_q_xy():
@@ -176,3 +177,45 @@ def test_zero_coefficients_never_stored():
     minus = NoncommPoly({(1, 1): QPoly([-1])})
     assert not (p + minus)
     assert len(p + minus) == 0
+
+
+def _unpack_reference(value, nbytes):
+    """Balanced slots of ``value``, read one ``int.from_bytes`` per slot."""
+    bits, half = 8 * nbytes, 1 << (8 * nbytes - 1)
+    slots = abs(value).bit_length() // bits + 1
+    offset = sum(half << (bits * i) for i in range(slots))
+    raw = (value + offset).to_bytes(slots * nbytes, "little")
+    return QPoly([int.from_bytes(raw[i:i + nbytes], "little") - half
+                  for i in range(0, len(raw), nbytes)])
+
+
+@st.composite
+def _slot_lists(draw):
+    nbytes = draw(st.sampled_from((8, 16, 32)))
+    top = (1 << (8 * nbytes - 1)) - 1
+    slot = st.one_of(st.sampled_from((0, top, -top)), st.integers(-top, top))
+    return nbytes, draw(st.lists(slot, max_size=8))
+
+
+@given(_slot_lists())
+@example((8, []))
+@example((16, [2**127 - 1, 0, -(2**127 - 1)]))
+@example((32, [0, -(2**255 - 1)]))
+@settings(max_examples=200, deadline=None)
+def test_unpack_inverts_pack(case):
+    # the widest slot values, zero slots and the empty polynomial, at slot
+    # widths that read one, two and four machine words
+    nbytes, coeffs = case
+    value = _pack(tuple(coeffs), nbytes)
+    assert _unpack(value, nbytes) == QPoly(coeffs)
+    assert _unpack(value, nbytes) == _unpack_reference(value, nbytes)
+
+
+@pytest.mark.parametrize("n", (62, 63, 64))
+def test_expansion_across_the_slot_boundary(n):
+    # (x + y)^n has coefficient bound 2^n, so slots widen from 8 to 16
+    # bytes at n = 63
+    p = expand_binomial(n)
+    assert p._nbytes == (8 if n == 62 else 16)
+    for k in range(n + 1):
+        assert nc_coefficient(p, k, n - k) == q_binomial_recurrence(n, k), k
