@@ -12,8 +12,8 @@ arithmetic is exact.
 from .errors import (BudgetExceeded, DegenerateQ, DimensionMismatch,
                      FieldMismatch, GeometryFormatError, InexactDivision,
                      NotAPrimePower)
-from .qcalc import (QPoly, evaluate, q_binomial_quotient,
-                    q_binomial_recurrence, q_factorial, q_integer)
+from .qcalc import (QPoly, q_binomial_quotient, q_binomial_recurrence,
+                    q_factorial, q_integer)
 from .qword import NoncommPoly, expand_binomial, nc_coefficient, nc_multiply
 from .gf import FiniteField, factor_prime_power, make_field
 from .linalg import (SubspaceCanonical, count_independent_tuples,
@@ -29,8 +29,7 @@ from .geometry import (AxiomReport, CensusReport, Check,
 from .planes import (BruckRyserVerdict, PlaneReport, PlaneStructure,
                      bruck_ryser, plane_from_geometry, plane_from_json,
                      plane_to_json, two_squares, validate_plane)
-from .paths import (LatticePath, area_generating_function, enumerate_paths,
-                    path_area)
+from .paths import area_generating_function
 from .groups import (AlternatingComparison, GroupOrderReport,
                      alternating_group_comparison, brute_force_psl_order,
                      gl_order, group_order, pgl_order, psl_order, sl_order)

@@ -177,7 +177,7 @@ def _cmd_qbinom(args):
 
 def _cmd_expand(args):
     p = expand_binomial(args.n)
-    lines = [f"x^{a} y^{b}: {coeff}" for (a, b), coeff in p.terms()]
+    lines = (f"x^{a} y^{b}: {coeff}" for (a, b), coeff in p.terms())
     payload = {"n": args.n,
                "terms": [{"x": a, "y": b, "coefficients": list(c.coeffs)}
                          for (a, b), c in p.terms()]}

@@ -53,8 +53,9 @@ class IncidenceGeometry:
 
     subspaces[i] is a bitmask over point indices; dims[i] is its declared
     dimension.  Nothing is enforced here beyond structural sanity (every
-    mask a subset of the point set), since the validators must be able to
-    inspect corrupted geometries.
+    mask a subset of the point set, and none listed twice, as L is a set
+    of subsets), since the validators must be able to inspect corrupted
+    geometries.
     """
 
     points: tuple[str, ...]
@@ -69,6 +70,12 @@ class IncidenceGeometry:
             raise ValueError("duplicate point identifiers")
         if any(m >> len(self.points) for m in self.subspaces):
             raise ValueError("a subspace mask has bits outside the point set")
+        first: dict[int, int] = {}
+        for j, m in enumerate(self.subspaces):
+            i = first.setdefault(m, j)
+            if i != j:
+                raise ValueError(f"subspaces[{j}]: duplicate subspace (same point "
+                                 f"set as subspaces[{i}])")
 
     @classmethod
     def from_point_sets(cls, points: Sequence[str],
@@ -205,26 +212,24 @@ def _axiom_witnesses(g: IncidenceGeometry, members: Sequence[int], top: int,
                  holds.  Then every pairwise intersection is in L, and
                  with the point set as a top L is a lattice whose meet is
                  intersection (a finite meet-semilattice with a top is a
-                 lattice), so axiom 1 has no witness.  This reads no dim
-                 and holds whether or not a mask is listed twice.
-      certified  closed, no mask listed twice, axioms 2 to 4 hold and
-                 _modular_certificate passes: neither axiom has a
-                 witness, and no pair is read.
+                 lattice), so axiom 1 has no witness.  This reads no dim.
+      certified  closed, axioms 2 to 4 hold and _modular_certificate
+                 passes: neither axiom has a witness, and no pair is
+                 read.
 
     Otherwise axioms 1 and 5 share one pass over the pairs i <= j of
     members (_pair_witnesses), told whether L is closed and, where axiom
-    2 holds and no mask is listed twice, given the dim layers for its
-    screened rows.  The intervals of derived property 1 take the plain
-    pass.  The witnesses are each axiom's first counterexample in that
-    order.
+    2 holds, given the dim layers for its screened rows.  The intervals
+    of derived property 1 take the plain pass.  The witnesses are each
+    axiom's first counterexample in that order.
     """
     lat = g._lattice
     masks, dims = g.subspaces, g.dims
-    index_of, below, above = lat.index_of, lat.below, lat.above
+    index_of, above = lat.index_of, lat.above
 
     # axiom 2: the members inside top are the members of the pass, so the
-    # ones properly above i with no larger dim are above[i] minus below[i]
-    # (the masks equal to i's) within at_most[dims[i]]
+    # ones properly above i with no larger dim are above[i] minus i itself
+    # within at_most[dims[i]]
     ax2_witness = None
     at_dim: dict[int, int] = {}  # dim d -> the members of dim d
     for j in members:
@@ -234,7 +239,7 @@ def _axiom_witnesses(g: IncidenceGeometry, members: Sequence[int], top: int,
     for d in sorted(at_dim):
         running = at_most[d] = running | at_dim[d]
     for i in members:
-        proper = above[i] & ~below[i] & at_most[dims[i]]
+        proper = above[i] & ~(1 << i) & at_most[dims[i]]
         if proper:
             j = (proper & -proper).bit_length() - 1
             ax2_witness = (f"{g.describe_subspace(i)} is properly contained in "
@@ -258,15 +263,13 @@ def _axiom_witnesses(g: IncidenceGeometry, members: Sequence[int], top: int,
             break
 
     whole = len(members) == len(masks)
-    distinct = len(masks) == len(index_of)
     closed = whole and top in index_of and _coatom_intersections(lat, top)
-    if (closed and distinct and not (ax2_witness or ax3_witness or ax4_witness)
+    if (closed and not (ax2_witness or ax3_witness or ax4_witness)
             and _modular_certificate(lat, dims, at_dim)):
         ax1_witness = ax5_witness = None
     else:
         ax1_witness, ax5_witness = _pair_witnesses(
-            g, members, closed,
-            at_dim if whole and distinct and not ax2_witness else None)
+            g, members, closed, at_dim if whole and not ax2_witness else None)
 
     order, ax6_witness = _line_order(g, members, claimed)
     witnesses = {1: ax1_witness, 2: ax2_witness, 3: ax3_witness,
@@ -279,10 +282,10 @@ def _modular_certificate(lat: _Lattice, dims: Sequence[int],
     """True only if every pair of members has a meet and a join in L and
     satisfies the modular law: axioms 1 and 5 then have no witness.
 
-    The caller has checked that the members are all of L with distinct
-    masks, that the point set top is a member, that axioms 2, 3 and 4
-    hold and that check 3 passes (_coatom_intersections, run first since
-    the pair pass reads it too); this runs checks 1 and 2
+    The caller has checked that the members are all of L, that the point
+    set top is a member, that axioms 2, 3 and 4 hold and that check 3
+    passes (_coatom_intersections, run first since the pair pass reads
+    it too); this runs checks 1 and 2
     (lattice._cover_count).  at_dim maps each dim d to the bitset of the
     members of dim d.  Write d(w) for the dim of w.  The three checks:
 
@@ -355,9 +358,9 @@ def _pair_witnesses(g: IncidenceGeometry, members: Sequence[int], closed: bool,
     one (axiom 1) and its first pair whose dims break the modular law
     (axiom 5), so the rows in order give each axiom's first witness in
     row-major order.  at_dim, the members of each dim, is given where
-    the call covers all of L, axiom 2 holds and no mask is listed
-    twice.  Then each row after axiom 1 is settled is screened instead
-    (lattice._screened_row): there the least dim of a common upper bound
+    the call covers all of L and axiom 2 holds.  Then each row after
+    axiom 1 is settled is screened instead (lattice._screened_row):
+    there the least dim of a common upper bound
     and the greatest dim of a common lower bound, read for the whole row
     from bitset layers, are the dims of the join and the meet where
     these exist, so only the pairs where the modular law can fail are
@@ -366,7 +369,7 @@ def _pair_witnesses(g: IncidenceGeometry, members: Sequence[int], closed: bool,
     Cost: a full row reads all its pairs; a screened row makes one OR of
     |L|-bit ints per member comparable with members[a].  Full rows are
     paid up to axiom 1's first witness, or throughout on input that
-    fails axiom 2 or lists a mask twice until both witnesses are found.
+    fails axiom 2 until both witnesses are found.
     """
     lat = g._lattice
     masks, dims = g.subspaces, g.dims
@@ -400,17 +403,16 @@ def validate_axioms(g: IncidenceGeometry) -> AxiomReport:
 
     Witnesses are the first counterexample in canonical order (subspace
     index order, pairs with i <= j), so reports are deterministic.  Where
-    axioms 2, 3 and 4 hold, no mask is listed twice and the point set is
-    a member, axioms 1 and 5 are first tried by a certificate from the
-    covers and the coatoms (_modular_certificate); it holds exactly when
-    both axioms do, and then no pair is read.  Otherwise a pass over the
-    pairs finds the witnesses and stops once both axioms are settled.
-    When every intersection is in L, axiom 1 is settled before any pair
-    is read; where axiom 2 holds and no mask is listed twice, the rows
-    after axiom 1 is settled read only the pairs that a screen by dim
-    layers cannot clear (_axiom_witnesses, _pair_witnesses).  Raises
-    BudgetExceeded when |L| is over LATTICE_CAP, which bounds the pairs
-    read.
+    axioms 2, 3 and 4 hold and the point set is a member, axioms 1 and 5
+    are first tried by a certificate from the covers and the coatoms
+    (_modular_certificate); it holds exactly when both axioms do, and
+    then no pair is read.  Otherwise a pass over the pairs finds the
+    witnesses and stops once both axioms are settled.  When every
+    intersection is in L, axiom 1 is settled before any pair is read;
+    where axiom 2 holds, the rows after axiom 1 is settled read only the
+    pairs that a screen by dim layers cannot clear (_axiom_witnesses,
+    _pair_witnesses).  Raises BudgetExceeded when |L| is over
+    LATTICE_CAP, which bounds the pairs read.
     """
     witnesses, order = g._axioms
     return AxiomReport(_checks(_AXIOM_DESCRIPTIONS, witnesses), order,
@@ -465,9 +467,9 @@ def check_derived_properties(g: IncidenceGeometry) -> DerivedPropertiesReport:
          contained in S or dim(T meet S) = dim(T) - 1.
 
     Certificate: if all six axioms pass on L (IncidenceGeometry._axioms,
-    the pass validate_axioms reports) and no two members share a mask,
-    every property passes, and the report is built with no further work
-    (Birkhoff, Lattice Theory, 3rd ed., ch. IV):
+    the pass validate_axioms reports), every property passes, and the
+    report is built with no further work (Birkhoff, Lattice Theory, 3rd
+    ed., ch. IV):
 
       1. needs the axioms.  Property 1 on S is the six axioms on the
          interval [empty set, S]: _axiom_witnesses on the members inside
@@ -488,10 +490,9 @@ def check_derived_properties(g: IncidenceGeometry) -> DerivedPropertiesReport:
          is then their intersection.
       3. needs property 4 and axiom 2.  The join of two points is a line
          by property 4, and it lies inside every line through both, so
-         axiom 2 makes it equal to each of them.  It is the only one as
-         members are distinct; a line listed twice passes every axiom,
-         which is why the certificate also needs distinct members.  Two
-         lines sharing points a != b would put that pair on two lines.
+         axiom 2 makes it equal to each of them: it is the only one, as
+         L lists each point set once.  Two lines sharing points a != b
+         would put that pair on two lines.
       4. needs axioms 1, 3, 4 and 5.  Take axiom 5 on the pair (S, {x}):
          their meet is the empty member, of dim -1, and the singleton
          has dim 0, so the join has dim dim(S) + 1.
@@ -499,15 +500,14 @@ def check_derived_properties(g: IncidenceGeometry) -> DerivedPropertiesReport:
          outside it properly contains S, so axiom 2 gives it dim n, and
          the modular law gives dim(T meet S) = dim(T) - 1.
 
-    Otherwise (some axiom fails, or a mask is listed twice, which only
-    the library constructor admits) each property is checked directly,
+    Otherwise (some axiom fails) each property is checked directly,
     and a failed one names its first counterexample: property 1 checks
     each interval in index order, and there a join missing from L can
     fail an interval that has it (S and T inside two upper bounds whose
     intersection is not in L), so its witness is only meaningful once
     axiom 1 passes.  Property 2 names the first pair i <= j whose
     intersection is not in L.  Property 3 checks its first half, since
-    two lines with the same point set count as two.
+    two lines sharing two points put that pair on two lines.
 
     Cost: on a geometry the certificate covers, nothing beyond the one
     axiom pass shared with validate_axioms, which itself certifies
@@ -519,8 +519,7 @@ def check_derived_properties(g: IncidenceGeometry) -> DerivedPropertiesReport:
     masks, dims = g.subspaces, g.dims
     ns = len(masks)
     axioms, order = g._axioms
-    if (all(w is None for w in axioms.values())
-            and len(lat.index_of) == ns):
+    if all(w is None for w in axioms.values()):
         return DerivedPropertiesReport(
             _checks(_PROPERTY_DESCRIPTIONS, dict.fromkeys(_PROPERTY_DESCRIPTIONS)))
 
@@ -836,7 +835,7 @@ class _CollineationSearch:
         npts = len(g.points)
         self.max_nodes = max_nodes
         self.nodes = 0
-        self.members = sorted(set(g.subspaces))
+        self.members = sorted(g.subspaces)
         self.member_set = set(self.members)
         self.closures: dict[int, int] = {}  # at most one per node and trace
         # through[x]: the members containing x, as a bitset over member indices
@@ -988,10 +987,9 @@ def geometry_from_json(obj: object) -> IncidenceGeometry:
     """Parse and structurally validate the JSON interchange form.
 
     Structural problems raise GeometryFormatError naming the offending
-    field.  Note that two subspaces with identical point sets are
-    rejected here as a format error: the family L is a set of subsets,
-    and a duplicate entry cannot be ordered by containment.  Axiom-level
-    problems are left to validate_axioms.
+    field.  Two subspaces with identical point sets are refused by
+    IncidenceGeometry, and that refusal is raised here as a format
+    error.  Axiom-level problems are left to validate_axioms.
     """
     if not isinstance(obj, dict):
         raise GeometryFormatError("top level: expected an object")
@@ -1012,7 +1010,6 @@ def geometry_from_json(obj: object) -> IncidenceGeometry:
         raise GeometryFormatError("subspaces: expected a list")
     index = {name: i for i, name in enumerate(raw_points)}
     masks, dims = [], []
-    seen: dict[int, int] = {}
     for i, entry in enumerate(raw_subs):
         if not isinstance(entry, dict):
             raise GeometryFormatError(f"subspaces[{i}]: expected an object")
@@ -1033,11 +1030,6 @@ def geometry_from_json(obj: object) -> IncidenceGeometry:
                 raise GeometryFormatError(
                     f"subspaces[{i}].points: duplicate point {name!r}")
             mask |= bit
-        if mask in seen:
-            raise GeometryFormatError(
-                f"subspaces[{i}]: duplicate subspace (same point set as "
-                f"subspaces[{seen[mask]}])")
-        seen[mask] = i
         masks.append(mask)
         dims.append(entry["dim"])
     claimed = obj.get("claimed_order")
@@ -1045,4 +1037,7 @@ def geometry_from_json(obj: object) -> IncidenceGeometry:
         if isinstance(claimed, bool) or not isinstance(claimed, int) or claimed < 1:
             raise GeometryFormatError(
                 "claimed_order: expected a positive integer (order 0 is out of scope)")
-    return IncidenceGeometry(tuple(raw_points), tuple(masks), tuple(dims), claimed)
+    try:
+        return IncidenceGeometry(tuple(raw_points), tuple(masks), tuple(dims), claimed)
+    except ValueError as e:
+        raise GeometryFormatError(str(e)) from None

@@ -41,9 +41,9 @@ class _Lattice:
       below[i]  the members inside i: all members minus the OR of up[p]
                 over the points outside i.
 
-    join_of and meet_of map above[u] and below[u] back to u, the first
-    index winning as in index_of.  Members with distinct masks have
-    distinct up-sets and down-sets, since each member lies in its own.
+    join_of and meet_of map above[u] and below[u] back to u.  Distinct
+    members have distinct up-sets and down-sets, since each member lies
+    in its own.
 
     The join u of i and j, when it exists, lies in every common upper
     bound, so above[u] is exactly the set above[i] & above[j] of common
@@ -67,9 +67,9 @@ class _Lattice:
     since every intersection is still in L; P4(F3) without a line about
     0.15 s, the rows after the first missing meet being screened
     (_screened_row); Boolean(12) without a line about 1.1-1.4 s.  Input
-    that fails axiom 2 or lists a mask twice, and is not closed under
-    intersection, still reads every pair until both witnesses are
-    found, and LATTICE_CAP bounds those |L|^2/2 pairs.
+    that fails axiom 2 and is not closed under intersection still reads
+    every pair until both witnesses are found, and LATTICE_CAP bounds
+    those |L|^2/2 pairs.
     """
 
     def __init__(self, g: IncidenceGeometry):
@@ -80,9 +80,7 @@ class _Lattice:
                 f"|L| = {ns} subspaces ({ns * (ns + 1) // 2} pairs) exceeds "
                 f"the lattice cap of |L| <= {LATTICE_CAP}")
         self.masks = masks
-        self.index_of: dict[int, int] = {}
-        for idx, m in enumerate(masks):
-            self.index_of.setdefault(m, idx)
+        self.index_of = {m: idx for idx, m in enumerate(masks)}
         up = [0] * len(g.points)
         for k, m in enumerate(masks):
             for p in _bits(m):
@@ -100,11 +98,8 @@ class _Lattice:
                 outside |= up[p]
             self.above.append(a)
             self.below.append(everything ^ outside)
-        self.join_of: dict[int, int] = {}
-        self.meet_of: dict[int, int] = {}
-        for u, (a, b) in enumerate(zip(self.above, self.below)):
-            self.join_of.setdefault(a, u)
-            self.meet_of.setdefault(b, u)
+        self.join_of = {a: u for u, a in enumerate(self.above)}
+        self.meet_of = {b: u for u, b in enumerate(self.below)}
 
     def meet(self, i: int, j: int) -> int | None:
         """The index of the meet of members i and j, or None if L has none."""
@@ -141,7 +136,7 @@ def _coatom_intersections(lat: _Lattice, top: int) -> bool:
 
     True puts every pairwise intersection in L: S & T is S & H_1 & ... &
     H_k over the coatoms H_i containing T, and each step meets a member
-    with a coatom.  This holds whether or not a mask is listed twice.
+    with a coatom.
     """
     above, masks = lat.above, lat.masks
     t = lat.index_of[top]
@@ -210,11 +205,10 @@ def _screened_row(lat: _Lattice, dims: Sequence[int],
                   ) -> tuple[int, int, int] | None:
     """The first pair (i, j), j >= i, with a meet and a join whose dims
     break the modular law, as (j, meet, join), or None.  For a family in
-    which dim strictly increases on proper containment (axiom 2) and no
-    two members share a mask; layers lists (d, the members of dim d) by
-    increasing d, over all members.
+    which dim strictly increases on proper containment (axiom 2); layers
+    lists (d, the members of dim d) by increasing d, over all members.
 
-    Under those two conditions every common upper bound of i and j other
+    Under that condition every common upper bound of i and j other
     than their join properly contains the join, so the join, where it
     exists, has the least dim e(j) among the common upper bounds; dually
     the meet has the greatest dim f(j) among the common lower bounds.

@@ -15,8 +15,7 @@ h = (m+n)//2 into a first half with some j R steps in positions 0..h-1
 and a second half with the other m - j in positions h..m+n-1; every path
 is exactly one such pair, and its position sum is the sum of the two
 halves'.  So it lists half-paths, at most 2^h + 2^(m+n-h) of them, and
-never whole paths.  LatticePath and its step strings are built only when
-paths are listed.
+never whole paths.
 """
 
 from __future__ import annotations
@@ -24,29 +23,11 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
-from dataclasses import dataclass
 
 from .errors import BudgetExceeded
 from .qcalc import MAX_Q_SERIES_N, QPoly, over_q_series_cap
 
 DEFAULT_MAX_STEPS = 24
-
-RIGHT = "R"
-UP = "U"
-
-
-@dataclass(frozen=True)
-class LatticePath:
-    steps: tuple[str, ...]
-    box: tuple[int, int]
-
-    def __post_init__(self):
-        m, n = self.box
-        if self.steps.count(RIGHT) != m or self.steps.count(UP) != n:
-            raise ValueError(f"path must take exactly {m} R steps and {n} U steps")
-
-    def __str__(self) -> str:
-        return "".join(self.steps)
 
 
 def _check_box(m: int, n: int, max_steps: int) -> None:
@@ -62,33 +43,11 @@ def _check_box(m: int, n: int, max_steps: int) -> None:
         raise over_q_series_cap(m + n, f"[{m + n} choose {m}] has degree {m * n}")
 
 
-def enumerate_paths(m: int, n: int,
-                    max_steps: int = DEFAULT_MAX_STEPS) -> list[LatticePath]:
-    """All C(m+n, m) monotone paths, lexicographic with R before U."""
-    _check_box(m, n, max_steps)
-    total = m + n
-    paths = []
-    # choosing the R positions in lexicographic order enumerates the
-    # step strings in lexicographic order with R < U
-    for rpos in itertools.combinations(range(total), m):
-        steps = [UP] * total
-        for i in rpos:
-            steps[i] = RIGHT
-        paths.append(LatticePath(tuple(steps), (m, n)))
-    return paths
-
-
 def _area_offset(m: int) -> int:
     # the i-th R step (0-based) at position p has p - i up steps before
     # it, and each (U before R) pair is one cell of the area, so the area
     # is the sum of the R positions less 0 + 1 + ... + (m - 1)
     return m * (m - 1) // 2
-
-
-def path_area(p: LatticePath) -> int:
-    """Area enclosed with the bottom and right walls of the box."""
-    return (sum(i for i, step in enumerate(p.steps) if step == RIGHT)
-            - _area_offset(p.box[0]))
 
 
 def area_generating_function(m: int, n: int,

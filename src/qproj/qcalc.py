@@ -297,7 +297,3 @@ def q_binomial_quotient(n: int, k: int) -> QPoly:
         p = _divide_by_q_integer(_times_q_integer(p, n - k + i), i)
     return p
 
-
-def evaluate(p: QPoly, value: int) -> int:
-    """Evaluate p at q = value in exact integer arithmetic."""
-    return p.evaluate(value)

@@ -12,7 +12,7 @@ import time
 from qproj import (BruckRyserVerdict, brute_force_psl_order,
                    bruck_ryser, build_boolean_geometry, build_projective_space,
                    collineation_order, count_independent_tuples,
-                   enumerate_subspaces, evaluate, expand_binomial,
+                   enumerate_subspaces, expand_binomial,
                    factor_prime_power, gl_order, make_field, nc_coefficient,
                    pgl_order, point_count_check, psl_order,
                    q_binomial_quotient, q_binomial_recurrence,
@@ -54,7 +54,7 @@ def test_criterion_3_subspace_counting():
         for n in range(5):
             for k in range(n + 1):
                 subs = enumerate_subspaces(q, n, k)
-                assert len(subs) == evaluate(q_binomial_recurrence(n, k), q)
+                assert len(subs) == q_binomial_recurrence(n, k).evaluate(q)
                 assert len(set(subs)) == len(subs)
     # independent oracle: spans of k-subsets of nonzero vectors, deduplicated
     for q in (2, 3):

@@ -47,10 +47,16 @@ Five cases were written from the code before the derived properties of
 a geometry that passes the axioms were certified by the axiom pass alone:
 ``geometry check`` on P3(F3) and Boolean(7), valid and large enough that
 the certificate alone answers, and "fano line twice", the Fano plane
-with its first line inserted again right after itself.  Its ``geometry
-check`` and ``geometry collineations`` entries exit 2 ("duplicate
-subspace"), and its ``derived`` entry pins property 3 failing ("lie on
-2 lines") while every axiom passes.
+with its first line inserted again right after itself.
+
+Four documents list one point set twice, which IncidenceGeometry refuses,
+so they are written as JSON with no geometry behind them: "fano line
+twice", and "fano minus point" 0, 1 and 2, the Fano plane with the
+point's name dropped everywhere, so that its singleton repeats the empty
+set.  Their ``geometry check`` and ``geometry collineations`` entries
+exit 2 ("duplicate subspace"); they were written from the code before
+the reader left that check to IncidenceGeometry, and they have no
+``derived`` entry.
 
 Four cases were written from the code before the collineation search kept
 one trace list per depth: ``geometry collineations`` with ``--max-points``
@@ -95,8 +101,7 @@ from qproj import (build_boolean_geometry, build_projective_space,
                    plane_from_geometry, plane_to_json)
 from qproj.cli import run
 
-from util import (drop_subspace, duplicate_subspace, perturb_dim, shuffle_members,
-                  standard_mutations)
+from util import drop_subspace, perturb_dim, shuffle_members, standard_mutations
 
 GOLDEN = Path(__file__).with_name("golden_cli.json")
 FILE = "{file}"
@@ -114,9 +119,22 @@ def _geometries():
     }
     geoms.update(standard_mutations(geoms["P2(F2)"], geoms["P2(F3)"],
                                     geoms["Boolean(4)"]))
-    fano = geoms["P2(F2)"]
-    geoms["fano line twice"] = duplicate_subspace(fano, fano.dims.index(1))
     return geoms
+
+
+@functools.cache
+def _repeated_mask_documents():
+    """name -> a Fano plane document that lists one point set twice."""
+    fano = geometry_to_json(build_projective_space(2, 2))
+    subs = fano["subspaces"]
+    line = next(i for i, s in enumerate(subs) if s["dim"] == 1)
+    docs = {"fano line twice": {**fano, "subspaces": subs[:line + 1] + subs[line:]}}
+    for b, name in enumerate(fano["points"][:3]):
+        docs[f"fano minus point {b}"] = {
+            **fano, "points": [p for p in fano["points"] if p != name],
+            "subspaces": [{**s, "points": [p for p in s["points"] if p != name]}
+                          for s in subs]}
+    return docs
 
 
 @functools.cache
@@ -136,9 +154,10 @@ def _cases():
     fano = geoms["P2(F2)"]
     fano_line = next(i for i, d in enumerate(fano.dims) if d == 1)
     base = {}
-    for name, g in geoms.items():
-        base[f"geometry check {name}"] = (["geometry", "check", FILE],
-                                          geometry_to_json(g))
+    docs = {name: geometry_to_json(g) for name, g in geoms.items()}
+    docs.update(_repeated_mask_documents())
+    for name, doc in docs.items():
+        base[f"geometry check {name}"] = (["geometry", "check", FILE], doc)
     for name, g in (("P2(F4)", build_projective_space(4, 2)),
                     ("Boolean(6)", build_boolean_geometry(6)),
                     ("P3(F3)", build_projective_space(3, 3)),
@@ -187,6 +206,9 @@ def _cases():
     for name, g in _collineation_geometries().items():
         base[f"geometry collineations {name}"] = (
             ["geometry", "collineations", FILE], geometry_to_json(g))
+    for name, doc in _repeated_mask_documents().items():
+        base[f"geometry collineations {name}"] = (
+            ["geometry", "collineations", FILE], doc)
     for name, g in (("P2(F3)", geoms["P2(F3)"]), ("P3(F2)", p3f2),
                     ("P2(F4)", p2f4), ("P2(F3) minus line", geoms["P2(F3) minus line"])):
         npts = str(len(g.points))

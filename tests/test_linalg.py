@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from qproj import linalg
 from qproj import (BudgetExceeded, DimensionMismatch, FieldMismatch,
                    SubspaceCanonical, count_independent_tuples,
-                   enumerate_subspaces, evaluate, make_field,
+                   enumerate_subspaces, make_field,
                    orthogonal_complement, q_binomial_recurrence, rref,
                    span_canonical, subspace_join, subspace_meet)
 
@@ -137,7 +137,7 @@ class TestEnumeration:
             for n in range(5):
                 for k in range(n + 1):
                     subs = enumerate_subspaces(q, n, k)
-                    expected = evaluate(q_binomial_recurrence(n, k), q)
+                    expected = q_binomial_recurrence(n, k).evaluate(q)
                     assert len(subs) == expected
                     assert len(set(subs)) == len(subs)
 

@@ -5,60 +5,16 @@ from collections import Counter
 import pytest
 
 import qproj.paths
-from qproj import (BudgetExceeded, LatticePath, area_generating_function,
-                   enumerate_paths, path_area, q_binomial_recurrence)
+from qproj import BudgetExceeded, area_generating_function, q_binomial_recurrence
 
 
-def test_two_paths_in_unit_box():
-    paths = enumerate_paths(1, 1)
-    assert [str(p) for p in paths] == ["RU", "UR"]
-
-
-def test_three_paths():
-    assert len(enumerate_paths(2, 1)) == 3
-
-
-def test_counts_match_binomial():
-    for m in range(1, 7):
-        for n in range(1, 7):
-            paths = enumerate_paths(m, n)
-            assert len(paths) == math.comb(m + n, m)
-            assert len(set(str(p) for p in paths)) == len(paths)
-
-
-def test_lexicographic_order():
-    strings = [str(p) for p in enumerate_paths(3, 2)]
-    assert strings == sorted(strings)  # 'R' < 'U' in ASCII
-
-
-def test_area_unit_box():
-    up_first = LatticePath(("U", "R"), (1, 1))
-    right_first = LatticePath(("R", "U"), (1, 1))
-    assert path_area(up_first) == 1
-    assert path_area(right_first) == 0
-
-
-def test_hugging_path_has_area_zero():
-    for m, n in ((3, 2), (1, 5), (4, 4)):
-        p = LatticePath(("R",) * m + ("U",) * n, (m, n))
-        assert path_area(p) == 0
-
-
-def test_area_extremes():
-    for m, n in ((2, 3), (4, 2)):
-        areas = [path_area(p) for p in enumerate_paths(m, n)]
-        assert min(areas) == 0
-        assert max(areas) == m * n
-        top = LatticePath(("U",) * n + ("R",) * m, (m, n))
-        assert path_area(top) == m * n
-
-
-def _walk_area(p):
-    # an up step taken at horizontal position x adds a row of m - x cells
-    m = p.box[0]
+def _walk_area(m, n, rpos):
+    # the path with its R steps at the positions rpos, walked step by
+    # step: an up step taken at horizontal position x adds a row of
+    # m - x cells
     x = area = 0
-    for step in p.steps:
-        if step == "R":
+    for step in range(m + n):
+        if step in rpos:
             x += 1
         else:
             area += m - x
@@ -66,15 +22,13 @@ def _walk_area(p):
 
 
 def test_area_matches_step_walk():
+    # the generating function reads a path's area as the sum of its R
+    # positions less _area_offset(m)
     for m in range(1, 6):
         for n in range(1, 6):
-            for p in enumerate_paths(m, n):
-                assert path_area(p) == _walk_area(p), str(p)
-
-
-def test_step_count_enforced():
-    with pytest.raises(ValueError):
-        LatticePath(("R", "R"), (1, 1))
+            for rpos in itertools.combinations(range(m + n), m):
+                area = sum(rpos) - qproj.paths._area_offset(m)
+                assert area == _walk_area(m, n, rpos), rpos
 
 
 def test_generating_function_small():
@@ -89,12 +43,13 @@ def test_generating_function_is_gaussian_binomial():
 
 
 def test_generating_function_matches_per_path_areas():
-    # the reference lists every whole path and reads its area one path at
-    # a time; it shares no code with the midpoint split or with qcalc
+    # the reference lists the R positions of every whole path and walks
+    # each one; it shares no code with the midpoint split or with qcalc
     for total in range(2, 15):
         for m in range(1, total):
             n = total - m
-            areas = Counter(path_area(p) for p in enumerate_paths(m, n))
+            areas = Counter(_walk_area(m, n, rpos)
+                            for rpos in itertools.combinations(range(total), m))
             expected = [areas[a] for a in range(m * n + 1)]
             assert list(area_generating_function(m, n).coeffs) == expected, (m, n)
 
@@ -130,17 +85,14 @@ def test_value_at_one_counts_paths():
 
 def test_budget():
     with pytest.raises(BudgetExceeded):
-        enumerate_paths(20, 10)
-    with pytest.raises(BudgetExceeded):
         area_generating_function(20, 10)
     with pytest.raises(BudgetExceeded):
-        enumerate_paths(3, 3, max_steps=5)
-    assert len(enumerate_paths(3, 3, max_steps=6)) == 20  # raised cap admits it
+        area_generating_function(3, 3, max_steps=5)
+    # the raised cap admits it
+    assert area_generating_function(3, 3, max_steps=6).evaluate(1) == 20
 
 
 def test_positive_box_required():
     for m, n in ((0, 3), (3, 0), (-1, 2)):
-        with pytest.raises(ValueError):
-            enumerate_paths(m, n)
         with pytest.raises(ValueError):
             area_generating_function(m, n)

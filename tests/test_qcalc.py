@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import qproj
 from qproj import qcalc
-from qproj import (BudgetExceeded, InexactDivision, QPoly, evaluate,
+from qproj import (BudgetExceeded, InexactDivision, QPoly,
                    expand_binomial, q_binomial_quotient, q_binomial_recurrence,
                    q_factorial, q_integer)
 from qproj.qcalc import MAX_Q_SERIES_N, _divide_by_q_integer, _times_q_integer
@@ -198,12 +198,12 @@ class TestQBinomial:
                 assert all(c >= 0 for c in p.coeffs)
 
     def test_evaluate_function(self):
-        assert evaluate(q_binomial_recurrence(3, 1), 2) == 7
-        assert evaluate(q_binomial_recurrence(4, 2), 1) == 6
+        assert q_binomial_recurrence(3, 1).evaluate(2) == 7
+        assert q_binomial_recurrence(4, 2).evaluate(1) == 6
 
     def test_big_evaluations_stay_exact(self):
         # far beyond 64-bit territory
-        v = evaluate(q_binomial_recurrence(20, 10), 5)
+        v = q_binomial_recurrence(20, 10).evaluate(5)
         assert v > 2 ** 64
         assert v == count_subspaces_product_formula(5, 20, 10)
 

@@ -20,19 +20,10 @@ def drop_subspace(g: IncidenceGeometry, idx: int) -> IncidenceGeometry:
         g.claimed_order)
 
 
-def duplicate_subspace(g: IncidenceGeometry, idx: int,
-                       at: int | None = None) -> IncidenceGeometry:
-    """Insert a second copy of member idx (and its dim) before index at,
-    by default right after idx itself.  The JSON reader rejects the copy
-    as a duplicate; the library constructor admits it."""
-    at = idx + 1 if at is None else at
-    return IncidenceGeometry(
-        g.points, g.subspaces[:at] + (g.subspaces[idx],) + g.subspaces[at:],
-        g.dims[:at] + (g.dims[idx],) + g.dims[at:], g.claimed_order)
-
-
 def delete_point(g: IncidenceGeometry, bit: int) -> IncidenceGeometry:
-    """Excise one point from P and from every subspace, leaving L otherwise fixed."""
+    """Excise one point from P and from every subspace, leaving L otherwise
+    fixed.  The point's singleton must be gone first, or it would repeat
+    the empty set (delete_point_and_singleton)."""
     keep = [i for i in range(len(g.points)) if i != bit]
     remap = {old: new for new, old in enumerate(keep)}
     masks = []
@@ -47,11 +38,12 @@ def delete_point(g: IncidenceGeometry, bit: int) -> IncidenceGeometry:
 
 
 def delete_point_and_singleton(g: IncidenceGeometry, bit: int) -> IncidenceGeometry:
-    """Excise one point as ``delete_point`` does, then drop its emptied singleton.
+    """Drop the singleton of one point, then excise the point as
+    ``delete_point`` does.
 
-    ``delete_point`` alone leaves the point's singleton as a second empty
-    member, which the JSON reader rejects as a duplicate before any axiom
-    runs; without it the mutant is well formed and reaches the axioms.
+    Excised with its singleton still in L, the point would leave a second
+    empty member, which IncidenceGeometry refuses; without it the mutant
+    is well formed and reaches the axioms.
     """
     singleton = g.subspaces.index(1 << bit)
     return delete_point(drop_subspace(g, singleton), bit)
@@ -94,8 +86,6 @@ def standard_mutations(fano, p2f3, boolean4):
     for i in fano_lines:
         cases.append((f"fano minus line {i}", drop_subspace(fano, i)))
     for b in range(3):
-        cases.append((f"fano minus point {b}", delete_point(fano, b)))
-    for b in range(3):
         cases.append((f"fano minus point {b}, singleton dropped",
                        delete_point_and_singleton(fano, b)))
     cases.append(("fano line dim bumped", perturb_dim(fano, fano_lines[0])))
@@ -126,8 +116,8 @@ def sweep_collineation_order(g: IncidenceGeometry) -> int:
 
 class LatticeReference(NamedTuple):
     contained: list[list[int]]  # contained[i]: the members inside i, increasing
-    meets: list[list[int | None]]  # meets[i][j]: the meet's first index, or None
-    joins: list[list[int | None]]  # joins[i][j]: the join's first index, or None
+    meets: list[list[int | None]]  # meets[i][j]: the meet's index, or None
+    joins: list[list[int | None]]  # joins[i][j]: the join's index, or None
 
 
 def lattice_reference(g: IncidenceGeometry) -> LatticeReference:
@@ -137,14 +127,12 @@ def lattice_reference(g: IncidenceGeometry) -> LatticeReference:
     all their common lower bounds (it is a lower bound containing the
     rest), and dually the least upper bound is the intersection of all
     common upper bounds; each exists iff that union or intersection is
-    itself in L, and is then the first index with that point set.
+    itself in L, and is then the member with that point set.
     Test-only: _Lattice reads meets and joins from up-set bitsets.
     """
     masks = g.subspaces
     ns = len(masks)
-    first: dict[int, int] = {}
-    for idx, m in enumerate(masks):
-        first.setdefault(m, idx)
+    index_of = {m: idx for idx, m in enumerate(masks)}
     containers = [[j for j, mj in enumerate(masks) if mi & mj == mi] for mi in masks]
     contained = [[j for j, mj in enumerate(masks) if mj & mi == mj] for mi in masks]
     meets, joins = [], []
@@ -157,8 +145,8 @@ def lattice_reference(g: IncidenceGeometry) -> LatticeReference:
         for k in containers[i]:
             for j in contained[k]:
                 inter[j] &= masks[k]
-        meets.append([first.get(m) for m in union])
-        joins.append([first.get(m) for m in inter])
+        meets.append([index_of.get(m) for m in union])
+        joins.append([index_of.get(m) for m in inter])
     return LatticeReference(contained, meets, joins)
 
 
@@ -292,10 +280,8 @@ def property_four_reference(g: IncidenceGeometry) -> str | None:
     gathered by lattice_reference."""
     joins = lattice_reference(g).joins
     masks, dims = g.subspaces, g.dims
-    singletons = {}
-    for idx, m in enumerate(masks):
-        if m.bit_count() == 1:
-            singletons.setdefault(m.bit_length() - 1, idx)
+    singletons = {m.bit_length() - 1: idx for idx, m in enumerate(masks)
+                  if m.bit_count() == 1}
     for i, mask in enumerate(masks):
         for b in range(len(g.points)):
             if mask >> b & 1 or b not in singletons:
