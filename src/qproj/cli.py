@@ -509,6 +509,9 @@ def run(argv: list[str]) -> CommandResult:
         return CommandResult(code)
     try:
         exit_code, lines, payload = args.handler(args)
+        if not getattr(args, "json", False):
+            # a handler may yield its lines lazily, so they are joined here
+            return CommandResult(exit_code, "\n".join(lines))
     except GeometryFormatError as e:
         return CommandResult(EXIT_USAGE, error=f"format error: {e}")
     except ValueError as e:
@@ -518,13 +521,11 @@ def run(argv: list[str]) -> CommandResult:
     except Exception as e:  # a crash must not read as exit 1, "the math disagrees"
         return CommandResult(EXIT_INTERNAL,
                              error=f"internal error: {type(e).__name__}: {e}")
-    if getattr(args, "json", False):
-        command = args.command + (
-            f" {args.subcommand}" if getattr(args, "subcommand", None) else "")
-        wrapped = {"command": command, "ok": exit_code == EXIT_OK, "data": payload}
-        with _unlimited_int_digits():
-            return CommandResult(exit_code, _json_text(wrapped))
-    return CommandResult(exit_code, "\n".join(lines))
+    command = args.command + (
+        f" {args.subcommand}" if getattr(args, "subcommand", None) else "")
+    wrapped = {"command": command, "ok": exit_code == EXIT_OK, "data": payload}
+    with _unlimited_int_digits():
+        return CommandResult(exit_code, _json_text(wrapped))
 
 
 def main() -> None:

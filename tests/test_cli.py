@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from qproj import cli
 from qproj.cli import _unlimited_int_digits, run
 from qproj.groups import MAX_GL_ORDER_BITS, gl_order
-from qproj.qcalc import MAX_Q_SERIES_N, q_binomial_quotient
+from qproj.qcalc import MAX_Q_SERIES_N, QPoly, q_binomial_quotient
 
 
 def _write(tmp_path, name, doc):
@@ -155,6 +155,21 @@ class TestExpand:
             "x^1 y^1: 1 + q",
             "x^2 y^0: 1",
         ]
+
+    def test_json_formats_no_text(self, monkeypatch):
+        # the text lines are discarded under --json, so none is formatted
+        def refuse(self):
+            raise AssertionError("a text line was formatted")
+
+        want = run(["expand", "6", "--json"]).text
+        monkeypatch.setattr(QPoly, "__str__", refuse)
+        res = run(["expand", "6", "--json"])
+        assert res.exit_code == 0
+        assert res.text == want
+        assert (json.loads(res.text)["data"]["terms"][3]["coefficients"]
+                == [1, 1, 2, 3, 3, 3, 3, 2, 1, 1])
+        # the text path formats them, and a failure there is still internal
+        assert run(["expand", "6"]).exit_code == cli.EXIT_INTERNAL
 
 
 class TestSubspaces:

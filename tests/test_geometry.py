@@ -17,8 +17,9 @@ from qproj.geometry import IncidenceGeometry
 
 from util import (corrupt_family, delete_point_and_singleton, drop_subspace,
                   lattice_reference, perturb_dim, property_one_reference,
-                  reference_axioms, reference_derived_properties, shuffle_members,
-                  standard_mutations, sweep_collineation_order)
+                  reference_axioms, reference_derived_properties,
+                  repeated_mask_documents, shuffle_members, standard_mutations,
+                  sweep_collineation_order)
 
 
 @functools.cache
@@ -356,6 +357,34 @@ class TestLatticeEdges:
             IncidenceGeometry(("a", "b"), (0, 1, 2, 1), (-1, 0, 0, 0))
         with pytest.raises(ValueError, match=r"^subspaces\[2\]: .* subspaces\[0\]\)$"):
             IncidenceGeometry.from_point_sets("ab", [(1, "ab"), (0, "a"), (1, "ba")])
+
+    @pytest.mark.parametrize("name", [*repeated_mask_documents(),
+                                      "Boolean(4), {a,b} at dims 2 and 1"])
+    def test_the_library_and_the_reader_refuse_a_repeated_point_set(self, name):
+        # each family lists one point set twice, and the library and the
+        # reader refuse it with one message, which names the first repeat
+        # and the member it repeats
+        if name.startswith("Boolean(4)"):
+            specs = [(-1, "")] + [(0, x) for x in "abcd"] + [(1, p) for p in _pairs("abcd")]
+            specs[5] = (2, "ab")
+            specs.insert(6, (1, "ab"))
+            specs += [(3, "".join(t)) for t in itertools.combinations("abcd", 3)]
+            specs.append((4, "abcd"))
+            doc = {"points": list("abcd"),
+                   "subspaces": [{"dim": d, "points": list(s)} for d, s in specs]}
+        else:
+            doc = repeated_mask_documents()[name]
+        sets = [frozenset(s["points"]) for s in doc["subspaces"]]
+        j = next(j for j, s in enumerate(sets) if s in sets[:j])
+        message = (f"subspaces[{j}]: duplicate subspace "
+                   f"(same point set as subspaces[{sets.index(sets[j])}])")
+        with pytest.raises(ValueError) as err:
+            IncidenceGeometry.from_point_sets(
+                doc["points"], [(s["dim"], s["points"]) for s in doc["subspaces"]])
+        assert str(err.value) == message
+        with pytest.raises(GeometryFormatError) as err:
+            geometry_from_json(doc)
+        assert str(err.value) == message
 
     def test_masks_must_lie_in_the_point_set(self):
         with pytest.raises(ValueError, match="outside the point set"):

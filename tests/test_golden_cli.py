@@ -101,7 +101,8 @@ from qproj import (build_boolean_geometry, build_projective_space,
                    plane_from_geometry, plane_to_json)
 from qproj.cli import run
 
-from util import drop_subspace, perturb_dim, shuffle_members, standard_mutations
+from util import (drop_subspace, perturb_dim, repeated_mask_documents,
+                  shuffle_members, standard_mutations)
 
 GOLDEN = Path(__file__).with_name("golden_cli.json")
 FILE = "{file}"
@@ -123,21 +124,6 @@ def _geometries():
 
 
 @functools.cache
-def _repeated_mask_documents():
-    """name -> a Fano plane document that lists one point set twice."""
-    fano = geometry_to_json(build_projective_space(2, 2))
-    subs = fano["subspaces"]
-    line = next(i for i, s in enumerate(subs) if s["dim"] == 1)
-    docs = {"fano line twice": {**fano, "subspaces": subs[:line + 1] + subs[line:]}}
-    for b, name in enumerate(fano["points"][:3]):
-        docs[f"fano minus point {b}"] = {
-            **fano, "points": [p for p in fano["points"] if p != name],
-            "subspaces": [{**s, "points": [p for p in s["points"] if p != name]}
-                          for s in subs]}
-    return docs
-
-
-@functools.cache
 def _collineation_geometries():
     """The collineation cases besides Fano: every corpus family on <= 9 points."""
     geoms = {name: g for name, g in _geometries().items()
@@ -155,7 +141,7 @@ def _cases():
     fano_line = next(i for i, d in enumerate(fano.dims) if d == 1)
     base = {}
     docs = {name: geometry_to_json(g) for name, g in geoms.items()}
-    docs.update(_repeated_mask_documents())
+    docs.update(repeated_mask_documents())
     for name, doc in docs.items():
         base[f"geometry check {name}"] = (["geometry", "check", FILE], doc)
     for name, g in (("P2(F4)", build_projective_space(4, 2)),
@@ -206,7 +192,7 @@ def _cases():
     for name, g in _collineation_geometries().items():
         base[f"geometry collineations {name}"] = (
             ["geometry", "collineations", FILE], geometry_to_json(g))
-    for name, doc in _repeated_mask_documents().items():
+    for name, doc in repeated_mask_documents().items():
         base[f"geometry collineations {name}"] = (
             ["geometry", "collineations", FILE], doc)
     for name, g in (("P2(F3)", geoms["P2(F3)"]), ("P3(F2)", p3f2),

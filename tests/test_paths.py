@@ -21,6 +21,42 @@ def _walk_area(m, n, rpos):
     return area
 
 
+def test_two_paths_in_unit_box():
+    # RU hugs the bottom edge and UR encloses the one cell
+    assert area_generating_function(1, 1).coeffs == (1, 1)
+
+
+def test_three_paths():
+    assert area_generating_function(2, 1).coeffs == (1, 1, 1)
+
+
+def test_counts_match_binomial():
+    for m in range(1, 7):
+        for n in range(1, 7):
+            assert sum(area_generating_function(m, n).coeffs) == math.comb(m + n, m)
+
+
+def test_area_unit_box():
+    assert _walk_area(1, 1, (1,)) == 1  # up first
+    assert _walk_area(1, 1, (0,)) == 0  # right first
+
+
+def test_hugging_path_has_area_zero():
+    for m, n in ((3, 2), (1, 5), (4, 4)):
+        assert _walk_area(m, n, tuple(range(m))) == 0
+        # and it is the only path of area zero
+        assert area_generating_function(m, n).coeffs[0] == 1
+
+
+def test_area_extremes():
+    for m, n in ((2, 3), (4, 2)):
+        coeffs = area_generating_function(m, n).coeffs
+        assert len(coeffs) == m * n + 1
+        assert coeffs[0] == coeffs[-1] == 1
+        # the path that goes all the way up first encloses the whole box
+        assert _walk_area(m, n, tuple(range(n, m + n))) == m * n
+
+
 def test_area_matches_step_walk():
     # the generating function reads a path's area as the sum of its R
     # positions less _area_offset(m)

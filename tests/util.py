@@ -4,11 +4,12 @@ Each corruption helper returns a new IncidenceGeometry one mutation away
 from the input; the validators must flag every one of them.
 """
 
+import functools
 import itertools
 import random
 from typing import NamedTuple
 
-from qproj import geometry
+from qproj import build_projective_space, geometry, geometry_to_json
 from qproj.geometry import AxiomReport, DerivedPropertiesReport, IncidenceGeometry
 
 
@@ -95,6 +96,26 @@ def standard_mutations(fano, p2f3, boolean4):
                    if m.bit_count() == 2)
     cases.append(("Boolean(4) pair dim bumped", perturb_dim(boolean4, b4_pair)))
     return cases
+
+
+@functools.cache
+def repeated_mask_documents() -> dict[str, dict]:
+    """name -> a Fano plane JSON document that lists one point set twice.
+
+    "fano line twice" inserts a copy of the first line right after it;
+    "fano minus point b" drops point b's name everywhere, so that its
+    singleton repeats the empty set.  IncidenceGeometry refuses each one.
+    """
+    fano = geometry_to_json(build_projective_space(2, 2))
+    subs = fano["subspaces"]
+    line = next(i for i, s in enumerate(subs) if s["dim"] == 1)
+    docs = {"fano line twice": {**fano, "subspaces": subs[:line + 1] + subs[line:]}}
+    for b, name in enumerate(fano["points"][:3]):
+        docs[f"fano minus point {b}"] = {
+            **fano, "points": [p for p in fano["points"] if p != name],
+            "subspaces": [{**s, "points": [p for p in s["points"] if p != name]}
+                          for s in subs]}
+    return docs
 
 
 def sweep_collineation_order(g: IncidenceGeometry) -> int:
