@@ -19,9 +19,9 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import itertools
 import json
 import sys
-from dataclasses import asdict, dataclass
 
 from . import geometry as geo
 from . import planes as pl
@@ -32,6 +32,7 @@ from .linalg import DEFAULT_SUBSPACE_BUDGET, enumerate_subspaces
 from .paths import DEFAULT_MAX_STEPS, area_generating_function
 from .qcalc import QPoly, q_binomial_recurrence, q_binomial_quotient
 from .qword import expand_binomial
+from .record import Record
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -40,11 +41,16 @@ EXIT_BUDGET = 3
 EXIT_INTERNAL = 4
 
 
-@dataclass
-class CommandResult:
+class CommandResult(Record):
     exit_code: int
     text: str = ""
     error: str = ""
+
+
+def _later(fn, *args, **kwargs):
+    """The one text line fn(*args, **kwargs), formatted only when run joins
+    the lines, which it does not under --json."""
+    yield fn(*args, **kwargs)
 
 
 def _poly_text(p: QPoly) -> str:
@@ -55,18 +61,19 @@ def _poly_text(p: QPoly) -> str:
 
 
 @contextlib.contextmanager
-def _unlimited_int_digits():
-    """Lift Python's int-to-str digit limit (4300 by default) for printing.
+def _int_digit_limit(limit: int):
+    """Set Python's int-to-str digit limit (4300 by default, 0 for none)
+    while output is formatted.
 
-    Exact group orders can pass the limit.  It is lifted only where output
-    is formatted and restored afterwards, so parsing input keeps the guard
-    against quadratic str-to-int conversion.
+    Exact group orders can pass the default limit.  It is changed only
+    where output is formatted and restored afterwards, so parsing input
+    keeps the guard against quadratic str-to-int conversion.
     """
     if not hasattr(sys, "set_int_max_str_digits"):
         yield
         return
     old = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
+    sys.set_int_max_str_digits(limit)
     try:
         yield
     finally:
@@ -77,6 +84,9 @@ def _unlimited_int_digits():
 # digits on Python 3.11 (about 8 ms at 2^16 bits on a 2-core VM), for
 # halves joined in decimal arithmetic
 _STR_INT_BITS = 2 ** 16
+# the digits of 2^_STR_INT_BITS, so str() of an int up to _STR_INT_BITS
+# bits stays within this limit
+_STR_INT_DIGITS = 19729
 
 
 def _int_text(value: int) -> str:
@@ -91,7 +101,7 @@ def _int_text(value: int) -> str:
     or raises.  decimal is imported only here, since importing it costs
     about 0.5 MB of memory.
     """
-    with _unlimited_int_digits():
+    with _int_digit_limit(0):
         if value.bit_length() <= _STR_INT_BITS:
             return str(value)
         import decimal
@@ -117,23 +127,30 @@ def _int_text(value: int) -> str:
 def _json_text(x, indent: str = "") -> str:
     """x as json.dumps(x, indent=2) writes it at this indent, with ints
     past _STR_INT_BITS bits formatted by _int_text; run it under
-    _unlimited_int_digits.
+    _int_digit_limit(0).
 
     json.dumps prints ints by int.__repr__, which is quadratic in the
-    digits on Python 3.11.  Every other leaf goes to json.dumps.
+    digits on Python 3.11.  So x goes to one json.dumps call under a
+    digit limit of _STR_INT_DIGITS, re-indented (JSON text holds no raw
+    newline), and only a subtree whose dump raises at a longer int is
+    walked here, down to that int.
     """
-    if isinstance(x, int) and not isinstance(x, bool) and x.bit_length() > _STR_INT_BITS:
+    try:
+        with _int_digit_limit(_STR_INT_DIGITS):
+            text = json.dumps(x, indent=2)
+        return text.replace("\n", "\n" + indent) if indent else text
+    except ValueError:
+        pass
+    if isinstance(x, int):
         return _int_text(x)
     inner = indent + "  "
-    if isinstance(x, dict) and x:
+    if isinstance(x, dict):
         # json.dumps writes a non-str key as the text of its JSON value
         items = (f"{inner}{json.dumps(k if isinstance(k, str) else json.dumps(k))}: "
                  f"{_json_text(v, inner)}" for k, v in x.items())
         return "{\n" + ",\n".join(items) + "\n" + indent + "}"
-    if isinstance(x, (list, tuple)) and x:
-        items = (inner + _json_text(v, inner) for v in x)
-        return "[\n" + ",\n".join(items) + "\n" + indent + "]"
-    return json.dumps(x)
+    items = (inner + _json_text(v, inner) for v in x)
+    return "[\n" + ",\n".join(items) + "\n" + indent + "]"
 
 
 def _load_json(path: str):
@@ -171,8 +188,8 @@ def _cmd_qbinom(args):
                 f"over the cap of {MAX_GL_ORDER_BITS}")
         value = rec.evaluate(args.at)
         payload["value_at"] = {"q": args.at, "value": value}
-        return EXIT_OK, [_int_text(value)], payload
-    return EXIT_OK, [_poly_text(rec)], payload
+        return EXIT_OK, _later(_int_text, value), payload
+    return EXIT_OK, _later(_poly_text, rec), payload
 
 
 def _cmd_expand(args):
@@ -188,18 +205,21 @@ def _cmd_subspaces(args):
     subs = enumerate_subspaces(args.q, args.n, args.k, budget=args.budget)
     expected = q_binomial_recurrence(args.n, args.k).evaluate(args.q)
     ok = len(subs) == expected
-    lines = [f"count: {len(subs)} (expected {expected})"]
     payload = {"q": args.q, "n": args.n, "k": args.k,
                "count": len(subs), "expected": expected, "matches": ok}
+    listing = ()
     if args.list:
-        for s in subs:
-            lines.append("; ".join(" ".join(str(c) for c in row) for row in s.basis)
-                         or "(empty basis)")
+        listing = (_basis_text(s.basis) for s in subs)
         payload["subspaces"] = [[list(row) for row in s.basis] for s in subs]
-    if not ok:
-        lines.append("MISMATCH: enumeration disagrees with the Gaussian binomial")
-        return EXIT_VERIFY, lines, payload
-    return EXIT_OK, lines, payload
+    verdict = [] if ok else ["MISMATCH: enumeration disagrees with the Gaussian binomial"]
+    lines = itertools.chain([f"count: {len(subs)} (expected {expected})"],
+                            listing, verdict)
+    return (EXIT_OK if ok else EXIT_VERIFY), lines, payload
+
+
+def _basis_text(basis) -> str:
+    """The rows of a basis, entries space-separated, rows joined by '; '."""
+    return "; ".join(" ".join(str(c) for c in row) for row in basis) or "(empty basis)"
 
 
 def _cmd_geometry_build(args):
@@ -209,7 +229,7 @@ def _cmd_geometry_build(args):
     else:
         g = geo.build_boolean_geometry(args.boolean)
     doc = geo.geometry_to_json(g)
-    return EXIT_OK, [json.dumps(doc, indent=2)], doc
+    return EXIT_OK, _later(json.dumps, doc, indent=2), doc
 
 
 def _check_lines(title, results):
@@ -323,19 +343,21 @@ def _cmd_paths_gf(args):
 
 def _cmd_group_order(args):
     report = group_order(args.family, args.n, args.q)
-    lines = [f"|{report.family}_{report.n}(F_{report.q})| = {_int_text(report.order)}"]
-    payload = asdict(report)
+    payload = report._asdict()
+    code, brute_lines = EXIT_OK, []
     if args.brute_force:
         if report.family != "PSL":
             raise ValueError("--brute-force is implemented for PSL only")
         brute = brute_force_psl_order(args.n, args.q)
         ok = brute == report.order
-        lines.append(f"brute force: {brute} - {'MATCH' if ok else 'MISMATCH'}")
+        brute_lines.append(f"brute force: {brute} - {'MATCH' if ok else 'MISMATCH'}")
         payload["brute_force"] = brute
         payload["matches"] = ok
         if not ok:
-            return EXIT_VERIFY, lines, payload
-    return EXIT_OK, lines, payload
+            code = EXIT_VERIFY
+    order_line = _later(lambda: f"|{report.family}_{report.n}(F_{report.q})| = "
+                                f"{_int_text(report.order)}")
+    return code, itertools.chain(order_line, brute_lines), payload
 
 
 def _cmd_group_an(args):
@@ -346,7 +368,7 @@ def _cmd_group_an(args):
         f"full collineation group of the order-1 geometry on {rep.n} points: "
         f"S_{rep.n}, order {rep.symmetric_order}",
     ]
-    return EXIT_OK, lines, asdict(rep)
+    return EXIT_OK, lines, rep._asdict()
 
 
 # --- parser ------------------------------------------------------------------
@@ -524,7 +546,7 @@ def run(argv: list[str]) -> CommandResult:
     command = args.command + (
         f" {args.subcommand}" if getattr(args, "subcommand", None) else "")
     wrapped = {"command": command, "ok": exit_code == EXIT_OK, "data": payload}
-    with _unlimited_int_digits():
+    with _int_digit_limit(0):
         return CommandResult(exit_code, _json_text(wrapped))
 
 

@@ -29,10 +29,9 @@ scope and rejected at input validation.
 from __future__ import annotations
 
 import itertools
-from collections import Counter
-from dataclasses import asdict, dataclass
+from collections import Counter, namedtuple
+from collections.abc import Iterable, Sequence
 from functools import cached_property
-from typing import Iterable, NamedTuple, Sequence
 
 from .errors import BudgetExceeded, GeometryFormatError
 from .gf import make_field
@@ -40,6 +39,7 @@ from .lattice import (LATTICE_CAP, _bits, _coatom_intersections, _cover_count,
                       _full_row, _Lattice, _screened_row)
 from .linalg import SubspaceCanonical, enumerate_subspaces
 from .qcalc import q_binomial_quotient, q_binomial_recurrence, q_integer
+from .record import Record
 
 DEFAULT_BOOLEAN_CAP = 12
 DEFAULT_COLLINEATION_CAP = 9
@@ -47,8 +47,7 @@ DEFAULT_COLLINEATION_NODES = 10 ** 7  # search nodes; about 2 us each on a 2-cor
 DEFAULT_GEOMETRY_BUDGET = 10 ** 6
 
 
-@dataclass(frozen=True)
-class IncidenceGeometry:
+class IncidenceGeometry(Record):
     """Plain container; constructors guarantee the axioms, validators check them.
 
     subspaces[i] is a bitmask over point indices; dims[i] is its declared
@@ -112,8 +111,7 @@ class IncidenceGeometry:
                                 self.claimed_order)
 
 
-@dataclass(frozen=True)
-class Check:
+class Check(Record):
     """One numbered check of a report; a failed check carries a witness."""
 
     number: int
@@ -122,8 +120,8 @@ class Check:
     witness: str | None = None
 
 
-class Report:
-    """The record every verdict report shares: a frozen dataclass with a
+class Report(Record):
+    """The record every verdict report shares: a frozen ``Record`` with a
     ``passed`` property, serialised by ``as_dict``.
 
     ``as_dict`` lists the fields in declaration order, each tuple of
@@ -133,7 +131,7 @@ class Report:
 
     def as_dict(self) -> dict:
         out = {k: list(v) if isinstance(v, tuple) else v
-               for k, v in asdict(self).items()}
+               for k, v in self._asdict().items()}
         out["passed"] = self.passed
         return out
 
@@ -144,7 +142,6 @@ def _checks(descriptions: dict[int, str],
                  for k, text in descriptions.items())
 
 
-@dataclass(frozen=True)
 class AxiomReport(Report):
     axioms: tuple[Check, ...]
     order: int | None       # inferred from line sizes, else the claimed order
@@ -422,7 +419,6 @@ def validate_axioms(g: IncidenceGeometry) -> AxiomReport:
 # ---------------------------------------------------------------------------
 # consequences of the axioms (checked exhaustively on a validated geometry)
 
-@dataclass(frozen=True)
 class DerivedPropertiesReport(Report):
     properties: tuple[Check, ...]
 
@@ -581,10 +577,7 @@ def check_derived_properties(g: IncidenceGeometry) -> DerivedPropertiesReport:
 # ---------------------------------------------------------------------------
 # counting checks
 
-class PointCountCheck(NamedTuple):
-    expected: int
-    actual: int
-    passed: bool
+PointCountCheck = namedtuple("PointCountCheck", "expected actual passed")
 
 
 def _resolved_order(g: IncidenceGeometry) -> int:
@@ -603,7 +596,6 @@ def point_count_check(g: IncidenceGeometry) -> PointCountCheck:
     return PointCountCheck(expected, actual, expected == actual)
 
 
-@dataclass(frozen=True)
 class CensusReport(Report):
     counts: dict[int, int]
     expected: dict[int, int]

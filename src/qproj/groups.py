@@ -25,11 +25,11 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 
 from .errors import BudgetExceeded, DegenerateQ
 from .gf import FiniteField, factor_prime_power, make_field
 from .qcalc import MAX_Q_SERIES_N, q_factorial
+from .record import Record
 
 DEFAULT_BRUTE_CAP = 3 ** 9
 DEFAULT_FACTORIAL_CAP = 12
@@ -40,8 +40,7 @@ DEFAULT_FACTORIAL_CAP = 12
 MAX_GL_ORDER_BITS = 2 ** 20
 
 
-@dataclass(frozen=True)
-class GroupOrderReport:
+class GroupOrderReport(Record):
     family: str
     n: int
     q: int
@@ -172,8 +171,7 @@ def brute_force_psl_order(n: int, q: int, cap: int = DEFAULT_BRUTE_CAP) -> int:
     return det_one // center
 
 
-@dataclass(frozen=True)
-class AlternatingComparison:
+class AlternatingComparison(Record):
     n: int
     alternating_order: int   # n!/2, the PSL-like normal subgroup at q = 1
     symmetric_order: int     # n!, the full collineation group at q = 1

@@ -11,10 +11,11 @@ qproj.geometry.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Sequence
+from collections.abc import Sequence
 
 from .errors import BudgetExceeded
 
+TYPE_CHECKING = False  # typing.TYPE_CHECKING, without importing typing
 if TYPE_CHECKING:
     from .geometry import IncidenceGeometry
 

@@ -25,7 +25,7 @@ the ambient dimension.
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Sequence
+from collections.abc import Iterable, Sequence
 
 from .errors import BudgetExceeded, DimensionMismatch, FieldMismatch
 from .gf import FiniteField, make_field

@@ -15,23 +15,21 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 
 from .errors import BudgetExceeded, DimensionMismatch, GeometryFormatError
 from .geometry import (Check, IncidenceGeometry, Report, _checks,
                        _geometry_dimension, _unique_line_witness)
+from .record import Record
 
 # about 0.15 s for a 25-digit order, 1.4 s for 4000 digits, on a 2-core VM
 MAX_TWO_SQUARES_CANDIDATES = 10 ** 6
 
 
-@dataclass(frozen=True)
-class PlaneStructure:
+class PlaneStructure(Record):
     points: tuple[str, ...]
     lines: tuple[tuple[str, ...], ...]
 
 
-@dataclass(frozen=True)
 class PlaneReport(Report):
     checks: tuple[Check, ...]
     order: int | None

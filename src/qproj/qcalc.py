@@ -18,9 +18,9 @@ multiplies by [j] and divides by [i] with running sums
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator
 from itertools import accumulate
 from operator import sub
-from typing import Iterable, Iterator
 
 from .errors import BudgetExceeded, InexactDivision
 

@@ -40,7 +40,7 @@ ends at B.  Both are linear in the size of the polynomial.
 from __future__ import annotations
 
 import struct
-from typing import Iterator, Mapping
+from collections.abc import Iterator, Mapping
 
 from .qcalc import MAX_Q_SERIES_N, QPoly, over_q_series_cap
 

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qproj import cli
-from qproj.cli import _unlimited_int_digits, run
+from qproj.cli import _int_digit_limit, run
 from qproj.groups import MAX_GL_ORDER_BITS, gl_order
 from qproj.qcalc import MAX_Q_SERIES_N, QPoly, q_binomial_quotient
 
@@ -54,7 +54,7 @@ class TestQbinom:
         res = run(["qbinom", "60", "30", "--at", "100000"] + flags)
         assert res.exit_code == 0
         value = q_binomial_quotient(60, 30).evaluate(100000)
-        with _unlimited_int_digits():
+        with _int_digit_limit(0):
             if flags:
                 assert json.loads(res.text)["data"]["value_at"]["value"] == value
             else:
@@ -109,7 +109,7 @@ def _int_text_cases():
 class TestIntText:
     @pytest.mark.parametrize("value", [pytest.param(v, id=i) for i, v in _int_text_cases()])
     def test_equals_str(self, value):
-        with _unlimited_int_digits():
+        with _int_digit_limit(0):
             assert cli._int_text(value) == str(value)
 
     @pytest.mark.parametrize("d", [315652, 315653])
@@ -142,8 +142,51 @@ class TestJsonText:
         doc = {"command": "group order", "ok": True,
                "data": {"order": value, "rows": [[1, -2], [], {}, ("é\"", 0.5, None)],
                         3: False, None: 1.5, True: -value, 0.25: [value]}}
-        with _unlimited_int_digits():
+        with _int_digit_limit(0):
             assert cli._json_text(doc) == json.dumps(doc, indent=2)
+
+
+class TestJsonFormatsNoText:
+    # the text lines are discarded under --json, so none is formatted
+    @pytest.mark.parametrize("argv, formatter", [
+        (["qbinom", "4", "2"], "_poly_text"),
+        (["qbinom", "3", "1", "--at", "2"], "_int_text"),
+        (["group", "order", "PSL", "3", "2"], "_int_text"),
+        (["subspaces", "2", "3", "1", "--list"], "_basis_text"),
+    ])
+    def test_formatter_not_called(self, monkeypatch, argv, formatter):
+        def refuse(*args):
+            raise AssertionError("a text line was formatted")
+
+        want = run(argv + ["--json"]).text
+        monkeypatch.setattr(cli, formatter, refuse)
+        res = run(argv + ["--json"])
+        assert res.exit_code == 0
+        assert res.text == want
+        assert run(argv).exit_code == cli.EXIT_INTERNAL
+
+    def test_geometry_build_dumps_the_document_once(self, monkeypatch):
+        argv = ["geometry", "build", "--projective", "2", "2"]
+        want = run(argv + ["--json"]).text
+        docs = []
+        to_json, dumps = cli.geo.geometry_to_json, json.dumps
+
+        def recording_to_json(g):
+            docs.append(to_json(g))
+            return docs[-1]
+
+        def refusing_dumps(obj, **kwargs):
+            if any(obj is doc for doc in docs):
+                raise AssertionError("the text line was formatted")
+            return dumps(obj, **kwargs)
+
+        monkeypatch.setattr(cli.geo, "geometry_to_json", recording_to_json)
+        monkeypatch.setattr(json, "dumps", refusing_dumps)
+        res = run(argv + ["--json"])
+        assert res.exit_code == 0
+        assert res.text == want
+        assert len(docs) == 1
+        assert run(argv).exit_code == cli.EXIT_INTERNAL
 
 
 class TestExpand:
@@ -419,7 +462,7 @@ class TestGroup:
         # order has 835,396 bits
         res = run(["group", "order", "GL", "457", "16"])
         assert res.exit_code == 0
-        with _unlimited_int_digits():
+        with _int_digit_limit(0):
             assert res.text == f"|GL_457(F_16)| = {gl_order(457, 16)}"
 
     def test_order_past_default_int_str_digit_limit(self):
@@ -428,7 +471,7 @@ class TestGroup:
         assert res.exit_code == 0
         assert run(["group", "order", "GL", "300", "9", "--json"]).exit_code == 0
         assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
-        with _unlimited_int_digits():
+        with _int_digit_limit(0):
             assert res.text == f"|GL_300(F_9)| = {gl_order(300, 9)}"
 
     @pytest.mark.parametrize("family", ["GL", "SL"])
@@ -479,6 +522,24 @@ class TestGroup:
         assert res.exit_code == 0
         assert "A_5: order 60 (simple)" in res.text
         assert "order 120" in res.text
+
+
+class TestStartup:
+    def test_import_loads_neither_dataclasses_nor_typing(self):
+        # each command is a fresh interpreter, so these imports cost every
+        # call; typing may already come with site (a .pth file), so the
+        # modules of an empty run are subtracted
+        def loaded(statement):
+            script = f"import sys\n{statement}\nprint(' '.join(sorted(sys.modules)))"
+            env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+            res = subprocess.run([sys.executable, "-c", script], env=env,
+                                 capture_output=True, text=True, timeout=60)
+            assert res.returncode == 0, res.stderr
+            return set(res.stdout.split())
+
+        added = loaded("import qproj.cli") - loaded("pass")
+        assert "qproj.cli" in added
+        assert not added & {"dataclasses", "inspect", "ast", "dis", "tokenize", "typing"}
 
 
 class TestUsage:
