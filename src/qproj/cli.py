@@ -229,7 +229,35 @@ def _cmd_geometry_build(args):
     else:
         g = geo.build_boolean_geometry(args.boolean)
     doc = geo.geometry_to_json(g)
-    return EXIT_OK, _later(json.dumps, doc, indent=2), doc
+    return EXIT_OK, _later(_geometry_text, doc), doc
+
+
+def _geometry_text(doc: dict) -> str:
+    """A geometry_to_json document as json.dumps(doc, indent=2) writes it.
+
+    The text is joined from strings with each point name quoted once;
+    json.dumps with an indent runs the pure-Python encoder over every
+    name of every subspace.
+    """
+    quoted = {name: json.dumps(name) for name in doc["points"]}
+
+    def array(items: list[str], indent: str) -> str:
+        """JSON texts as the items of an indented JSON array."""
+        if not items:
+            return "[]"
+        inner = "\n" + indent + "  "
+        return "[" + inner + ("," + inner).join(items) + "\n" + indent + "]"
+
+    def names(seq, indent: str) -> str:
+        return array(list(map(quoted.__getitem__, seq)), indent)
+
+    subspaces = [f'{{\n      "dim": {s["dim"]},\n      "points": '
+                 f'{names(s["points"], "      ")}\n    }}' for s in doc["subspaces"]]
+    fields = [f'"points": {names(doc["points"], "  ")}',
+              f'"subspaces": {array(subspaces, "  ")}']
+    if "claimed_order" in doc:
+        fields.append(f'"claimed_order": {doc["claimed_order"]}')
+    return "{\n  " + ",\n  ".join(fields) + "\n}"
 
 
 def _check_lines(title, results):

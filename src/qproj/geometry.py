@@ -37,7 +37,7 @@ from .errors import BudgetExceeded, GeometryFormatError
 from .gf import make_field
 from .lattice import (LATTICE_CAP, _bits, _coatom_intersections, _cover_count,
                       _full_row, _Lattice, _screened_row)
-from .linalg import SubspaceCanonical, enumerate_subspaces
+from .linalg import enumerate_subspaces
 from .qcalc import q_binomial_quotient, q_binomial_recurrence, q_integer
 from .record import Record
 
@@ -645,36 +645,6 @@ def subspace_census(g: IncidenceGeometry) -> CensusReport:
 # ---------------------------------------------------------------------------
 # constructors
 
-def _canonical_coeff_vectors(q: int, k: int):
-    # all length-k code vectors over F_q whose first nonzero entry is 1:
-    # one per 1-dimensional subspace of the coefficient space
-    for lead in range(k):
-        head = (0,) * lead + (1,)
-        for tail in itertools.product(range(q), repeat=k - lead - 1):
-            yield head + tail
-
-
-def _subspace_points(sub: SubspaceCanonical) -> list[tuple[int, ...]]:
-    """Canonical homogeneous representatives of the lines inside a subspace.
-
-    Because the basis is in RREF, a coefficient vector with first nonzero
-    entry 1 combines the rows into a vector whose first nonzero
-    coordinate is also 1, so every representative is produced directly in
-    canonical form, once.
-    """
-    field = sub.field
-    add, mul = field.add_table, field.mul_table
-    pts = []
-    for coeffs in _canonical_coeff_vectors(field.q, sub.dim):
-        v = [0] * sub.ambient
-        for c, row in zip(coeffs, sub.basis):
-            if c:
-                times = mul[c]
-                v = [add[a][times[b]] for a, b in zip(v, row)]
-        pts.append(tuple(v))
-    return pts
-
-
 def _point_name(codes: tuple[int, ...]) -> str:
     return "[" + ",".join(str(c) for c in codes) + "]"
 
@@ -690,7 +660,7 @@ def build_projective_space(q: int, n: int,
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    make_field(q)  # raise NotAPrimePower / BudgetExceeded before any work
+    field = make_field(q)  # raise NotAPrimePower / BudgetExceeded before any work
     # a running subspace count; the points go one power of q at a time, so
     # a large n is refused before any q-binomial is formed
     for total in itertools.accumulate(itertools.chain(
@@ -700,19 +670,57 @@ def build_projective_space(q: int, n: int,
             raise BudgetExceeded(f"P^{n}(F_{q}) has at least {total} subspaces, "
                                  f"over the budget of {budget}")
 
-    point_subs = enumerate_subspaces(q, n + 1, 1, budget)
-    point_coords = [s.basis[0] for s in point_subs]
-    point_index = {coords: i for i, coords in enumerate(point_coords)}
-    points = tuple(_point_name(c) for c in point_coords)
+    add, mul = field.add_table, field.mul_table
+    ambient = n + 1
+    point_index = {sub.basis[0]: i for i, sub
+                   in enumerate(enumerate_subspaces(q, ambient, 1, budget))}
+    points = tuple(map(_point_name, point_index))
+    bit = [1 << i for i in range(len(points))]
+    masks = [0, *bit]
+    dims = [-1] + [0] * len(points)
 
-    masks, dims = [], []
-    for k in range(n + 2):
-        for sub in enumerate_subspaces(q, n + 1, k, budget):
-            mask = 0
-            for coords in _subspace_points(sub):
-                mask |= 1 << point_index[coords]
+    # A line with RREF rows (r1, r2) holds r2 and r1 + c*r2 for each c;
+    # r2 is zero at r1's pivot, so each sum is already canonical.
+    through = [[] for _ in points]  # (mask, points) of the lines through each point
+    below: dict[tuple, int] = {}  # basis -> mask, one level down
+    # P^0 has no line
+    for sub in enumerate_subspaces(q, ambient, 2, budget) if n else ():
+        r1, r2 = sub.basis
+        # column j of the sums, over c: r1[j] + c*r2[j]
+        columns = [list(map(add[a].__getitem__, mul[b])) if b else (a,) * q
+                   for a, b in zip(r1, r2)]
+        on = (point_index[r2], *map(point_index.__getitem__, zip(*columns)))
+        line = (sum(map(bit.__getitem__, on)), on)
+        for i in on:
+            through[i].append(line)
+        below[sub.basis] = line[0]
+        masks.append(line[0])
+        dims.append(1)
+
+    # Dropping r1 from the RREF basis of W leaves the RREF basis of a
+    # hyperplane W'' of W, built one level down; W is W'' joined with the
+    # lines from r1 to the points of W''.  row[p] is the line through r1
+    # and p; the enumeration varies r1 slowest within a pivot pattern, so
+    # the row is rebuilt only when r1 changes.
+    row = [0] * len(points)
+    for k in range(3, ambient + 1):
+        level: dict[tuple, int] = {}
+        r1 = None
+        for sub in enumerate_subspaces(q, ambient, k, budget):
+            if sub.basis[0] != r1:
+                r1 = sub.basis[0]
+                for line_mask, on in through[point_index[r1]]:
+                    for i in on:
+                        row[i] = line_mask
+            mask = hyperplane = below[sub.basis[1:]]
+            for i in _bits(hyperplane):
+                mask |= row[i]
+            if k < ambient:
+                level[sub.basis] = mask
             masks.append(mask)
             dims.append(k - 1)
+        below = level
+    del through, below  # read by no later step
     return IncidenceGeometry(points, tuple(masks), tuple(dims), claimed_order=q)
 
 

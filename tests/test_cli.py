@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import itertools
 import json
 import operator
@@ -186,6 +187,11 @@ class TestJsonFormatsNoText:
         assert res.exit_code == 0
         assert res.text == want
         assert len(docs) == 1
+
+        def refusing_text(doc):
+            raise AssertionError("the text line was formatted")
+
+        monkeypatch.setattr(cli, "_geometry_text", refusing_text)
         assert run(argv).exit_code == cli.EXIT_INTERNAL
 
 
@@ -235,6 +241,39 @@ class TestSubspaces:
     def test_bad_q(self):
         res = run(["subspaces", "6", "3", "1"])
         assert res.exit_code == 2
+
+
+class TestGeometryText:
+    """The text of geometry build, joined from strings, is json.dumps(doc, indent=2)."""
+
+    @pytest.mark.parametrize("doc", [
+        cli.geo.geometry_to_json(cli.geo.build_boolean_geometry(1)),
+        cli.geo.geometry_to_json(cli.geo.build_projective_space(3, 0)),
+        {"points": ["a", "\u00e9\"\\"],
+         "subspaces": [{"dim": 1, "points": ["\u00e9\"\\", "a"]}]},
+        {"points": ["a"], "subspaces": [{"dim": -1, "points": []}], "claimed_order": 7},
+    ], ids=["Boolean(1)", "P0(F3)", "no claimed_order", "empty point list"])
+    def test_equals_json_dumps(self, doc):
+        assert cli._geometry_text(doc) == json.dumps(doc, indent=2)
+
+    # sha256 of the stdout of geometry build --projective Q N, with and
+    # without --json, written from the code before the masks were joined
+    # from lines and the text from strings
+    @pytest.mark.parametrize("q, n, flags, digest", [
+        ("2", "5", [], "5f3de9c45d3c99776f4d17738432d60f2ba8bab832095c99bc9c0f4e9aa7008b"),
+        ("2", "5", ["--json"], "042aad09272e4beef72fb67ec35ec52b20d0c95773875f0574961490ebe51923"),
+        ("4", "3", [], "c563685d4c091cc9e20cf2dc93b88ae3f84abb2289eaf44e5e95b2fb27c5df3f"),
+        ("4", "3", ["--json"], "ca49cbfeb812ed524532bb09332bfdf21df7f9fe0a190c46b50e29927a890e87"),
+        ("9", "2", [], "fe9b95df0d4ba1db40e2ded3f400a8a30adc35a55aac716069b395d628793216"),
+        ("9", "2", ["--json"], "0570fdef425b94aadcd8328999b93b4e036270d5ee14857dfa450541be9e80f0"),
+        ("16", "2", [], "35de0025f37ed9193595f1efa84112410df863dac5d37188f3c2abe7a62b614c"),
+        ("16", "2", ["--json"], "f0c9065e1baa85a8b354eda2d10606482886b060d922ff4df52e1ffff86ae2a1"),
+    ])
+    def test_build_stdout_is_pinned(self, q, n, flags, digest):
+        res = run(["geometry", "build", "--projective", q, n, *flags])
+        assert res.exit_code == 0
+        # main prints the text with a newline
+        assert hashlib.sha256((res.text + "\n").encode()).hexdigest() == digest
 
 
 class TestGeometry:

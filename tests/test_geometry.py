@@ -14,6 +14,7 @@ from qproj import (BudgetExceeded, GeometryFormatError, NotAPrimePower,
                    subspace_census, validate_axioms)
 from qproj import geometry
 from qproj.geometry import IncidenceGeometry
+from qproj.linalg import enumerate_subspaces
 
 from util import (corrupt_family, delete_point_and_singleton, drop_subspace,
                   lattice_reference, perturb_dim, property_one_reference,
@@ -83,6 +84,17 @@ def _incidence_graph_automorphisms(g):
     return sum(1 for _ in matcher.isomorphisms_iter())
 
 
+def _built_with_subspaces(q, n):
+    """P^n(F_q), its points' coordinates read from their names, and the
+    subspaces of F_q^(n+1) in enumerate_subspaces order, level by level;
+    the geometry's dims are checked against that order."""
+    g = build_projective_space(q, n)
+    coords = [tuple(map(int, name.strip("[]").split(","))) for name in g.points]
+    subs = [s for k in range(n + 2) for s in enumerate_subspaces(q, n + 1, k)]
+    assert g.dims == tuple(s.dim - 1 for s in subs)
+    return g, coords, subs
+
+
 class TestConstruction:
     def test_projective_line_f2(self):
         g = build_projective_space(2, 1)
@@ -141,6 +153,26 @@ class TestConstruction:
         g = build_projective_space(3, 0)
         assert len(g.points) == 1
         assert validate_axioms(g).passed
+
+    # P^0-P^3 over each field, plus P4(F3) and P5(F2); P3 over F7 and up
+    # takes 1.5M to 345M contains calls this way and is tested by count below
+    @pytest.mark.parametrize("q, n", [
+        *((q, n) for q in (2, 3, 4, 5, 7, 8, 9, 16) for n in range(4)
+          if n < 3 or q < 7),
+        (3, 4), (2, 5)])
+    def test_masks_are_the_points_each_subspace_contains(self, q, n):
+        g, coords, subs = _built_with_subspaces(q, n)
+        for mask, sub in zip(g.subspaces, subs):
+            assert mask == sum(1 << p for p, c in enumerate(coords) if sub.contains(c))
+
+    # a mask of contained points that holds as many points as a subspace of
+    # its dimension has holds all of them; P3(F16) would take 2.4M calls
+    @pytest.mark.parametrize("q", [7, 8, 9])
+    def test_masks_of_p3_hold_their_subspaces_points(self, q):
+        g, coords, subs = _built_with_subspaces(q, 3)
+        for mask, sub in zip(g.subspaces, subs):
+            assert all(sub.contains(coords[p]) for p in geometry._bits(mask))
+            assert mask.bit_count() == (q ** sub.dim - 1) // (q - 1)
 
 
 class TestAxioms:
