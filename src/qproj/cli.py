@@ -28,7 +28,7 @@ from . import planes as pl
 from .errors import BudgetExceeded, GeometryFormatError
 from .groups import (MAX_GL_ORDER_BITS, alternating_group_comparison,
                      brute_force_psl_order, group_order)
-from .linalg import DEFAULT_SUBSPACE_BUDGET, enumerate_subspaces
+from .linalg import DEFAULT_SUBSPACE_BUDGET, _rref_bases
 from .paths import DEFAULT_MAX_STEPS, area_generating_function
 from .qcalc import QPoly, q_binomial_recurrence, q_binomial_quotient
 from .qword import expand_binomial
@@ -202,17 +202,23 @@ def _cmd_expand(args):
 
 
 def _cmd_subspaces(args):
-    subs = enumerate_subspaces(args.q, args.n, args.k, budget=args.budget)
+    # the count walks the enumeration, and no object is built per subspace
+    bases = _rref_bases(args.q, args.n, args.k, budget=args.budget)
+    if args.list:
+        bases = [basis for basis, _ in bases]
+        count = len(bases)
+    else:
+        count = sum(1 for _ in bases)
     expected = q_binomial_recurrence(args.n, args.k).evaluate(args.q)
-    ok = len(subs) == expected
+    ok = count == expected
     payload = {"q": args.q, "n": args.n, "k": args.k,
-               "count": len(subs), "expected": expected, "matches": ok}
+               "count": count, "expected": expected, "matches": ok}
     listing = ()
     if args.list:
-        listing = (_basis_text(s.basis) for s in subs)
-        payload["subspaces"] = [[list(row) for row in s.basis] for s in subs]
+        listing = map(_basis_text, bases)
+        payload["subspaces"] = [[list(row) for row in basis] for basis in bases]
     verdict = [] if ok else ["MISMATCH: enumeration disagrees with the Gaussian binomial"]
-    lines = itertools.chain([f"count: {len(subs)} (expected {expected})"],
+    lines = itertools.chain([f"count: {count} (expected {expected})"],
                             listing, verdict)
     return (EXIT_OK if ok else EXIT_VERIFY), lines, payload
 

@@ -5,10 +5,6 @@ class NotAPrimePower(ValueError):
     """Raised when a field order is not a prime power (or is < 2)."""
 
 
-class FieldMismatch(ValueError):
-    """Raised when operands belong to different finite fields."""
-
-
 class InexactDivision(ArithmeticError):
     """Polynomial division left a remainder where exactness was guaranteed.
 

@@ -37,7 +37,7 @@ from .errors import BudgetExceeded, GeometryFormatError
 from .gf import make_field
 from .lattice import (LATTICE_CAP, _bits, _coatom_intersections, _cover_count,
                       _full_row, _Lattice, _screened_row)
-from .linalg import enumerate_subspaces
+from .linalg import _rref_bases
 from .qcalc import q_binomial_quotient, q_binomial_recurrence, q_integer
 from .record import Record
 
@@ -672,8 +672,8 @@ def build_projective_space(q: int, n: int,
 
     add, mul = field.add_table, field.mul_table
     ambient = n + 1
-    point_index = {sub.basis[0]: i for i, sub
-                   in enumerate(enumerate_subspaces(q, ambient, 1, budget))}
+    point_index = {basis[0]: i for i, (basis, _)
+                   in enumerate(_rref_bases(q, ambient, 1, budget))}
     points = tuple(map(_point_name, point_index))
     bit = [1 << i for i in range(len(points))]
     masks = [0, *bit]
@@ -684,8 +684,8 @@ def build_projective_space(q: int, n: int,
     through = [[] for _ in points]  # (mask, points) of the lines through each point
     below: dict[tuple, int] = {}  # basis -> mask, one level down
     # P^0 has no line
-    for sub in enumerate_subspaces(q, ambient, 2, budget) if n else ():
-        r1, r2 = sub.basis
+    for basis, _ in _rref_bases(q, ambient, 2, budget) if n else ():
+        r1, r2 = basis
         # column j of the sums, over c: r1[j] + c*r2[j]
         columns = [list(map(add[a].__getitem__, mul[b])) if b else (a,) * q
                    for a, b in zip(r1, r2)]
@@ -693,7 +693,7 @@ def build_projective_space(q: int, n: int,
         line = (sum(map(bit.__getitem__, on)), on)
         for i in on:
             through[i].append(line)
-        below[sub.basis] = line[0]
+        below[basis] = line[0]
         masks.append(line[0])
         dims.append(1)
 
@@ -706,17 +706,17 @@ def build_projective_space(q: int, n: int,
     for k in range(3, ambient + 1):
         level: dict[tuple, int] = {}
         r1 = None
-        for sub in enumerate_subspaces(q, ambient, k, budget):
-            if sub.basis[0] != r1:
-                r1 = sub.basis[0]
+        for basis, _ in _rref_bases(q, ambient, k, budget):
+            if basis[0] != r1:
+                r1 = basis[0]
                 for line_mask, on in through[point_index[r1]]:
                     for i in on:
                         row[i] = line_mask
-            mask = hyperplane = below[sub.basis[1:]]
+            mask = hyperplane = below[basis[1:]]
             for i in _bits(hyperplane):
                 mask |= row[i]
             if k < ambient:
-                level[sub.basis] = mask
+                level[basis] = mask
             masks.append(mask)
             dims.append(k - 1)
         below = level
@@ -763,8 +763,8 @@ def affine_decomposition(q: int, n: int,
             raise BudgetExceeded(f"P^{n}(F_{q}) has {at_least}{total} points, "
                                  f"over the budget of {budget}")
     sizes = [0] * (n + 1)
-    for sub in enumerate_subspaces(q, n + 1, 1, budget):
-        sizes[sub.pivots[0]] += 1
+    for _, pivots in _rref_bases(q, n + 1, 1, budget):
+        sizes[pivots[0]] += 1
     return sizes
 
 

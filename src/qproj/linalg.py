@@ -9,12 +9,17 @@ exactly once with no dedup bookkeeping.  The span-and-dedupe route is
 deliberately NOT used here; it lives in the test suite as the
 independent oracle.
 
+_rref_bases streams the enumeration as (basis, pivots) pairs, and
+enumerate_subspaces is the list of SubspaceCanonical built over that
+stream.  The CLI's subspace count and listing, the projective-space
+build and the affine decomposition read the stream and build no object
+per subspace.
+
 SubspaceCanonical's constructor checks every row of the basis it is
-given; every subspace formed from a span (span_canonical, the join, the
-meet, the complement) goes through it.  The enumerator runs the same row
-checks once per pivot pattern and row filling instead of once per
-basis, then builds its bases through a private classmethod that skips
-them.
+given; every subspace formed from a span (span_canonical) goes through
+it.  The stream runs the same row checks once per pivot pattern and row
+filling instead of once per basis, and enumerate_subspaces builds its
+objects through a private classmethod that skips them.
 
 Vectors are sequences of element codes, indexed straight into the
 field's tables; span_canonical (through rref) and contains refuse an
@@ -25,9 +30,9 @@ the ambient dimension.
 from __future__ import annotations
 
 import itertools
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 
-from .errors import BudgetExceeded, DimensionMismatch, FieldMismatch
+from .errors import BudgetExceeded, DimensionMismatch
 from .gf import FiniteField, make_field
 from .qcalc import MAX_Q_SERIES_N, over_q_series_cap, q_binomial_recurrence
 
@@ -202,6 +207,50 @@ def _row_fillings(q: int, n: int, pivots: tuple[int, ...],
     return fillings
 
 
+def _checked_fillings(q: int, n: int,
+                      pivots: tuple[int, ...]) -> list[list[tuple[int, ...]]]:
+    """The row fillings of one pivot pattern, each row checked.
+
+    The pivots must strictly increase, and each filling of row i must
+    pass _row_pivot against the pivots below it and start at pivots[i].
+    """
+    _check_pivots(pivots)
+    choices = []
+    for i, p in enumerate(pivots):
+        fillings = _row_fillings(q, n, pivots, i)
+        for row in fillings:
+            if _row_pivot(q, n, row, pivots[i + 1:]) != p:
+                raise ValueError(f"a filling of pivot column {p} starts elsewhere")
+        choices.append(fillings)
+    return choices
+
+
+def _rref_bases(q: int, n: int, k: int, budget: int = DEFAULT_SUBSPACE_BUDGET
+                ) -> Iterator[tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]]:
+    """A stream of (basis, pivots), one per k-dimensional subspace of F_q^n.
+
+    The k range, the field, the q-series cap and the budget are checked
+    here, before the first basis; each pivot pattern's fillings are
+    formed and checked only when the stream reaches it.  The free entries
+    of different rows vary independently, so a pattern's bases are the
+    product of each row's fillings, last row fastest, and they share the
+    pattern's pivots tuple.
+    """
+    if not 0 <= k <= n:
+        raise ValueError("requires 0 <= k <= n")
+    make_field(q)
+    if n > MAX_Q_SERIES_N:
+        raise over_q_series_cap(n, f"[{n} choose {k}] has degree {k * (n - k)}")
+    projected = q_binomial_recurrence(n, k).evaluate(q)
+    if projected > budget:
+        raise BudgetExceeded(
+            f"{projected} subspaces exceed the budget of {budget}")
+    return itertools.chain.from_iterable(
+        zip(itertools.product(*_checked_fillings(q, n, pivots)),
+            itertools.repeat(pivots))
+        for pivots in itertools.combinations(range(n), k))
+
+
 def enumerate_subspaces(q: int, n: int, k: int,
                         budget: int = DEFAULT_SUBSPACE_BUDGET) -> list[SubspaceCanonical]:
     """All k-dimensional subspaces of F_q^n, each exactly once.
@@ -212,77 +261,15 @@ def enumerate_subspaces(q: int, n: int, k: int,
     is over the q-series cap: past it [n choose k]_q is formed only for
     k = 0 and k = n, where the one basis still holds k rows of n codes.
 
-    The checks of SubspaceCanonical run once per pivot pattern (the
-    pivots strictly increase) and once per row filling (_row_pivot,
-    against the pivots of the rows below), not once per basis: every
-    basis of a pattern is a choice of one checked filling per row, so it
-    passes them all, and it is built by _from_checked_rows with the
-    pattern's shared pivots tuple.
+    The list is built over _rref_bases, which runs the checks of
+    SubspaceCanonical once per pivot pattern (the pivots strictly
+    increase) and once per row filling (_row_pivot, against the pivots
+    of the rows below), not once per basis: every basis of a pattern is
+    a choice of one checked filling per row, so it passes them all, and
+    it is built by _from_checked_rows with the pattern's shared pivots
+    tuple.
     """
-    if not 0 <= k <= n:
-        raise ValueError("requires 0 <= k <= n")
-    field = make_field(q)
-    if n > MAX_Q_SERIES_N:
-        raise over_q_series_cap(n, f"[{n} choose {k}] has degree {k * (n - k)}")
-    projected = q_binomial_recurrence(n, k).evaluate(q)
-    if projected > budget:
-        raise BudgetExceeded(
-            f"{projected} subspaces exceed the budget of {budget}")
+    bases = _rref_bases(q, n, k, budget)
+    field = make_field(q)  # cached by the check above
     make = SubspaceCanonical._from_checked_rows
-    out: list[SubspaceCanonical] = []
-    for pivots in itertools.combinations(range(n), k):
-        _check_pivots(pivots)
-        # the free entries of different rows vary independently, so the
-        # matrices are the product of each row's fillings, last row fastest
-        choices = []
-        for i, p in enumerate(pivots):
-            fillings = _row_fillings(q, n, pivots, i)
-            for row in fillings:
-                if _row_pivot(q, n, row, pivots[i + 1:]) != p:
-                    raise ValueError(f"a filling of pivot column {p} starts elsewhere")
-            choices.append(fillings)
-        out.extend(make(field, n, rows, pivots)
-                   for rows in itertools.product(*choices))
-    return out
-
-
-
-def _check_compatible(a: SubspaceCanonical, b: SubspaceCanonical) -> None:
-    if a.field.key != b.field.key:
-        raise FieldMismatch("subspaces over different fields")
-    if a.ambient != b.ambient:
-        raise DimensionMismatch("subspaces of different ambient dimension")
-
-
-def subspace_join(a: SubspaceCanonical, b: SubspaceCanonical) -> SubspaceCanonical:
-    """Span of the two subspaces (their least upper bound)."""
-    _check_compatible(a, b)
-    return span_canonical(a.field, a.ambient, a.basis + b.basis)
-
-
-def orthogonal_complement(s: SubspaceCanonical) -> SubspaceCanonical:
-    """Solutions x of B.x = 0 for the basis B, canonicalized.
-
-    The standard bilinear form on F_q^n is nondegenerate, so the
-    complement has dimension n - dim(s) and double complement returns s;
-    that is all the meet computation below needs.
-    """
-    n = s.ambient
-    neg = s.field.neg_table
-    pivot_set = set(s.pivots)
-    free_cols = [j for j in range(n) if j not in pivot_set]
-    vectors = []
-    for f in free_cols:
-        v = [0] * n
-        v[f] = 1
-        for row, piv in zip(s.basis, s.pivots):
-            v[piv] = neg[row[f]]
-        vectors.append(v)
-    return span_canonical(s.field, n, vectors)
-
-
-def subspace_meet(a: SubspaceCanonical, b: SubspaceCanonical) -> SubspaceCanonical:
-    """Intersection of the two subspaces, via complement duality."""
-    _check_compatible(a, b)
-    return orthogonal_complement(
-        subspace_join(orthogonal_complement(a), orthogonal_complement(b)))
+    return [make(field, n, basis, pivots) for basis, pivots in bases]

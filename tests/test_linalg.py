@@ -1,15 +1,15 @@
 import itertools
+import json
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qproj import linalg
-from qproj import (BudgetExceeded, DimensionMismatch, FieldMismatch,
-                   SubspaceCanonical, count_independent_tuples,
-                   enumerate_subspaces, make_field,
-                   orthogonal_complement, q_binomial_recurrence, rref,
-                   span_canonical, subspace_join, subspace_meet)
+from qproj import (BudgetExceeded, DimensionMismatch, SubspaceCanonical,
+                   count_independent_tuples, enumerate_subspaces, make_field,
+                   q_binomial_recurrence, rref, span_canonical)
+from qproj.cli import EXIT_USAGE, EXIT_VERIFY, run
 
 
 # --- independent oracle: span every k-subset of nonzero vectors, dedupe ----
@@ -30,6 +30,27 @@ def spanning_oracle(q, n, k):
     if k == 0:
         found = {span_canonical(field, n, [])}
     return found
+
+
+BAD_FILLINGS = pytest.mark.parametrize("bad, match", [
+    ((0, 1, 0, 0), "starts elsewhere"),  # pivot column left empty
+    ((1, 0, 2, 0), "nonzero entry in a pivot column"),
+    ((0, 0, 0, 0), "zero row"),
+    ((1, 3, 0, 0), "not a code of F_3"),
+    ((1, 0, 0), "wrong length"),
+    ((2, 0, 0, 0), "pivot entry must be 1"),
+])
+
+
+def edit_fillings(monkeypatch, edit):
+    """Pass the fillings of row 0 of pivot pattern (0, 2) through edit."""
+    real = linalg._row_fillings
+
+    def fillings(q, n, pivots, i):
+        rows = real(q, n, pivots, i)
+        return edit(rows) if pivots == (0, 2) and i == 0 else rows
+
+    monkeypatch.setattr(linalg, "_row_fillings", fillings)
 
 
 class TestRref:
@@ -172,24 +193,9 @@ class TestEnumeration:
             assert by_pattern.setdefault(s.pivots, s.pivots) is s.pivots
         assert len(by_pattern) == 6
 
-    @pytest.mark.parametrize("bad, match", [
-        ((0, 1, 0, 0), "starts elsewhere"),  # pivot column left empty
-        ((1, 0, 2, 0), "nonzero entry in a pivot column"),
-        ((0, 0, 0, 0), "zero row"),
-        ((1, 3, 0, 0), "not a code of F_3"),
-        ((1, 0, 0), "wrong length"),
-        ((2, 0, 0, 0), "pivot entry must be 1"),
-    ])
+    @BAD_FILLINGS
     def test_enumerator_refuses_a_bad_filling(self, monkeypatch, bad, match):
-        real = linalg._row_fillings
-
-        def fillings(q, n, pivots, i):
-            rows = real(q, n, pivots, i)
-            if pivots == (0, 2) and i == 0:
-                rows.append(bad)
-            return rows
-
-        monkeypatch.setattr(linalg, "_row_fillings", fillings)
+        edit_fillings(monkeypatch, lambda rows: rows + [bad])
         with pytest.raises(ValueError, match=match):
             enumerate_subspaces(3, 4, 2)
 
@@ -220,57 +226,43 @@ class TestCountIndependentTuples:
                     assert top // bottom == len(enumerate_subspaces(q, n, k))
 
 
-class TestMeetJoin:
-    def test_idempotence(self):
-        for s in enumerate_subspaces(2, 3, 2):
-            assert subspace_meet(s, s) == s
-            assert subspace_join(s, s) == s
+class TestStream:
+    """The CLI's `subspaces` walks the stream and builds no SubspaceCanonical;
+    it must see the same bases, and the same refusals, as the list."""
 
-    def test_join_of_axes(self):
-        f = make_field(2)
-        e1 = span_canonical(f, 3, [(1, 0, 0)])
-        e2 = span_canonical(f, 3, [(0, 1, 0)])
-        j = subspace_join(e1, e2)
-        assert j.basis == ((1, 0, 0), (0, 1, 0))
+    @BAD_FILLINGS
+    @pytest.mark.parametrize("listing", [[], ["--list"]])
+    def test_cli_refuses_a_bad_filling(self, monkeypatch, bad, match, listing):
+        edit_fillings(monkeypatch, lambda rows: rows + [bad])
+        with pytest.raises(ValueError, match=match) as refused:
+            enumerate_subspaces(3, 4, 2)
+        res = run(["subspaces", "3", "4", "2", *listing])
+        assert res.exit_code == EXIT_USAGE
+        assert res.error == f"error: {refused.value}"
 
-    def test_planes_in_f2_cubed_meet_in_lines(self):
-        planes = enumerate_subspaces(2, 3, 2)
-        for a, b in itertools.combinations(planes, 2):
-            assert subspace_meet(a, b).dim == 1
+    @pytest.mark.parametrize("listing", [[], ["--list"]])
+    def test_cli_count_walks_the_enumeration(self, monkeypatch, listing):
+        # one filling of row 0 dropped loses the 3 bases it starts
+        edit_fillings(monkeypatch, lambda rows: rows[1:])
+        res = run(["subspaces", "3", "4", "2", *listing])
+        assert res.exit_code == EXIT_VERIFY
+        lines = res.text.splitlines()
+        assert lines[0] == "count: 127 (expected 130)"
+        assert lines[-1] == ("MISMATCH: enumeration disagrees with the "
+                             "Gaussian binomial")
+        assert len(lines) == (129 if listing else 2)
 
-    def test_complement_involution(self):
-        for q, n in ((2, 4), (3, 3)):
+    @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16])
+    def test_cli_sees_the_bases_of_the_list(self, q):
+        for n in range(5 if q <= 5 else 4):
             for k in range(n + 1):
-                for s in enumerate_subspaces(q, n, k):
-                    c = orthogonal_complement(s)
-                    assert c.dim == n - k
-                    assert orthogonal_complement(c) == s
-
-    def test_meet_against_vector_oracle(self):
-        f = make_field(3)
-        subs = enumerate_subspaces(3, 3, 2)
-        vecs = all_vectors(f, 3)
-        for a, b in itertools.combinations(subs[:6], 2):
-            common = [v for v in vecs if a.contains(v) and b.contains(v)]
-            expected = span_canonical(f, 3, common)
-            assert subspace_meet(a, b) == expected
-
-    def test_modular_dimension_law(self):
-        for q, n in ((2, 4), (3, 3)):
-            subs = [s for k in range(n + 1) for s in enumerate_subspaces(q, n, k)]
-            for a, b in itertools.combinations(subs, 2):
-                meet = subspace_meet(a, b)
-                join = subspace_join(a, b)
-                assert a.dim + b.dim == meet.dim + join.dim
-
-    def test_mismatches_rejected(self):
-        a = enumerate_subspaces(2, 3, 1)[0]
-        b = enumerate_subspaces(2, 4, 1)[0]
-        with pytest.raises(DimensionMismatch):
-            subspace_join(a, b)
-        c = enumerate_subspaces(3, 3, 1)[0]
-        with pytest.raises(FieldMismatch):
-            subspace_meet(a, c)
+                subs = enumerate_subspaces(q, n, k)
+                argv = ["subspaces", str(q), str(n), str(k)]
+                assert run(argv).text == f"count: {len(subs)} (expected {len(subs)})"
+                data = json.loads(run(argv + ["--list", "--json"]).text)["data"]
+                assert data["count"] == len(subs)
+                assert data["subspaces"] == [[list(row) for row in s.basis]
+                                             for s in subs]
 
 
 def test_contains():
