@@ -216,7 +216,8 @@ def _cmd_subspaces(args):
     listing = ()
     if args.list:
         listing = map(_basis_text, bases)
-        payload["subspaces"] = [[list(row) for row in basis] for basis in bases]
+        if args.json:
+            payload["subspaces"] = [[list(row) for row in basis] for basis in bases]
     verdict = [] if ok else ["MISMATCH: enumeration disagrees with the Gaussian binomial"]
     lines = itertools.chain([f"count: {count} (expected {expected})"],
                             listing, verdict)
@@ -234,36 +235,40 @@ def _cmd_geometry_build(args):
         g = geo.build_projective_space(q, n, budget=args.budget)
     else:
         g = geo.build_boolean_geometry(args.boolean)
-    doc = geo.geometry_to_json(g)
-    return EXIT_OK, _later(_geometry_text, doc), doc
+    if args.json:
+        return EXIT_OK, (), geo.geometry_to_json(g)
+    return EXIT_OK, _later(_geometry_text, g), None
 
 
-def _geometry_text(doc: dict) -> str:
-    """A geometry_to_json document as json.dumps(doc, indent=2) writes it.
+def _geometry_text(g: geo.IncidenceGeometry) -> str:
+    """json.dumps(geometry_to_json(g), indent=2), written from the masks.
 
-    The text is joined from strings with each point name quoted once;
-    json.dumps with an indent runs the pure-Python encoder over every
-    name of every subspace.
+    Each name is quoted once, and the text is one join over a flat list
+    of pieces, most of them a name with its separator made once per
+    point; no document and no per-subspace string is built.
     """
-    quoted = {name: json.dumps(name) for name in doc["points"]}
-
-    def array(items: list[str], indent: str) -> str:
-        """JSON texts as the items of an indented JSON array."""
-        if not items:
-            return "[]"
-        inner = "\n" + indent + "  "
-        return "[" + inner + ("," + inner).join(items) + "\n" + indent + "]"
-
-    def names(seq, indent: str) -> str:
-        return array(list(map(quoted.__getitem__, seq)), indent)
-
-    subspaces = [f'{{\n      "dim": {s["dim"]},\n      "points": '
-                 f'{names(s["points"], "      ")}\n    }}' for s in doc["subspaces"]]
-    fields = [f'"points": {names(doc["points"], "  ")}',
-              f'"subspaces": {array(subspaces, "  ")}']
-    if "claimed_order" in doc:
-        fields.append(f'"claimed_order": {doc["claimed_order"]}')
-    return "{\n  " + ",\n  ".join(fields) + "\n}"
+    quoted = list(map(json.dumps, g.points))
+    first = ["[\n        " + s for s in quoted]  # a name first in its subspace
+    later = [",\n        " + s for s in quoted]
+    opening = {d: f'{{\n      "dim": {d},\n      "points": ' for d in set(g.dims)}
+    pieces = ['{\n  "points": ',
+              "[\n    " + ",\n    ".join(quoted) + "\n  ]" if quoted else "[]",
+              ',\n  "subspaces": [']
+    sep = "\n    "
+    for d, on in zip(g.dims, geo._name_ordered_points(g)):
+        pieces += (sep, opening[d])
+        sep = ",\n    "
+        if on:
+            pieces.append(first[on[0]])
+            pieces += map(later.__getitem__, on[1:])
+            pieces.append("\n      ]\n    }")
+        else:
+            pieces.append("[]\n    }")
+    pieces.append("\n  ]" if g.subspaces else "]")
+    if g.claimed_order is not None:
+        pieces.append(f',\n  "claimed_order": {g.claimed_order}')
+    pieces.append("\n}")
+    return "".join(pieces)
 
 
 def _check_lines(title, results):

@@ -969,14 +969,26 @@ class _CollineationSearch:
 # ---------------------------------------------------------------------------
 # JSON interchange
 
+def _name_ordered_points(g: IncidenceGeometry) -> Iterable[list[int]]:
+    """Each subspace's point indices, ordered by name.
+
+    The names are ranked once per geometry; they are distinct, so the
+    rank order of a subspace's points lists its names as sorted() does,
+    with no string sort per subspace.
+    """
+    rank = [0] * len(g.points)
+    for r, i in enumerate(sorted(range(len(g.points)), key=g.points.__getitem__)):
+        rank[i] = r
+    return (sorted(_bits(m), key=rank.__getitem__) for m in g.subspaces)
+
+
 def geometry_to_json(g: IncidenceGeometry) -> dict:
     """Plain-dict form: point list, subspaces with dims, optional order."""
+    name = g.points.__getitem__
     out: dict = {
         "points": list(g.points),
-        "subspaces": [
-            {"dim": g.dims[i], "points": sorted(g.subspace_point_names(i))}
-            for i in range(len(g.subspaces))
-        ],
+        "subspaces": [{"dim": d, "points": list(map(name, on))}
+                      for d, on in zip(g.dims, _name_ordered_points(g))],
     }
     if g.claimed_order is not None:
         out["claimed_order"] = g.claimed_order

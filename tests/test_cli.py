@@ -8,6 +8,7 @@ import random
 import subprocess
 import sys
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -167,8 +168,8 @@ class TestJsonFormatsNoText:
         assert run(argv).exit_code == cli.EXIT_INTERNAL
 
     def test_geometry_build_dumps_the_document_once(self, monkeypatch):
-        argv = ["geometry", "build", "--projective", "2", "2"]
-        want = run(argv + ["--json"]).text
+        argv = ["geometry", "build", "--projective", "2", "2", "--json"]
+        want = run(argv).text
         docs = []
         to_json, dumps = cli.geo.geometry_to_json, json.dumps
 
@@ -178,21 +179,55 @@ class TestJsonFormatsNoText:
 
         def refusing_dumps(obj, **kwargs):
             if any(obj is doc for doc in docs):
-                raise AssertionError("the text line was formatted")
+                raise AssertionError("the document was formatted as text")
             return dumps(obj, **kwargs)
+
+        def refusing_text(g):
+            raise AssertionError("the text line was formatted")
 
         monkeypatch.setattr(cli.geo, "geometry_to_json", recording_to_json)
         monkeypatch.setattr(json, "dumps", refusing_dumps)
-        res = run(argv + ["--json"])
+        monkeypatch.setattr(cli, "_geometry_text", refusing_text)
+        res = run(argv)
         assert res.exit_code == 0
         assert res.text == want
         assert len(docs) == 1
 
-        def refusing_text(doc):
-            raise AssertionError("the text line was formatted")
 
-        monkeypatch.setattr(cli, "_geometry_text", refusing_text)
-        assert run(argv).exit_code == cli.EXIT_INTERNAL
+class TestTextBuildsNoPayload:
+    # the payload is discarded without --json, so its big parts are not built
+    def test_geometry_build_calls_no_geometry_to_json(self, monkeypatch):
+        argv = ["geometry", "build", "--projective", "2", "3"]
+        want = run(argv).text
+
+        def refuse(g):
+            raise AssertionError("the JSON document was built")
+
+        monkeypatch.setattr(cli.geo, "geometry_to_json", refuse)
+        res = run(argv)
+        assert res.exit_code == 0
+        assert res.text == want
+        assert run(argv + ["--json"]).exit_code == cli.EXIT_INTERNAL
+
+    def test_subspaces_list_builds_no_listing_payload(self, monkeypatch):
+        argv = ["subspaces", "3", "3", "2", "--list"]
+        want = run(argv).text
+        payloads = []
+        handler = cli._cmd_subspaces
+
+        def recording(args):
+            code, lines, payload = handler(args)
+            payloads.append(payload)
+            return code, lines, payload
+
+        monkeypatch.setattr(cli, "_cmd_subspaces", recording)
+        res = run(argv)
+        assert res.exit_code == 0
+        assert res.text == want
+        assert "subspaces" not in payloads[-1]
+        listed = json.loads(run(argv + ["--json"]).text)["data"]["subspaces"]
+        assert payloads[-1]["subspaces"] == listed
+        assert len(listed) == len(want.splitlines()) - 1 == 13
 
 
 class TestExpand:
@@ -244,17 +279,36 @@ class TestSubspaces:
 
 
 class TestGeometryText:
-    """The text of geometry build, joined from strings, is json.dumps(doc, indent=2)."""
+    """The text of geometry build, written from the masks, is
+    json.dumps(geometry_to_json(g), indent=2)."""
 
-    @pytest.mark.parametrize("doc", [
-        cli.geo.geometry_to_json(cli.geo.build_boolean_geometry(1)),
-        cli.geo.geometry_to_json(cli.geo.build_projective_space(3, 0)),
-        {"points": ["a", "\u00e9\"\\"],
-         "subspaces": [{"dim": 1, "points": ["\u00e9\"\\", "a"]}]},
-        {"points": ["a"], "subspaces": [{"dim": -1, "points": []}], "claimed_order": 7},
-    ], ids=["Boolean(1)", "P0(F3)", "no claimed_order", "empty point list"])
-    def test_equals_json_dumps(self, doc):
-        assert cli._geometry_text(doc) == json.dumps(doc, indent=2)
+    @pytest.mark.parametrize("g", [
+        cli.geo.build_boolean_geometry(1),
+        cli.geo.build_projective_space(3, 0),
+        # "p10" < "p2": name order is not index order
+        cli.geo.build_boolean_geometry(11),
+        # escapes and non-ASCII, listed against index order
+        cli.geo.IncidenceGeometry(("\u00e9\"\\", "a"), (0b11,), (1,)),
+        cli.geo.IncidenceGeometry(("a",), (0, 1), (-1, 0), claimed_order=7),
+        cli.geo.IncidenceGeometry((), (0,), (-1,)),
+        cli.geo.IncidenceGeometry((), (), ()),
+    ], ids=["Boolean(1)", "P0(F3)", "Boolean(11)", "escaped names",
+            "empty subspace", "empty point list", "no subspaces"])
+    def test_equals_json_dumps(self, g):
+        assert cli._geometry_text(g) == json.dumps(cli.geo.geometry_to_json(g), indent=2)
+
+    def test_writer_peak_is_near_its_output(self):
+        # pieces are shared per point and joined once; the route through
+        # the document and a second text took about 6x the output
+        g = cli.geo.build_projective_space(2, 5)
+        tracemalloc.start()
+        try:
+            held = tracemalloc.get_traced_memory()[0]
+            text = cli._geometry_text(g)
+            peak = tracemalloc.get_traced_memory()[1] - held
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * len(text)
 
     # sha256 of the stdout of geometry build --projective Q N, with and
     # without --json, written from the code before the masks were joined
