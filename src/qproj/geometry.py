@@ -350,41 +350,40 @@ def _pair_witnesses(g: IncidenceGeometry, members: Sequence[int], closed: bool,
     its witness or by closed (it has none, see _axiom_witnesses), axiom
     5 by its witness.
 
-    A full row (lattice._full_row) computes every meet and join of
-    members[a] with members[a:] and yields the row's first pair missing
-    one (axiom 1) and its first pair whose dims break the modular law
-    (axiom 5), so the rows in order give each axiom's first witness in
-    row-major order.  at_dim, the members of each dim, is given where
-    the call covers all of L and axiom 2 holds.  Then each row after
-    axiom 1 is settled is screened instead (lattice._screened_row):
-    there the least dim of a common upper bound
+    A full row (lattice._full_row) reads the meets and joins of
+    members[a] with members[a:] in order, through _Lattice.meet and
+    join, and yields the row's first pair missing one (axiom 1) and its
+    first pair whose dims break the modular law (axiom 5), each while
+    that axiom is unsettled, so the rows in order give each axiom's
+    first witness in row-major order.  at_dim, the members of each dim,
+    is given where the call covers all of L and axiom 2 holds.  Then
+    each row after axiom 1 is settled is screened instead
+    (lattice._screened_row): there the least dim of a common upper bound
     and the greatest dim of a common lower bound, read for the whole row
     from bitset layers, are the dims of the join and the meet where
     these exist, so only the pairs where the modular law can fail are
     read, and the row's first axiom-5 witness is the same.
 
-    Cost: a full row reads all its pairs; a screened row makes one OR of
+    Cost: a full row reads its pairs up to the witnesses it still needs,
+    and all of them when it lacks one; a screened row makes one OR of
     |L|-bit ints per member comparable with members[a].  Full rows are
     paid up to axiom 1's first witness, or throughout on input that
     fails axiom 2 until both witnesses are found.
     """
-    lat = g._lattice
-    masks, dims = g.subspaces, g.dims
-    columns = ([masks[j] for j in members], [dims[j] for j in members],
-               [lat.below[j] for j in members], [lat.above[j] for j in members])
+    lat, dims = g._lattice, g.dims
     layers = sorted(at_dim.items()) if at_dim is not None else None
     ax1_witness = ax5_witness = None
     for a, i in enumerate(members):
-        if layers is not None and (closed or ax1_witness):
+        need1 = not (closed or ax1_witness)
+        if layers is not None and not need1:
             bad = _screened_row(lat, dims, layers, i)
         else:
-            missing, bad = _full_row(lat, dims, members, columns, a,
-                                     ax5_witness is None)
-            if missing and not ax1_witness:
+            missing, bad = _full_row(lat, dims, members, a, need1, ax5_witness is None)
+            if missing:
                 j, which = missing
                 ax1_witness = (f"no {which} in L for S={g.describe_subspace(i)}"
                                f" and T={g.describe_subspace(j)}")
-        if bad and not ax5_witness:
+        if bad:
             j, meet, join = bad
             ax5_witness = (
                 f"S={g.describe_subspace(i)}, T={g.describe_subspace(j)}: "

@@ -543,7 +543,7 @@ class TestAxiomCertificate:
         first = next(i for i in range(ns)
                      if None in ref.meets[i][i:] + ref.joins[i][i:])
         rows = {"full": [], "screened": []}
-        _spy(monkeypatch, "_full_row", lambda lat, dims, members, columns, a, need5:
+        _spy(monkeypatch, "_full_row", lambda lat, dims, members, a, need1, need5:
              rows["full"].append(a))
         _spy(monkeypatch, "_screened_row", lambda lat, dims, layers, i:
              rows["screened"].append(i))
@@ -556,19 +556,31 @@ class TestAxiomCertificate:
 
     def test_closed_family_stops_at_the_first_axiom_5_witness(self, monkeypatch):
         # P3(F3) with a line's dim bumped keeps every intersection in L, so
-        # axiom 1 is certified and the rows stop at axiom 5's first witness
+        # axiom 1 is certified and the rows stop at axiom 5's first witness,
+        # each pair up to it read by one _Lattice.join call
         p3f3 = build_projective_space(3, 3)
         g = shuffle_members(perturb_dim(p3f3, p3f3.dims.index(1)), 12)
-        rows = []
-        _spy(monkeypatch, "_full_row", lambda lat, dims, members, columns, a, need5:
+        ns = len(g.subspaces)
+        rows, joins = [], []
+        _spy(monkeypatch, "_full_row", lambda lat, dims, members, a, need1, need5:
              rows.append(a))
+        join = geometry._Lattice.join
+
+        def counting(lat, i, j):
+            joins.append((i, j))
+            return join(lat, i, j)
+        monkeypatch.setattr(geometry._Lattice, "join", counting)
         report = validate_axioms(g).as_dict()
         assert report == reference_axioms(g)
         assert [a["number"] for a in report["axioms"] if not a["passed"]] == [2, 5]
         witness = report["axioms"][4]["witness"]
-        last = next(i for i in range(len(g.subspaces))
+        last = next(i for i in range(ns)
                     if witness.startswith(f"S={g.describe_subspace(i)}, "))
-        assert rows == list(range(last + 1)) and last < len(g.subspaces) - 1
+        t = next(j for j in range(ns) if f", T={g.describe_subspace(j)}: " in witness)
+        assert rows == list(range(last + 1)) and last < ns - 1
+        assert last < t < ns - 1
+        assert joins == [(i, j) for i in range(last + 1) for j in range(i, ns)
+                         if i < last or j <= t]
 
 
 def _screen_families():
@@ -576,9 +588,10 @@ def _screen_families():
 
     Every intersection of members is a member in each, so axiom 1 is
     certified and no full row is needed where the rows can be screened.
-    Each family gets axiom 5's witness wrong if the screen by dim layers
-    loses one of its conditions: the axiom-2 gate, or least dims up and
-    greatest dims down.
+    The first two families get axiom 5's witness wrong if the screen by
+    dim layers loses one of its conditions: the axiom-2 gate, or least
+    dims up and greatest dims down.  In the third, which fails axiom 2
+    and has no axiom-5 witness, the full rows read every pair.
     """
     fano, b4 = build_projective_space(2, 2), build_boolean_geometry(4)
     # {p0,p1,p2} at dim 4 lies in the top at dim 3: the least dim among
@@ -588,9 +601,11 @@ def _screen_families():
     # two points meet in the empty set at dim -2 and join in a line at
     # dim 1; the top's dim 2 and the empty set's add up to theirs
     low_empty = perturb_dim(fano, fano.subspaces.index(0), -1)
+    flat = IncidenceGeometry(b4.points, b4.subspaces, (0,) * len(b4.dims))
     return {
         "Boolean(4), {p1,p2} at dim 2 and {p0,p1,p2} at dim 4": (bumped, {2, 5}, False),
         "Fano plane, empty set at dim -2": (low_empty, {4, 5}, True),
+        "Boolean(4), every dim 0": (flat, {2, 4}, False),
     }
 
 
