@@ -105,10 +105,8 @@ class IncidenceGeometry(Record):
 
     @cached_property
     def _axioms(self) -> tuple[dict[int, str | None], int | None]:
-        """The six axioms' witnesses on all of L and the order, found on first use."""
-        full = (1 << len(self.points)) - 1
-        return _axiom_witnesses(self, range(len(self.subspaces)), full,
-                                self.claimed_order)
+        """The six axioms' witnesses and the order, found on first use."""
+        return _axiom_witnesses(self)
 
 
 class Check(Record):
@@ -162,11 +160,10 @@ _AXIOM_DESCRIPTIONS = {
 }
 
 
-def _line_order(g: IncidenceGeometry, members: Sequence[int],
-                claimed: int | None) -> tuple[int | None, str | None]:
-    """Order from the first line among members (else claimed) and axiom 6's witness."""
-    masks, dims = g.subspaces, g.dims
-    lines = [i for i in members if dims[i] == 1]
+def _line_order(g: IncidenceGeometry) -> tuple[int | None, str | None]:
+    """Order from the first line (else the claimed order) and axiom 6's witness."""
+    masks, dims, claimed = g.subspaces, g.dims, g.claimed_order
+    lines = [i for i, d in enumerate(dims) if d == 1]
     if not lines:
         return claimed, None
     first = lines[0]
@@ -194,16 +191,12 @@ def _geometry_dimension(g: IncidenceGeometry) -> int | None:
     return None
 
 
-def _axiom_witnesses(g: IncidenceGeometry, members: Sequence[int], top: int,
-                     claimed: int | None
+def _axiom_witnesses(g: IncidenceGeometry
                      ) -> tuple[dict[int, str | None], int | None]:
-    """Witness (or None) of each axiom on members, and the order from
-    _line_order.
+    """Witness (or None) of each axiom on L, and the order from _line_order.
 
-    members are increasing subspace indices: all of L, or for derived
-    property 1 the interval [empty set, S] with top the point set of S.
-    Axioms 2, 3, 4 and 6 are a pass over members each.  For axioms 1 and
-    5, where the call covers all of L:
+    Axioms 2, 3, 4 and 6 are a pass over the members each.  For axioms 1
+    and 5:
 
       closed     the point set is a member and _coatom_intersections
                  holds.  Then every pairwise intersection is in L, and
@@ -214,29 +207,27 @@ def _axiom_witnesses(g: IncidenceGeometry, members: Sequence[int], top: int,
                  passes: neither axiom has a witness, and no pair is
                  read.
 
-    Otherwise axioms 1 and 5 share one pass over the pairs i <= j of
-    members (_pair_witnesses), told whether L is closed and, where axiom
-    2 holds, given the dim layers for its screened rows.  The intervals
-    of derived property 1 take the plain pass.  The witnesses are each
-    axiom's first counterexample in that order.
+    Otherwise axioms 1 and 5 share one pass over the pairs i <= j
+    (_pair_witnesses), told whether L is closed and, where axiom 2
+    holds, given the dim layers for its screened rows.  The witnesses
+    are each axiom's first counterexample in that order.
     """
     lat = g._lattice
     masks, dims = g.subspaces, g.dims
     index_of, above = lat.index_of, lat.above
 
-    # axiom 2: the members inside top are the members of the pass, so the
-    # ones properly above i with no larger dim are above[i] minus i itself
-    # within at_most[dims[i]]
+    # axiom 2: the members properly above i with no larger dim are
+    # above[i] minus i itself within at_most[dims[i]]
     ax2_witness = None
     at_dim: dict[int, int] = {}  # dim d -> the members of dim d
-    for j in members:
-        at_dim[dims[j]] = at_dim.get(dims[j], 0) | 1 << j
+    for j, d in enumerate(dims):
+        at_dim[d] = at_dim.get(d, 0) | 1 << j
     at_most: dict[int, int] = {}  # dim d -> the members of dim at most d
     running = 0
     for d in sorted(at_dim):
         running = at_most[d] = running | at_dim[d]
-    for i in members:
-        proper = above[i] & ~(1 << i) & at_most[dims[i]]
+    for i, d in enumerate(dims):
+        proper = above[i] & ~(1 << i) & at_most[d]
         if proper:
             j = (proper & -proper).bit_length() - 1
             ax2_witness = (f"{g.describe_subspace(i)} is properly contained in "
@@ -247,28 +238,28 @@ def _axiom_witnesses(g: IncidenceGeometry, members: Sequence[int], top: int,
     if 0 not in index_of:
         ax3_witness = "the empty set is not in L"
     else:
-        for b in _bits(top):
+        for b in range(len(g.points)):
             if (1 << b) not in index_of:
                 ax3_witness = f"singleton {{{g.points[b]}}} is not in L"
                 break
 
     ax4_witness = None
-    for i in members:
-        size = masks[i].bit_count()
+    for i, m in enumerate(masks):
+        size = m.bit_count()
         if (dims[i] == -1) != (size == 0) or (dims[i] == 0) != (size == 1):
             ax4_witness = f"{g.describe_subspace(i)} has {size} point(s)"
             break
 
-    whole = len(members) == len(masks)
-    closed = whole and top in index_of and _coatom_intersections(lat, top)
+    top = (1 << len(g.points)) - 1
+    closed = top in index_of and _coatom_intersections(lat, top)
     if (closed and not (ax2_witness or ax3_witness or ax4_witness)
             and _modular_certificate(lat, dims, at_dim)):
         ax1_witness = ax5_witness = None
     else:
         ax1_witness, ax5_witness = _pair_witnesses(
-            g, members, closed, at_dim if whole and not ax2_witness else None)
+            g, closed, None if ax2_witness else at_dim)
 
-    order, ax6_witness = _line_order(g, members, claimed)
+    order, ax6_witness = _line_order(g)
     witnesses = {1: ax1_witness, 2: ax2_witness, 3: ax3_witness,
                  4: ax4_witness, 5: ax5_witness, 6: ax6_witness}
     return witnesses, order
@@ -279,12 +270,12 @@ def _modular_certificate(lat: _Lattice, dims: Sequence[int],
     """True only if every pair of members has a meet and a join in L and
     satisfies the modular law: axioms 1 and 5 then have no witness.
 
-    The caller has checked that the members are all of L, that the point
-    set top is a member, that axioms 2, 3 and 4 hold and that check 3
-    passes (_coatom_intersections, run first since the pair pass reads
-    it too); this runs checks 1 and 2
-    (lattice._cover_count).  at_dim maps each dim d to the bitset of the
-    members of dim d.  Write d(w) for the dim of w.  The three checks:
+    The caller has checked that the point set top is a member, that
+    axioms 2, 3 and 4 hold and that check 3 passes
+    (_coatom_intersections, run first since the pair pass reads it too);
+    this runs checks 1 and 2 (lattice._cover_count).  at_dim maps each
+    dim d to the bitset of the members of dim d.  Write d(w) for the dim
+    of w.  The three checks:
 
       1. upper count: for each member w, with U_w the members above w of
          dim d(w) + 1, the sum of C(|U_w inside u|, 2) over the members
@@ -342,7 +333,7 @@ def _modular_certificate(lat: _Lattice, dims: Sequence[int],
             and _cover_count(lat.below, lat.above, dims, at_dim, -1))
 
 
-def _pair_witnesses(g: IncidenceGeometry, members: Sequence[int], closed: bool,
+def _pair_witnesses(g: IncidenceGeometry, closed: bool,
                     at_dim: dict[int, int] | None
                     ) -> tuple[str | None, str | None]:
     """Witnesses of axioms 1 and 5 from one pass over the pairs i <= j of
@@ -350,35 +341,35 @@ def _pair_witnesses(g: IncidenceGeometry, members: Sequence[int], closed: bool,
     its witness or by closed (it has none, see _axiom_witnesses), axiom
     5 by its witness.
 
-    A full row (lattice._full_row) reads the meets and joins of
-    members[a] with members[a:] in order, through _Lattice.meet and
-    join, and yields the row's first pair missing one (axiom 1) and its
-    first pair whose dims break the modular law (axiom 5), each while
-    that axiom is unsettled, so the rows in order give each axiom's
-    first witness in row-major order.  at_dim, the members of each dim,
-    is given where the call covers all of L and axiom 2 holds.  Then
-    each row after axiom 1 is settled is screened instead
-    (lattice._screened_row): there the least dim of a common upper bound
-    and the greatest dim of a common lower bound, read for the whole row
-    from bitset layers, are the dims of the join and the meet where
-    these exist, so only the pairs where the modular law can fail are
-    read, and the row's first axiom-5 witness is the same.
+    A full row (lattice._full_row) reads the meets and joins of member i
+    with each member j >= i in order, through _Lattice.meet and join,
+    and yields the row's first pair missing one (axiom 1) and its first
+    pair whose dims break the modular law (axiom 5), each while that
+    axiom is unsettled, so the rows in order give each axiom's first
+    witness in row-major order.  at_dim, the members of each dim, is
+    given where axiom 2 holds.  Then each row after axiom 1 is settled
+    is screened instead (lattice._screened_row): there the least dim of
+    a common upper bound and the greatest dim of a common lower bound,
+    read for the whole row from bitset layers, are the dims of the join
+    and the meet where these exist, so only the pairs where the modular
+    law can fail are read, and the row's first axiom-5 witness is the
+    same.
 
     Cost: a full row reads its pairs up to the witnesses it still needs,
     and all of them when it lacks one; a screened row makes one OR of
-    |L|-bit ints per member comparable with members[a].  Full rows are
-    paid up to axiom 1's first witness, or throughout on input that
-    fails axiom 2 until both witnesses are found.
+    |L|-bit ints per member comparable with i.  Full rows are paid up to
+    axiom 1's first witness, or throughout on input that fails axiom 2
+    until both witnesses are found.
     """
     lat, dims = g._lattice, g.dims
     layers = sorted(at_dim.items()) if at_dim is not None else None
     ax1_witness = ax5_witness = None
-    for a, i in enumerate(members):
+    for i in range(len(dims)):
         need1 = not (closed or ax1_witness)
         if layers is not None and not need1:
             bad = _screened_row(lat, dims, layers, i)
         else:
-            missing, bad = _full_row(lat, dims, members, a, need1, ax5_witness is None)
+            missing, bad = _full_row(lat, dims, i, need1, ax5_witness is None)
             if missing:
                 j, which = missing
                 ax1_witness = (f"no {which} in L for S={g.describe_subspace(i)}"
@@ -416,7 +407,7 @@ def validate_axioms(g: IncidenceGeometry) -> AxiomReport:
 
 
 # ---------------------------------------------------------------------------
-# consequences of the axioms (checked exhaustively on a validated geometry)
+# consequences of the axioms (certified on a geometry that passes them)
 
 class DerivedPropertiesReport(Report):
     properties: tuple[Check, ...]
@@ -435,22 +426,8 @@ _PROPERTY_DESCRIPTIONS = {
 }
 
 
-def _unique_line_witness(points: Sequence[str],
-                         line_masks: Iterable[int]) -> str | None:
-    """Witness for the first pair of distinct points not on exactly one line."""
-    pair_lines: dict[tuple[int, int], int] = {}
-    for m in line_masks:
-        for pair in itertools.combinations(_bits(m), 2):
-            pair_lines[pair] = pair_lines.get(pair, 0) + 1
-    for a, b in itertools.combinations(range(len(points)), 2):
-        c = pair_lines.get((a, b), 0)
-        if c != 1:
-            return f"points {points[a]} and {points[b]} lie on {c} lines"
-    return None
-
-
 def check_derived_properties(g: IncidenceGeometry) -> DerivedPropertiesReport:
-    """Verify five structural consequences of the axioms.
+    """Certify five structural consequences of the axioms.
 
       1. each subspace, with the members of L it contains, is itself a
          projective geometry of the same order;
@@ -461,25 +438,25 @@ def check_derived_properties(g: IncidenceGeometry) -> DerivedPropertiesReport:
       5. for a hyperplane S (dim = dim(P)-1) and any T, either T is
          contained in S or dim(T meet S) = dim(T) - 1.
 
-    Certificate: if all six axioms pass on L (IncidenceGeometry._axioms,
-    the pass validate_axioms reports), every property passes, and the
-    report is built with no further work (Birkhoff, Lattice Theory, 3rd
-    ed., ch. IV):
+    All six axioms passing on L (IncidenceGeometry._axioms, the pass
+    validate_axioms reports) makes every property pass, so the report is
+    built with no further work (Birkhoff, Lattice Theory, 3rd ed., ch.
+    IV):
 
       1. needs the axioms.  Property 1 on S is the six axioms on the
-         interval [empty set, S]: _axiom_witnesses on the members inside
-         S, with S as the top and L's order as the claim.  For axioms 1
-         and 5, axioms 1 and 5 on L make L a modular lattice, and each
-         interval [empty set, S] of it is a sublattice with the same
-         meets and joins: S is an upper bound of any two members inside
-         it, so their join lies inside S, and so does their meet.  So
-         every pair of the interval has its meet and join there, with
-         the dims of L, and obeys the modular law.  For axiom 2, a
-         containment inside S is one of L.  Axiom 3 needs the singletons
-         of the points of S, which are in L and inside S, and axiom 4
-         holds on each member on its own.  For axiom 6, every line of L
-         has order + 1 points, order >= 1 and the claimed order agrees,
-         and an interval with no line returns that order.
+         interval [empty set, S]: the members inside S, with S as the top
+         and L's order as the claimed order.  For axioms 1 and 5, axioms
+         1 and 5 on L make L a modular lattice, and each interval [empty
+         set, S] of it is a sublattice with the same meets and joins: S
+         is an upper bound of any two members inside it, so their join
+         lies inside S, and so does their meet.  So every pair of the
+         interval has its meet and join there, with the dims of L, and
+         obeys the modular law.  For axiom 2, a containment inside S is
+         one of L.  Axiom 3 needs the singletons of the points of S,
+         which are in L and inside S, and axiom 4 holds on each member on
+         its own.  For axiom 6, every line of L has order + 1 points,
+         order >= 1 and the claimed order agrees, and an interval with no
+         line returns that order.
       2. needs axioms 1 and 3.  Each point of S and T is a singleton in
          L and so a common lower bound; it lies inside the meet, which
          is then their intersection.
@@ -495,82 +472,19 @@ def check_derived_properties(g: IncidenceGeometry) -> DerivedPropertiesReport:
          outside it properly contains S, so axiom 2 gives it dim n, and
          the modular law gives dim(T meet S) = dim(T) - 1.
 
-    Otherwise (some axiom fails) each property is checked directly,
-    and a failed one names its first counterexample: property 1 checks
-    each interval in index order, and there a join missing from L can
-    fail an interval that has it (S and T inside two upper bounds whose
-    intersection is not in L), so its witness is only meaningful once
-    axiom 1 passes.  Property 2 names the first pair i <= j whose
-    intersection is not in L.  Property 3 checks its first half, since
-    two lines sharing two points put that pair on two lines.
-
-    Cost: on a geometry the certificate covers, nothing beyond the one
-    axiom pass shared with validate_axioms, which itself certifies
-    axioms 1 and 5 without reading pairs.  Otherwise up to sum over S of
-    |L_S|^2/2 meets and joins for the intervals, |L|^2/2 intersections,
-    |P|^2 point pairs, |L|*|P| joins and |hyperplanes|*|L| meets.
+    Where an axiom fails, raises ValueError naming the first one, as
+    subspace_census refuses a geometry with no full-set member: the
+    properties are consequences of the axioms, not checks of their own,
+    and geometry check skips them there.  Cost: nothing beyond the one
+    axiom pass shared with validate_axioms.
     """
-    lat = g._lattice
-    masks, dims = g.subspaces, g.dims
-    ns = len(masks)
-    axioms, order = g._axioms
-    if all(w is None for w in axioms.values()):
-        return DerivedPropertiesReport(
-            _checks(_PROPERTY_DESCRIPTIONS, dict.fromkeys(_PROPERTY_DESCRIPTIONS)))
-
-    w1 = None
-    for i in range(ns):
-        witnesses, _ = _axiom_witnesses(g, list(_bits(lat.below[i])), masks[i], order)
-        failed = next((k for k, w in witnesses.items() if w is not None), None)
-        if failed is not None:
-            w1 = (f"restriction to {g.describe_subspace(i)} fails axiom "
-                  f"{failed}: {witnesses[failed]}")
-            break
-
-    w2 = next((f"meet of {g.describe_subspace(i)} and {g.describe_subspace(j)}"
-               f" is not their intersection"
-               for i, j in itertools.combinations_with_replacement(range(ns), 2)
-               if masks[i] & masks[j] not in lat.index_of), None)
-
-    lines = [i for i in range(ns) if dims[i] == 1]
-    w3 = _unique_line_witness(g.points, [masks[i] for i in lines])
-
-    w4 = None
-    full = (1 << len(g.points)) - 1
-    for i in range(ns):
-        for b in _bits(full ^ masks[i]):
-            si = lat.index_of.get(1 << b)
-            if si is None:
-                continue  # axiom 3 failure, reported there
-            join = lat.join(i, si)
-            if join is None or dims[join] != dims[i] + 1:
-                got = "missing" if join is None else f"dim {dims[join]}"
-                w4 = (f"join of {g.describe_subspace(i)} with point "
-                      f"{g.points[b]} is {got}, expected dim {dims[i] + 1}")
-                break
-        if w4:
-            break
-
-    w5 = None
-    n = _geometry_dimension(g)
-    if n is not None:
-        hyperplanes = [i for i in range(ns) if dims[i] == n - 1]
-        for i in hyperplanes:
-            for j in range(ns):
-                if masks[j] & masks[i] == masks[j]:
-                    continue
-                meet = lat.meet(i, j)
-                if meet is None or dims[meet] != dims[j] - 1:
-                    got = "missing" if meet is None else f"dim {dims[meet]}"
-                    w5 = (f"hyperplane {g.describe_subspace(i)} meets "
-                          f"{g.describe_subspace(j)} in {got}, expected dim "
-                          f"{dims[j] - 1}")
-                    break
-            if w5:
-                break
-
-    witnesses = {1: w1, 2: w2, 3: w3, 4: w4, 5: w5}
-    return DerivedPropertiesReport(_checks(_PROPERTY_DESCRIPTIONS, witnesses))
+    axioms, _ = g._axioms
+    failed = next((k for k, w in axioms.items() if w is not None), None)
+    if failed is not None:
+        raise ValueError(f"geometry fails axiom {failed} ({axioms[failed]}); "
+                         f"validate first")
+    return DerivedPropertiesReport(
+        _checks(_PROPERTY_DESCRIPTIONS, dict.fromkeys(_PROPERTY_DESCRIPTIONS)))
 
 
 # ---------------------------------------------------------------------------
@@ -580,7 +494,7 @@ PointCountCheck = namedtuple("PointCountCheck", "expected actual passed")
 
 
 def _resolved_order(g: IncidenceGeometry) -> int:
-    order, _ = _line_order(g, range(len(g.dims)), g.claimed_order)
+    order, _ = _line_order(g)
     return order if order is not None else 1
 
 

@@ -157,22 +157,21 @@ def _coatom_intersections(lat: _Lattice, top: int) -> bool:
     return all(in_l.issuperset(map(masks[h].__and__, masks)) for h in _bits(coatoms))
 
 
-def _full_row(lat: _Lattice, dims: Sequence[int], members: Sequence[int],
-              a: int, need1: bool, need5: bool
+def _full_row(lat: _Lattice, dims: Sequence[int], i: int,
+              need1: bool, need5: bool
               ) -> tuple[tuple[int, str] | None, tuple[int, int, int] | None]:
-    """Row a of a pass over the pairs i <= j of members, i = members[a]:
-    the meets and joins of i with members[a:], read in order.  Returns,
-    if need1, the row's first pair with no meet or no join, as (j, "meet"
+    """Row i of a pass over the pairs i <= j of members: the meets and
+    joins of i with each member j >= i, read in order.  Returns, if
+    need1, the row's first pair with no meet or no join, as (j, "meet"
     or "join"), and, if need5, its first pair whose meet and join break
     the modular law, as (j, meet, join); None where there is none or
     where it is not needed.  The row stops once each needed pair is
     found, so it reads all its pairs only when it lacks one of them.
     """
     meet_with, join_with = lat.meet, lat.join
-    i = members[a]
     di = dims[i]
     missing = bad = None
-    for j in members[a:]:
+    for j in range(i, len(dims)):
         meet, join = meet_with(i, j), join_with(i, j)
         if meet is None or join is None:  # axiom 1's, never axiom 5's
             if need1:

@@ -14,11 +14,14 @@ the point of this package.
 from __future__ import annotations
 
 import enum
+import itertools
 import math
+from collections.abc import Iterable, Sequence
 
 from .errors import BudgetExceeded, DimensionMismatch, GeometryFormatError
 from .geometry import (Check, IncidenceGeometry, Report, _checks,
-                       _geometry_dimension, _unique_line_witness)
+                       _geometry_dimension)
+from .lattice import _bits
 from .record import Record
 
 # about 0.15 s for a 25-digit order, 1.4 s for 4000 digits, on a 2-core VM
@@ -46,6 +49,20 @@ class PlaneReport(Report):
         for c in out["checks"]:
             del c["number"]
         return out
+
+
+def _unique_line_witness(points: Sequence[str],
+                         line_masks: Iterable[int]) -> str | None:
+    """Witness for the first pair of distinct points not on exactly one line."""
+    pair_lines: dict[tuple[int, int], int] = {}
+    for m in line_masks:
+        for pair in itertools.combinations(_bits(m), 2):
+            pair_lines[pair] = pair_lines.get(pair, 0) + 1
+    for a, b in itertools.combinations(range(len(points)), 2):
+        c = pair_lines.get((a, b), 0)
+        if c != 1:
+            return f"points {points[a]} and {points[b]} lie on {c} lines"
+    return None
 
 
 def validate_plane(p: PlaneStructure) -> PlaneReport:

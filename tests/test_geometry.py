@@ -46,6 +46,14 @@ def mutant_families(draw):
                              tuple(m.bit_count() - 1 for m in members))
 
 
+@functools.cache
+def _standard_mutants():
+    """name -> each of standard_mutations, all of which fail an axiom."""
+    return dict(standard_mutations(build_projective_space(2, 2),
+                                   build_projective_space(3, 2),
+                                   build_boolean_geometry(4)))
+
+
 @st.composite
 def derived_mutants(draw):
     """A corpus geometry with up to four members dropped or added or dims bumped."""
@@ -328,43 +336,31 @@ class TestLatticeEdges:
 
     def test_one_axiom_pass_per_geometry(self, monkeypatch):
         calls = []
-
-        def counting(g, members, top, claimed):
-            calls.append(len(members))
-            return axiom_witnesses(g, members, top, claimed)
-
-        axiom_witnesses = geometry._axiom_witnesses
-        monkeypatch.setattr(geometry, "_axiom_witnesses", counting)
+        _spy(monkeypatch, "_axiom_witnesses", calls.append)
         g = build_projective_space(2, 3)
         assert validate_axioms(g).passed
-        assert calls == [len(g.subspaces)]
+        assert calls == [g]
         assert check_derived_properties(g).passed
-        assert calls == [len(g.subspaces)]  # property 1 follows from that pass
+        assert calls == [g]  # property 1 follows from that pass
 
         fano = build_projective_space(2, 2)
         broken = drop_subspace(fano, fano.dims.index(1))
         calls.clear()
         assert not validate_axioms(broken).passed
-        assert calls == [len(broken.subspaces)]
-        prop1 = check_derived_properties(broken).properties[0]
-        assert prop1.witness.startswith("restriction to")
-        assert len(calls) > 1  # one call per interval up to the first failure
+        assert calls == [broken]
+        with pytest.raises(ValueError, match=r"^geometry fails axiom 5 "):
+            check_derived_properties(broken)
+        assert calls == [broken]  # the refusal reads the same pass
 
     def test_pair_pass_only_where_the_certificate_fails(self, monkeypatch):
         calls = []
-
-        def counting(g, members, *rest):
-            calls.append(len(members))
-            return pair_witnesses(g, members, *rest)
-
-        pair_witnesses = geometry._pair_witnesses
-        monkeypatch.setattr(geometry, "_pair_witnesses", counting)
+        _spy(monkeypatch, "_pair_witnesses", lambda g, closed, at_dim: calls.append(g))
         g = build_projective_space(2, 3)
         assert validate_axioms(g).passed
         assert calls == []
         broken = drop_subspace(g, g.dims.index(1))
         assert not validate_axioms(broken).passed
-        assert calls == [len(broken.subspaces)]
+        assert calls == [broken]
 
     def test_meets_and_joins_equal_the_gathered_reference(self):
         # on each mutant and a shuffle of its members, every pair's meet
@@ -515,7 +511,7 @@ class TestAxiomCertificate:
         # axioms 1 and 5 is drawn: the certificate alone, axiom 1 certified
         # by coatom closure, rows screened by dim and rows computed in full
         branches, ran = set(), set()
-        _spy(monkeypatch, "_pair_witnesses", lambda g, members, closed, at_dim:
+        _spy(monkeypatch, "_pair_witnesses", lambda g, closed, at_dim:
              ran.add("axiom 1 certified" if closed else "pair pass"))
         _spy(monkeypatch, "_screened_row", lambda *args: ran.add("screened rows"))
         _spy(monkeypatch, "_full_row", lambda *args: ran.add("full rows"))
@@ -543,8 +539,8 @@ class TestAxiomCertificate:
         first = next(i for i in range(ns)
                      if None in ref.meets[i][i:] + ref.joins[i][i:])
         rows = {"full": [], "screened": []}
-        _spy(monkeypatch, "_full_row", lambda lat, dims, members, a, need1, need5:
-             rows["full"].append(a))
+        _spy(monkeypatch, "_full_row", lambda lat, dims, i, need1, need5:
+             rows["full"].append(i))
         _spy(monkeypatch, "_screened_row", lambda lat, dims, layers, i:
              rows["screened"].append(i))
         report = validate_axioms(g).as_dict()
@@ -562,8 +558,8 @@ class TestAxiomCertificate:
         g = shuffle_members(perturb_dim(p3f3, p3f3.dims.index(1)), 12)
         ns = len(g.subspaces)
         rows, joins = [], []
-        _spy(monkeypatch, "_full_row", lambda lat, dims, members, a, need1, need5:
-             rows.append(a))
+        _spy(monkeypatch, "_full_row", lambda lat, dims, i, need1, need5:
+             rows.append(i))
         join = geometry._Lattice.join
 
         def counting(lat, i, j):
@@ -640,24 +636,29 @@ class TestDerivedProperties:
         @settings(max_examples=300, deadline=None)
         @given(derived_mutants())
         def check(g):
-            # certified when the axioms pass on L, evaluated directly otherwise
-            branches.add("axioms pass" if validate_axioms(g).passed else "axioms fail")
+            # certified when the axioms pass on L, refused with the first
+            # failed axiom otherwise
+            axioms = reference_axioms(g)
+            failed = next((a for a in axioms["axioms"] if not a["passed"]), None)
+            if failed is not None:
+                branches.add("axioms fail")
+                with pytest.raises(ValueError) as err:
+                    check_derived_properties(g)
+                assert str(err.value).startswith(
+                    f"geometry fails axiom {failed['number']} ({failed['witness']})")
+                return
+            branches.add("axioms pass")
             got = check_derived_properties(g).as_dict()["properties"]
-            first = property_one_reference(g)
-            assert got[0]["passed"] == (first is None)
-            if first is not None:
-                s, axiom = first
-                assert got[0]["witness"].startswith(
-                    f"restriction to {g.describe_subspace(s)} fails axiom {axiom}: ")
+            assert property_one_reference(g) is None and got[0]["passed"]
             assert got[1:] == reference_derived_properties(g)
 
         check()
         assert branches == {"axioms fail", "axioms pass"}
 
     def test_certificate_reads_no_meet_join_or_line(self, monkeypatch):
-        # once the axiom pass has run, a valid geometry's report costs no
-        # meet, join, line count or interval check; a geometry that fails
-        # an axiom makes every one of them run
+        # once the axiom pass has run, neither a valid geometry's report
+        # nor the refusal of a geometry that fails an axiom costs a meet,
+        # join, line count or interval check
         calls = []
 
         def counting(owner, name):
@@ -673,13 +674,12 @@ class TestDerivedProperties:
         assert validate_axioms(g).passed and not validate_axioms(broken).passed
         counting(geometry._Lattice, "meet")
         counting(geometry._Lattice, "join")
-        counting(geometry, "_unique_line_witness")
+        counting(geometry, "_line_order")
         counting(geometry, "_axiom_witnesses")
         assert check_derived_properties(g).passed
+        with pytest.raises(ValueError, match=r"^geometry fails axiom 1 "):
+            check_derived_properties(broken)
         assert calls == []
-        assert not check_derived_properties(broken).passed
-        assert set(calls) == {"meet", "join", "_unique_line_witness",
-                              "_axiom_witnesses"}
 
     def test_boolean_lines_are_pairs(self, geometry_corpus):
         g = geometry_corpus["Boolean(4)"]
@@ -687,22 +687,20 @@ class TestDerivedProperties:
         assert all(m.bit_count() == 2 for m in lines)
         assert len(lines) == 6
 
-    def test_property_one_reports_a_join_missing_from_L(self):
-        # {a} and {b} lie on two lines, so L has no join for them, while the
-        # interval below either line does; property 1 reads L's table
-        g = IncidenceGeometry.from_point_sets(
-            "abcd", [(-1, ""), (0, "a"), (0, "b"), (0, "c"), (0, "d"),
-                     (1, "abc"), (1, "abd")])
-        prop1 = check_derived_properties(g).properties[0]
-        assert prop1.witness == ("restriction to {a,b,c}(dim 1) fails axiom 1: "
-                                 "no join in L for S={a}(dim 0) and T={b}(dim 0)")
-
-    def test_witness_on_corrupted_geometry(self, fano):
-        line = next(i for i, d in enumerate(fano.dims) if d == 1)
-        report = check_derived_properties(drop_subspace(fano, line))
-        assert not report.passed
-        broken = [p for p in report.properties if not p.passed]
-        assert all(p.witness for p in broken)
+    @pytest.mark.parametrize("name", list(_standard_mutants()))
+    def test_refusal_names_the_first_failed_axiom(self, name, monkeypatch):
+        # each mutant fails an axiom: the report is refused with the first
+        # one and its witness, read from the one axiom pass
+        g = _standard_mutants()[name]
+        fresh = IncidenceGeometry(g.points, g.subspaces, g.dims, g.claimed_order)
+        calls = []
+        _spy(monkeypatch, "_axiom_witnesses", calls.append)
+        failed = next(a for a in reference_axioms(fresh)["axioms"] if not a["passed"])
+        with pytest.raises(ValueError) as err:
+            check_derived_properties(fresh)
+        assert str(err.value) == (f"geometry fails axiom {failed['number']} "
+                                  f"({failed['witness']}); validate first")
+        assert calls == [fresh]
 
 
 class TestCounting:

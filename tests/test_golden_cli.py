@@ -2,8 +2,11 @@
 
 golden_cli.json holds, for each command of the corpus, its exit code and
 the exact text and error strings that ``qproj.cli.run`` returned, and,
-for each corpus geometry in which every pair of subspaces has a join,
-the ``as_dict()`` of its derived-property report.  Each entry was written
+for each corpus geometry that passes the axioms (P2(F2), P2(F3), P3(F2),
+P1(F3) and Boolean(4)), the ``as_dict()`` of its derived-property
+report.  The mutants of ``standard_mutations`` each fail an axiom, so
+they have no ``derived`` entry: the library refuses their report, and
+``geometry check`` stops after the axioms.  Each entry was written
 from the code before the refactor it guards (the lattice pass for the
 geometry and plane cases, the integer-coded oracles for the ``paths gf``
 and ``--brute-force`` cases, the packed coefficients for the ``expand``
@@ -43,7 +46,7 @@ code found by gathering lower bounds), P3(F2) with its first line's dim
 bumped (axioms 2 and 5 fail) and P2(F4) without its first line (axiom 5
 alone fails, so the pair pass runs to the end).
 
-Five cases were written from the code before the derived properties of
+Three cases were written from the code before the derived properties of
 a geometry that passes the axioms were certified by the axiom pass alone:
 ``geometry check`` on P3(F3) and Boolean(7), valid and large enough that
 the certificate alone answers, and "fano line twice", the Fano plane
@@ -99,10 +102,11 @@ import pytest
 from qproj import (build_boolean_geometry, build_projective_space,
                    check_derived_properties, geometry_to_json,
                    plane_from_geometry, plane_to_json)
+from qproj import geometry
 from qproj.cli import run
 
-from util import (drop_subspace, perturb_dim, repeated_mask_documents,
-                  shuffle_members, standard_mutations)
+from util import (drop_subspace, perturb_dim, reference_axioms,
+                  repeated_mask_documents, shuffle_members, standard_mutations)
 
 GOLDEN = Path(__file__).with_name("golden_cli.json")
 FILE = "{file}"
@@ -239,27 +243,11 @@ def _cases():
     return cases
 
 
-def _every_pair_has_join(g):
-    # brute force: the least upper bound of S and T is the intersection of
-    # all members of L containing S | T, and it must itself be in L
-    members = set(g.subspaces)
-    for a in g.subspaces:
-        for b in g.subspaces:
-            uppers = [m for m in g.subspaces if m & (a | b) == a | b]
-            if not uppers:
-                return False
-            inter = uppers[0]
-            for m in uppers[1:]:
-                inter &= m
-            if inter not in members:
-                return False
-    return True
-
-
 @functools.cache
 def _derived_names():
+    """The corpus geometries that pass the axioms, by the plain-loop oracle."""
     return sorted(name for name, g in _geometries().items()
-                  if _every_pair_has_join(g))
+                  if reference_axioms(g)["passed"])
 
 
 def _run_case(name, tmp_path):
@@ -299,6 +287,19 @@ def test_point_deletion_mutants_reach_the_axioms(b, tmp_path):
     assert got["exit_code"] == 1
     assert "FAIL" in got["text"] and "witness:" in got["text"]
     assert got["error"] == ""
+
+
+@pytest.mark.parametrize("name", sorted(set(_geometries()) - set(_derived_names())))
+def test_failing_geometry_skips_the_derived_properties(name, tmp_path, monkeypatch):
+    # geometry check stops after the axioms and never asks for the derived
+    # properties, which the library refuses on such input: a call would
+    # end in exit 4
+    def refuse(g):
+        raise RuntimeError("check_derived_properties called on failing axioms")
+    monkeypatch.setattr(geometry, "check_derived_properties", refuse)
+    got = _run_case(f"geometry check {name}", tmp_path)
+    assert got["exit_code"] == 1 and got["error"] == ""
+    assert got["text"].splitlines()[-1] == "axioms failed; skipping dependent checks"
 
 
 @pytest.mark.parametrize("name", _derived_names())

@@ -215,7 +215,7 @@ def reference_axioms(g: IncidenceGeometry) -> dict:
         if (dims[i] == -1) != (size == 0) or (dims[i] == 0) != (size == 1):
             witnesses[4] = f"{describe(i)} has {size} point(s)"
             break
-    order, witnesses[6] = geometry._line_order(g, range(ns), g.claimed_order)
+    order, witnesses[6] = geometry._line_order(g)
     full = (1 << len(g.points)) - 1
     dimension = next((d for m, d in zip(masks, dims) if m == full), None)
     return AxiomReport(geometry._checks(geometry._AXIOM_DESCRIPTIONS, witnesses),
@@ -231,7 +231,7 @@ def property_one_reference(g: IncidenceGeometry) -> tuple[int, int] | None:
     inside S from lattice_reference, with meets and joins taken in L and
     L's order (its first line's size less one, else the claimed order) as
     the claim.  Test-only: it reads neither _Lattice nor the axiom pass,
-    which check_derived_properties skips when the axioms pass on all of L.
+    from which check_derived_properties certifies property 1.
     """
     ref = lattice_reference(g)
     masks, dims = g.subspaces, g.dims
