@@ -15,8 +15,8 @@ from .qcalc import (QPoly, q_binomial_quotient, q_binomial_recurrence,
                     q_factorial, q_integer)
 from .qword import NoncommPoly, expand_binomial, nc_coefficient, nc_multiply
 from .gf import FiniteField, factor_prime_power, make_field
-from .linalg import (SubspaceCanonical, count_independent_tuples,
-                     enumerate_subspaces, rref, span_canonical)
+from .linalg import (count_independent_tuples, enumerate_subspaces, rref,
+                     span_canonical)
 from .geometry import (AxiomReport, CensusReport, Check,
                        DerivedPropertiesReport, IncidenceGeometry, PointCountCheck,
                        affine_decomposition, build_boolean_geometry,

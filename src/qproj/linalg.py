@@ -1,30 +1,27 @@
 """Exact linear algebra over F_q: RREF, canonical subspaces, enumeration.
 
-A subspace of F_q^n is represented by the reduced row echelon form of
-any spanning set; RREF is unique, so two subspaces are equal iff their
-canonical basis matrices are equal.  Enumeration of all k-dimensional
-subspaces generates RREF matrices directly, choosing a pivot-column
-pattern and filling the free entries, so each subspace is produced
-exactly once with no dedup bookkeeping.  The span-and-dedupe route is
-deliberately NOT used here; it lives in the test suite as the
-independent oracle.
+A subspace of F_q^n is its RREF basis: a tuple of code rows, unique for
+the subspace, so two subspaces are equal iff their bases are equal.
+Enumeration of all k-dimensional subspaces generates RREF matrices
+directly, choosing a pivot-column pattern and filling the free entries,
+so each subspace is produced exactly once with no dedup bookkeeping.
+The span-and-dedupe route is deliberately NOT used here; it lives in
+the test suite as the independent oracle, over span_canonical.
 
 _rref_bases streams the enumeration as (basis, pivots) pairs, and
-enumerate_subspaces is the list of SubspaceCanonical built over that
-stream.  The CLI's subspace count and listing, the projective-space
-build and the affine decomposition read the stream and build no object
-per subspace.
+enumerate_subspaces is the list of its bases.  The CLI's subspace
+count and listing, the projective-space build and the affine
+decomposition read the stream itself.
 
-SubspaceCanonical's constructor checks every row of the basis it is
-given; every subspace formed from a span (span_canonical) goes through
-it.  The stream runs the same row checks once per pivot pattern and row
-filling instead of once per basis, and enumerate_subspaces builds its
-objects through a private classmethod that skips them.
+The rows of a basis pass two checks: _row_pivot on each row (against
+the pivots of the rows below it) and _check_pivots on the pivots.
+span_canonical runs them on every basis it returns; the stream runs
+them once per pivot pattern and row filling instead of once per basis.
 
 Vectors are sequences of element codes, indexed straight into the
-field's tables; span_canonical (through rref) and contains refuse an
-entry that is not a code of the field and a vector whose length is not
-the ambient dimension.
+field's tables; span_canonical (through rref) refuses an entry that is
+not a code of the field and a vector whose length is not the ambient
+dimension.
 """
 
 from __future__ import annotations
@@ -100,80 +97,23 @@ def _row_pivot(q: int, ambient: int, row: tuple[int, ...],
     return piv
 
 
-class SubspaceCanonical:
-    """A subspace of F_q^n held as its unique full-rank RREF basis of code rows."""
-
-    __slots__ = ("field", "ambient", "basis", "pivots")
-
-    def __init__(self, field: FiniteField, ambient: int,
-                 basis: tuple[tuple[int, ...], ...]):
-        # bottom row first, so each row meets the pivots below it already found
-        pivots: list[int] = []
-        for row in reversed(basis):
-            pivots.append(_row_pivot(field.q, ambient, row, pivots))
-        pivots.reverse()
-        _check_pivots(pivots)
-        self.field = field
-        self.ambient = ambient
-        self.basis = basis
-        self.pivots = tuple(pivots)
-
-    @classmethod
-    def _from_checked_rows(cls, field: FiniteField, ambient: int,
-                           basis: tuple[tuple[int, ...], ...],
-                           pivots: tuple[int, ...]) -> "SubspaceCanonical":
-        """An instance whose rows already passed _row_pivot with these pivots.
-
-        No check runs here: the caller must have checked the pivots with
-        _check_pivots and each row against the pivots below it.
-        """
-        self = cls.__new__(cls)
-        self.field = field
-        self.ambient = ambient
-        self.basis = basis
-        self.pivots = pivots
-        return self
-
-    @property
-    def dim(self) -> int:
-        return len(self.basis)
-
-    def contains(self, vector: Sequence[int]) -> bool:
-        """Membership test by reducing a vector of element codes against the basis."""
-        field = self.field
-        if len(vector) != self.ambient:
-            raise DimensionMismatch("vector length differs from ambient dimension")
-        # a negative code would index the tables from the end
-        if vector and (min(vector) < 0 or max(vector) >= field.q):
-            raise ValueError(f"matrix entry is not a code of F_{field.q}")
-        v = vector
-        add, mul, neg = field.add_table, field.mul_table, field.neg_table
-        for row, piv in zip(self.basis, self.pivots):
-            if v[piv]:
-                times = mul[neg[v[piv]]]
-                v = [add[a][times[b]] for a, b in zip(v, row)]
-        return not any(v)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, SubspaceCanonical):
-            return NotImplemented
-        return (self.basis == other.basis and self.ambient == other.ambient
-                and self.field.key == other.field.key)
-
-    def __hash__(self) -> int:
-        return hash((self.ambient, self.basis))
-
-    def __repr__(self) -> str:
-        return f"SubspaceCanonical(dim={self.dim}, ambient={self.ambient}, rows={self.basis})"
-
-
 def span_canonical(field: FiniteField, ambient: int,
-                   vectors: Iterable[Sequence[int]]) -> SubspaceCanonical:
-    """Canonical representative of the span of vectors of element codes."""
+                   vectors: Iterable[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
+    """The RREF basis of the span of vectors of element codes.
+
+    Each row of the basis is checked by _row_pivot against the pivots of
+    the rows below it, and the pivots must strictly increase.
+    """
     reduced, rank = rref(field, vectors)
     if reduced and len(reduced[0]) != ambient:
         raise DimensionMismatch("vector length differs from ambient dimension")
-    return SubspaceCanonical(field, ambient, reduced[:rank])
+    basis = reduced[:rank]
+    # bottom row first, so each row meets the pivots below it already found
+    pivots: list[int] = []
+    for row in reversed(basis):
+        pivots.append(_row_pivot(field.q, ambient, row, pivots))
+    _check_pivots(pivots[::-1])
+    return basis
 
 
 def count_independent_tuples(q: int, n: int, k: int) -> int:
@@ -252,24 +192,14 @@ def _rref_bases(q: int, n: int, k: int, budget: int = DEFAULT_SUBSPACE_BUDGET
 
 
 def enumerate_subspaces(q: int, n: int, k: int,
-                        budget: int = DEFAULT_SUBSPACE_BUDGET) -> list[SubspaceCanonical]:
-    """All k-dimensional subspaces of F_q^n, each exactly once.
+                        budget: int = DEFAULT_SUBSPACE_BUDGET
+                        ) -> list[tuple[tuple[int, ...], ...]]:
+    """The RREF basis of every k-dimensional subspace of F_q^n, each once.
 
     Deterministic order: pivot-column patterns in lexicographic order,
     then free entries filled in canonical element order.  Raises
     BudgetExceeded if the projected output size is over budget, or if n
     is over the q-series cap: past it [n choose k]_q is formed only for
     k = 0 and k = n, where the one basis still holds k rows of n codes.
-
-    The list is built over _rref_bases, which runs the checks of
-    SubspaceCanonical once per pivot pattern (the pivots strictly
-    increase) and once per row filling (_row_pivot, against the pivots
-    of the rows below), not once per basis: every basis of a pattern is
-    a choice of one checked filling per row, so it passes them all, and
-    it is built by _from_checked_rows with the pattern's shared pivots
-    tuple.
     """
-    bases = _rref_bases(q, n, k, budget)
-    field = make_field(q)  # cached by the check above
-    make = SubspaceCanonical._from_checked_rows
-    return [make(field, n, basis, pivots) for basis, pivots in bases]
+    return [basis for basis, _ in _rref_bases(q, n, k, budget)]

@@ -69,7 +69,7 @@ def test_criterion_3_subspace_counting():
                     oracle = {s for s in
                               (span_canonical(field, n, sub)
                                for sub in itertools.combinations(vectors, k))
-                              if s.dim == k}
+                              if len(s) == k}
                 assert set(enumerate_subspaces(q, n, k)) == oracle, (q, n, k)
     _verdict(3, "subspace counts (q <= 5, n <= 4) and span-dedupe oracle", t0)
 

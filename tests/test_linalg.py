@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qproj import linalg
-from qproj import (BudgetExceeded, DimensionMismatch, SubspaceCanonical,
-                   count_independent_tuples, enumerate_subspaces, make_field,
-                   q_binomial_recurrence, rref, span_canonical)
+from qproj import (BudgetExceeded, DimensionMismatch, count_independent_tuples,
+                   enumerate_subspaces, make_field, q_binomial_recurrence, rref,
+                   span_canonical)
 from qproj.cli import EXIT_USAGE, EXIT_VERIFY, run
 
 
@@ -25,7 +25,7 @@ def spanning_oracle(q, n, k):
     found = set()
     for subset in itertools.combinations(nonzero, k):
         s = span_canonical(field, n, subset)
-        if s.dim == k:
+        if len(s) == k:
             found.add(s)
     if k == 0:
         found = {span_canonical(field, n, [])}
@@ -98,38 +98,22 @@ class TestRref:
 
 class TestSpanCanonical:
     def test_empty_span(self):
-        s = span_canonical(make_field(2), 3, [])
-        assert s.dim == 0
-        assert s.basis == ()
+        assert span_canonical(make_field(2), 3, []) == ()
 
     def test_full_plane_over_f2(self):
         f = make_field(2)
-        s = span_canonical(f, 2, [(1, 1), (0, 1)])
-        assert s.basis == ((1, 0), (0, 1))
+        assert span_canonical(f, 2, [(1, 1), (0, 1)]) == ((1, 0), (0, 1))
 
     def test_collinear_vectors_over_f5(self):
         f = make_field(5)
         s = span_canonical(f, 3, [(1, 2, 0), (2, 4, 0)])
-        assert s.dim == 1
-        assert s.basis == ((1, 2, 0),)
+        assert s == ((1, 2, 0),)
 
-    def test_canonical_invariants_enforced(self):
-        f = make_field(2)
-        with pytest.raises(ValueError):
-            SubspaceCanonical(f, 2, ((0, 0),))  # zero row
-        with pytest.raises(ValueError):
-            # pivot columns not increasing
-            SubspaceCanonical(f, 2, ((0, 1), (1, 0)))
-        with pytest.raises(ValueError):
-            SubspaceCanonical(f, 2, ((1, 2),))  # 2 is not a code of F_2
-        f3 = make_field(3)
-        with pytest.raises(ValueError, match="wrong length"):
-            SubspaceCanonical(f3, 3, ((1, 0, 0), (0, 1)))
-        with pytest.raises(ValueError, match="pivot entry must be 1"):
-            SubspaceCanonical(f3, 3, ((0, 2, 1),))
-        with pytest.raises(ValueError, match="nonzero entry in a pivot column"):
-            # row 0 has a 2 in column 2, the pivot of row 1
-            SubspaceCanonical(f3, 3, ((1, 0, 2), (0, 0, 1)))
+    def test_pivots_must_increase(self, monkeypatch):
+        # each row is a valid RREF row, but the pivots run 1, 0
+        monkeypatch.setattr(linalg, "rref", lambda field, rows: (((0, 1), (1, 0)), 2))
+        with pytest.raises(ValueError, match="pivot columns must strictly increase"):
+            span_canonical(make_field(2), 2, [(0, 1), (1, 0)])
 
     @pytest.mark.parametrize("vector, error, match", [
         ((0, -1, 0), ValueError, "not a code of F_2"),
@@ -141,9 +125,6 @@ class TestSpanCanonical:
         f = make_field(2)
         with pytest.raises(error, match=match):
             span_canonical(f, 3, [vector])
-        s = span_canonical(f, 3, [(0, 1, 0)])
-        with pytest.raises(error, match=match):
-            s.contains(vector)
 
 
 class TestEnumeration:
@@ -172,25 +153,23 @@ class TestEnumeration:
     def test_deterministic_order(self):
         a = enumerate_subspaces(3, 4, 2)
         b = enumerate_subspaces(3, 4, 2)
-        assert [s.basis for s in a] == [s.basis for s in b]
+        assert a == b
 
     @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16])
-    def test_constructor_accepts_every_enumerated_basis(self, q):
-        # the enumerator skips the constructor's per-basis checks; rebuilding
-        # through the checking constructor must give back the same subspace
+    def test_every_enumerated_basis_is_its_own_rref(self, q):
+        # the enumerator checks rows per filling, not per basis; Gaussian
+        # elimination of each basis must give it back unchanged, at full rank
         field = make_field(q)
         for n in range(4 if q == 16 else 5):
             for k in range(n + 1):
-                for s in enumerate_subspaces(q, n, k):
-                    t = SubspaceCanonical(field, n, s.basis)
-                    assert t == s and hash(t) == hash(s)
-                    assert t.basis == s.basis and t.pivots == s.pivots
+                for basis in enumerate_subspaces(q, n, k):
+                    assert rref(field, basis) == (basis, k)
 
     def test_bases_of_a_pattern_share_its_pivots(self):
-        subs = enumerate_subspaces(3, 4, 2)
         by_pattern = {}
-        for s in subs:
-            assert by_pattern.setdefault(s.pivots, s.pivots) is s.pivots
+        for basis, pivots in linalg._rref_bases(3, 4, 2):
+            assert by_pattern.setdefault(pivots, pivots) is pivots
+            assert pivots == tuple(row.index(1) for row in basis)
         assert len(by_pattern) == 6
 
     @BAD_FILLINGS
@@ -227,8 +206,8 @@ class TestCountIndependentTuples:
 
 
 class TestStream:
-    """The CLI's `subspaces` walks the stream and builds no SubspaceCanonical;
-    it must see the same bases, and the same refusals, as the list."""
+    """The CLI's `subspaces` walks the stream of (basis, pivots) pairs; it
+    must see the same bases, and the same refusals, as the list."""
 
     @BAD_FILLINGS
     @pytest.mark.parametrize("listing", [[], ["--list"]])
@@ -261,13 +240,5 @@ class TestStream:
                 assert run(argv).text == f"count: {len(subs)} (expected {len(subs)})"
                 data = json.loads(run(argv + ["--list", "--json"]).text)["data"]
                 assert data["count"] == len(subs)
-                assert data["subspaces"] == [[list(row) for row in s.basis]
-                                             for s in subs]
-
-
-def test_contains():
-    f = make_field(2)
-    s = span_canonical(f, 3, [(1, 0, 1)])
-    assert s.contains((1, 0, 1))
-    assert s.contains((0, 0, 0))
-    assert not s.contains((1, 1, 0))
+                assert data["subspaces"] == [[list(row) for row in basis]
+                                             for basis in subs]
