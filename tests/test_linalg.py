@@ -242,3 +242,20 @@ class TestStream:
                 assert data["count"] == len(subs)
                 assert data["subspaces"] == [[list(row) for row in basis]
                                              for basis in subs]
+
+
+def test_contains():
+    # a vector lies in a subspace exactly when adding it leaves the RREF
+    # basis of the span unchanged
+    f = make_field(2)
+    s = span_canonical(f, 3, [(1, 0, 1)])
+    assert span_canonical(f, 3, [*s, (1, 0, 1)]) == s
+    assert span_canonical(f, 3, [*s, (0, 0, 0)]) == s
+    assert span_canonical(f, 3, [*s, (1, 1, 0)]) != s
+    # over F_3 the members are the q^2 combinations of the two basis rows
+    f = make_field(3)
+    s = span_canonical(f, 3, [(1, 2, 0), (0, 1, 1)])
+    members = {tuple((a * x + b * y) % 3 for x, y in zip(*s))
+               for a in range(3) for b in range(3)}
+    for v in itertools.product(range(3), repeat=3):
+        assert (span_canonical(f, 3, [*s, v]) == s) == (v in members)
