@@ -11,17 +11,20 @@ Exit codes are a contract so shell pipelines can tell outcomes apart:
     4  internal error: an exception no handler expects, which is a bug,
        never a verdict
 
-With --json every payload is wrapped uniformly as
-{"command": ..., "ok": ..., "data": {...}}.
+With --json every payload is wrapped as {"command": ..., "ok": ..., "data": {...}}.
+Options follow the command words in any order, as --flag value, --flag=value
+or a unique prefix; '--' ends them; a negative number is a value.  -h/--help
+prints help (exit 0); a usage error prints usage and message on stderr (exit 2).
 """
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import itertools
 import json
+import re
 import sys
+import types
 
 from . import geometry as geo
 from . import planes as pl
@@ -413,166 +416,167 @@ def _cmd_group_an(args):
 # --- parser ------------------------------------------------------------------
 
 def _nonnegative_int(text: str) -> int:
-    """argparse type of the cap flags: a negative cap is bad input (exit 2)."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    """Converter of the cap flags: a negative cap is bad input (exit 2)."""
+    value = int(text)
     if value < 0:
-        raise argparse.ArgumentTypeError(f"must be nonnegative, got {value}")
+        raise ValueError(f"must be nonnegative, got {value}")
     return value
 
 
-def _args_qbinom(p):
-    p.add_argument("n", type=int)
-    p.add_argument("k", type=int)
-    p.add_argument("--at", type=int, default=None, metavar="Q0",
-                   help="evaluate at q = Q0 instead of printing coefficients")
+def _choice(names):
+    """A converter that accepts exactly the given names."""
+    def convert(text: str) -> str:
+        if text not in names:
+            raise ValueError(f"invalid choice: {text!r} (choose from {', '.join(names)})")
+        return text
+    return convert
 
 
-def _args_subspaces(p):
-    p.add_argument("q", type=int)
-    p.add_argument("n", type=int)
-    p.add_argument("k", type=int)
-    p.add_argument("--list", action="store_true", help="print canonical bases")
-    p.add_argument("--budget", type=_nonnegative_int,
-                   default=DEFAULT_SUBSPACE_BUDGET)
+def _commands() -> tuple:
+    """The command tree: (help, table) for a group, whose table maps names to
+    groups and to commands, (help, handler, positionals, options, flags of
+    which exactly one is required).  A positional is (dest, converter); an
+    option maps its flag to (dest, converter, metavars, default, help), and
+    stores True if it has no metavar.  Handlers are read at each call."""
+    def cmd(text, handler, positionals, options=(), one_of=()):
+        json_flag = ("json", None, (), False, "emit a uniform JSON payload")
+        return text, handler, positionals, {**dict(options), "--json": json_flag}, one_of
 
+    def cap(dest, default):
+        return dest, _nonnegative_int, (dest.upper(),), default, f"(default {default})"
 
-def _args_geometry_build(p):
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--projective", nargs=2, type=int, metavar=("Q", "N"))
-    group.add_argument("--boolean", type=int, metavar="N")
-    p.add_argument("--budget", type=_nonnegative_int,
-                   default=geo.DEFAULT_GEOMETRY_BUDGET)
-
-
-def _args_file(p):
-    p.add_argument("file")
-
-
-def _args_geometry_collineations(p):
-    p.add_argument("file")
-    p.add_argument("--max-points", type=_nonnegative_int,
-                   default=geo.DEFAULT_COLLINEATION_CAP,
-                   help="refuse more points than this (default %(default)s)")
-
-
-def _args_q_n(p):
-    p.add_argument("q", type=int)
-    p.add_argument("n", type=int)
-
-
-def _args_order(p):
-    p.add_argument("order", type=int)
-
-
-def _args_paths_gf(p):
-    p.add_argument("m", type=int)
-    p.add_argument("n", type=int)
-    p.add_argument("--max-steps", type=_nonnegative_int, default=DEFAULT_MAX_STEPS)
-
-
-def _args_group_order(p):
-    p.add_argument("family", choices=["GL", "SL", "PGL", "PSL",
-                                      "gl", "sl", "pgl", "psl"])
-    p.add_argument("n", type=int)
-    p.add_argument("q", type=int)
-    p.add_argument("--brute-force", action="store_true",
-                   help="recount by matrix enumeration and compare")
-
-
-def _args_n(p):
-    p.add_argument("n", type=int)
-
-
-def _commands() -> dict:
-    """name -> (help, handler, adds the arguments before --json), or (help,
-    table of subcommands) for a command group, in the order of the help
-    text.  Built per parser, so each handler is the module's at that time."""
-    return {
-        "qbinom": ("Gaussian binomial by both routes", _cmd_qbinom, _args_qbinom),
-        "expand": ("normal-ordered expansion of (x+y)^n", _cmd_expand, _args_n),
-        "subspaces": ("enumerate k-subspaces of F_q^n", _cmd_subspaces, _args_subspaces),
+    n, k, q, file = ("n", int), ("k", int), ("q", int), [("file", str)]
+    return ("Exact q-analogues, F_q subspaces and finite projective geometry checks.", {
+        "qbinom": cmd("Gaussian binomial by both routes", _cmd_qbinom, [n, k], {"--at": (
+            "at", int, ("Q0",), None, "evaluate at q = Q0, not print coefficients")}),
+        "expand": cmd("normal-ordered expansion of (x+y)^n", _cmd_expand, [n]),
+        "subspaces": cmd("enumerate k-subspaces of F_q^n", _cmd_subspaces, [q, n, k], {
+            "--list": ("list", None, (), False, "print canonical bases"),
+            "--budget": cap("budget", DEFAULT_SUBSPACE_BUDGET)}),
         "geometry": ("incidence geometry commands", {
-            "build": ("construct a geometry, JSON to stdout",
-                      _cmd_geometry_build, _args_geometry_build),
-            "check": ("validate axioms, counts and census",
-                      _cmd_geometry_check, _args_file),
-            "collineations": ("collineation group order by orbit-stabiliser search",
-                              _cmd_geometry_collineations, _args_geometry_collineations),
-            "affine": ("affine piece sizes of P^n(F_q)", _cmd_geometry_affine, _args_q_n),
-        }),
+            "build": cmd("build a geometry, JSON to stdout", _cmd_geometry_build, [], {
+                "--projective": ("projective", int, ("Q", "N"), None, "P^N(F_Q)"),
+                "--boolean": ("boolean", int, ("N",), None, "Boolean geometry, N points"),
+                "--budget": cap("budget", geo.DEFAULT_GEOMETRY_BUDGET)},
+                one_of=("--projective", "--boolean")),
+            "check": cmd("validate axioms, counts and census", _cmd_geometry_check, file),
+            "collineations": cmd("collineation group order by orbit-stabiliser search",
+                                 _cmd_geometry_collineations, file, {"--max-points": cap(
+                                     "max_points", geo.DEFAULT_COLLINEATION_CAP)}),
+            "affine": cmd("affine piece sizes of P^n(F_q)", _cmd_geometry_affine,
+                          [q, n])}),
         "plane": ("projective plane commands", {
-            "check": ("validate the plane conditions", _cmd_plane_check, _args_file),
-            "bruck-ryser": ("sum-of-two-squares order test",
-                            _cmd_plane_bruck_ryser, _args_order),
-        }),
+            "check": cmd("validate the plane conditions", _cmd_plane_check, file),
+            "bruck-ryser": cmd("sum-of-two-squares order test", _cmd_plane_bruck_ryser,
+                               [("order", int)])}),
         "paths": ("lattice path commands", {
-            "gf": ("area generating function of the m-by-n box",
-                   _cmd_paths_gf, _args_paths_gf),
-        }),
+            "gf": cmd("area generating function of the m-by-n box", _cmd_paths_gf, [
+                ("m", int), n], {"--max-steps": cap("max_steps", DEFAULT_MAX_STEPS)})}),
         "group": ("classical group orders", {
-            "order": ("order of GL/SL/PGL/PSL over F_q", _cmd_group_order,
-                      _args_group_order),
-            "an": ("alternating group vs order-1 collineations", _cmd_group_an, _args_n),
-        }),
-    }
+            "order": cmd("order of GL/SL/PGL/PSL over F_q", _cmd_group_order, [
+                ("family", _choice(("GL", "SL", "PGL", "PSL", "gl", "sl", "pgl", "psl"))),
+                n, q], {"--brute-force": (
+                    "brute_force", None, (), False, "recount by matrix enumeration")}),
+            "an": cmd("A_n vs the collineations of order 1", _cmd_group_an, [n])}),
+    })
 
 
-def _build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
-    """The parser for argv, or the whole tree when argv is None.
+def _option(token: str, flags):
+    """token read against flags: (flag, its value after '=' or None) for a
+    flag or a unique prefix of a long one, ("", None) for another option,
+    None for a positional.  An ambiguous prefix raises ValueError."""
+    if token[:1] != "-" or token in ("-", "--"):
+        return None
+    long = token[1] == "-"  # else -hX is -h given X
+    head, eq, value = token.partition("=") if long else (token[:2], token[2:], token[2:])
+    found = [head] if head in flags else [f for f in flags if long and f.startswith(head)]
+    if len(found) > 1:
+        raise ValueError(f"ambiguous option: {token} could match {', '.join(found)}")
+    if not found and (" " in token or re.match(r"^-\d+$|^-\d*\.\d+$", token)):
+        return None
+    return (found or [""])[0], value if eq else None
 
-    Only the subparser of the command that argv names is built, and for a
-    command group only the subcommand's.  Where argv names none or an
-    unknown one, that level gets all its subparsers, so help and usage
-    errors read as with the whole tree.
-    """
-    parser = argparse.ArgumentParser(
-        prog="qproj",
-        description="Exact q-analogues, subspace enumeration over F_q, and "
-                    "finite projective geometry validation.")
-    _add_commands(parser, "command", _commands(), argv)
-    return parser
 
-
-def _add_commands(parser, dest, table, argv):
-    name = argv[0] if argv else None
-    if name in table:
-        # the usage line of an unrecognised-arguments error still lists
-        # every name
-        sub = parser.add_subparsers(dest=dest, required=True,
-                                    metavar="{" + ",".join(table) + "}")
-        table, argv = {name: table[name]}, argv[1:]
+def _help(prog: str, spec) -> str:
+    """The -h text of a group or command; its first line is the usage line."""
+    if len(spec) == 2:
+        usage = ["{" + ",".join(spec[1]) + "}", "..."]
+        rows = [(name, entry[0]) for name, entry in spec[1].items()]
     else:
-        sub = parser.add_subparsers(dest=dest, required=True)
-        argv = None
-    for name, (help_text, *spec) in table.items():
-        p = sub.add_parser(name, help=help_text)
-        if len(spec) == 1:
-            _add_commands(p, "subcommand", spec[0], argv)
-            continue
-        handler, add_arguments = spec
-        add_arguments(p)
-        p.add_argument("--json", action="store_true",
-                       help="emit a uniform JSON payload")
-        p.set_defaults(handler=handler)
+        shown = {flag: " ".join((flag, *o[2])) for flag, o in spec[3].items()}
+        rows = [(shown[flag], o[4]) for flag, o in spec[3].items()]
+        usage = [f"({' | '.join(shown.pop(f) for f in spec[4])})"] * bool(spec[4])
+        usage += [f"[{s}]" for s in shown.values()] + [d for d, _ in spec[2]]
+    rows.insert(0, ("-h, --help", "show this help message and exit"))
+    width = max(len(name) for name, _ in rows) + 2
+    return "\n".join([" ".join(["usage:", prog, "[-h]", *usage]), "", spec[0], "",
+                      *(f"  {name:<{width}}{text}".rstrip() for name, text in rows)])
+
+
+def _parse(argv: list[str]):
+    """argv's values and handler in a namespace, or the result of -h or an error."""
+    prog, spec, rest, args, extras = "qproj", _commands(), list(argv), {}, []
+    try:
+        while True:
+            dest = "subcommand" if args else "command"  # what a group's word names
+            _, handler, positionals, options, one_of = spec if len(spec) > 2 else (
+                spec[0], None, [(dest, _choice(spec[1]))], {}, ())
+            args.update({o[0]: o[3] for o in options.values()}, handler=handler)
+            flags = dict.fromkeys(("-h", "--help"), ("", None, (), None, "")) | options
+            cut = rest.index("--") if "--" in rest and options else len(rest)
+            items = iter([(t, _option(t, flags) if j < cut else False)  # False after --
+                          for j, t in enumerate(rest) if j != cut])
+            positionals = iter(positionals)
+            for token, hit in items:
+                name, value = hit or next(positionals, (None, None))
+                if not name:
+                    extras.append(token)
+                    continue
+                dest, converter, values = name, value, [token]
+                if hit:
+                    dest, converter, metavars, _, _ = flags[name]
+                    values = [value] if value is not None else [
+                        t for t, h in itertools.islice(items, len(metavars)) if h is None]
+                    if len(values) != len(metavars):
+                        raise ValueError(f"{name} takes {len(metavars)} value(s)")
+                    if not dest:  # -h or --help
+                        return CommandResult(EXIT_OK, _help(prog, spec))
+                try:
+                    values = [converter(v) for v in values]
+                except ValueError as e:
+                    raise ValueError(f"argument {name}: {e}") from None
+                args[dest] = values if len(values) > 1 else values[0] if values else True
+                if not options:  # the entry's own flags read the words after its name
+                    prog, spec = f"{prog} {token}", spec[1][token]
+                    rest = [t for t, _ in items]
+                    break
+            else:
+                missing = " ".join(dest for dest, _ in positionals)
+                given = [f for f in one_of if args[options[f][0]] is not None]
+                if missing or len(given) != len(one_of[:1]):
+                    raise ValueError(f"needs {missing or 'one of ' + ' '.join(one_of)}")
+                if extras:
+                    raise ValueError(f"unrecognized arguments: {' '.join(extras)}")
+                return types.SimpleNamespace(**args)
+    except ValueError as e:
+        usage = _help(prog, spec).split("\n", 1)[0]
+        return CommandResult(EXIT_USAGE, error=f"{usage}\n{prog}: error: {e}")
 
 
 def run(argv: list[str]) -> CommandResult:
     """Parse and execute; printing is left to main()."""
-    parser = _build_parser(argv)
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as e:
-        # argparse already printed usage/help; normalize the code
-        code = EXIT_OK if e.code in (0, None) else EXIT_USAGE
-        return CommandResult(code)
+    args = _parse(argv)
+    if isinstance(args, CommandResult):
+        return args
     try:
         exit_code, lines, payload = args.handler(args)
-        if not getattr(args, "json", False):
+        if not args.json:
             # a handler may yield its lines lazily, so they are joined here
             return CommandResult(exit_code, "\n".join(lines))
+        command = " ".join(v for d, v in vars(args).items() if d.endswith("command"))
+        wrapped = {"command": command, "ok": exit_code == EXIT_OK, "data": payload}
+        with _int_digit_limit(0):
+            return CommandResult(exit_code, _json_text(wrapped))
     except GeometryFormatError as e:
         return CommandResult(EXIT_USAGE, error=f"format error: {e}")
     except ValueError as e:
@@ -582,11 +586,6 @@ def run(argv: list[str]) -> CommandResult:
     except Exception as e:  # a crash must not read as exit 1, "the math disagrees"
         return CommandResult(EXIT_INTERNAL,
                              error=f"internal error: {type(e).__name__}: {e}")
-    command = args.command + (
-        f" {args.subcommand}" if getattr(args, "subcommand", None) else "")
-    wrapped = {"command": command, "ok": exit_code == EXIT_OK, "data": payload}
-    with _int_digit_limit(0):
-        return CommandResult(exit_code, _json_text(wrapped))
 
 
 def main() -> None:

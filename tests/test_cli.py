@@ -1,4 +1,3 @@
-import argparse
 import hashlib
 import itertools
 import json
@@ -9,6 +8,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -618,21 +618,33 @@ class TestGroup:
 
 
 class TestStartup:
-    def test_import_loads_neither_dataclasses_nor_typing(self):
-        # each command is a fresh interpreter, so these imports cost every
-        # call; typing may already come with site (a .pth file), so the
-        # modules of an empty run are subtracted
-        def loaded(statement):
-            script = f"import sys\n{statement}\nprint(' '.join(sorted(sys.modules)))"
-            env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
-            res = subprocess.run([sys.executable, "-c", script], env=env,
-                                 capture_output=True, text=True, timeout=60)
-            assert res.returncode == 0, res.stderr
-            return set(res.stdout.split())
+    # each command is a fresh interpreter, so these imports cost every call;
+    # typing may already come with site (a .pth file), so the modules of an
+    # empty run are subtracted
+    @staticmethod
+    def loaded(statement):
+        script = f"import sys\n{statement}\nprint(' '.join(sorted(sys.modules)))"
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+        res = subprocess.run([sys.executable, "-c", script], env=env,
+                             capture_output=True, text=True, timeout=60)
+        assert res.returncode == 0, res.stderr
+        return set(res.stdout.split())
 
-        added = loaded("import qproj.cli") - loaded("pass")
+    def test_import_loads_neither_dataclasses_nor_typing(self):
+        added = self.loaded("import qproj.cli") - self.loaded("pass")
         assert "qproj.cli" in added
         assert not added & {"dataclasses", "inspect", "ast", "dis", "tokenize", "typing"}
+
+    @pytest.mark.parametrize("argv", [None, ["geometry", "build", "--projective", "2", "2"],
+                                      ["qbinom", "4", "2", "--json"]])
+    def test_parse_loads_no_argparse_gettext_or_locale(self, argv):
+        # argparse's first use imports gettext and locale and compiles regexes
+        statement = "import qproj.cli"
+        if argv is not None:
+            statement += f"\nassert qproj.cli.run({argv!r}).exit_code == 0"
+        added = self.loaded(statement) - self.loaded("pass")
+        assert "qproj.cli" in added
+        assert not added & {"argparse", "gettext", "locale"}
 
 
 class TestUsage:
@@ -645,42 +657,39 @@ class TestUsage:
     def test_help_is_success(self):
         assert run(["--help"]).exit_code == 0
 
-    @pytest.mark.parametrize("argv", [
-        [], [""], ["--help"], ["-h"], ["bogus"], ["--", "qbinom", "4", "2"],
-        ["qbin", "4", "2"], ["qbinom", "4", "2"], ["qbinom", "x", "2"],
-        ["qbinom", "4", "2", "extra"], ["qbinom", "-h"], ["geometry"],
-        ["geometry", "bogus"], ["geometry", "--help"], ["geometry", "check"],
-        ["geometry", "check", "g.json", "extra"], ["geometry", "build"],
-        ["geometry", "collineations", "g.json", "--max-points", "-1"],
-        ["plane"], ["paths", "gf", "2"], ["group", "order", "XX", "2", "2"],
-        ["group", "an", "5", "--json"]])
-    def test_partial_parser_reads_as_the_whole_tree(self, argv, capsys):
-        # the parser built for argv holds only the subparsers argv names,
-        # yet parses, prints and exits as the whole tree does
-        def outcome(parser):
-            try:
-                parsed = parser.parse_args(argv)
-            except SystemExit as e:
-                parsed = e.code
-            out = capsys.readouterr()
-            return parsed, out.out, out.err
+    def test_help_and_usage_errors_come_back_in_the_result(self):
+        # main() prints text to stdout and error to stderr; run() prints nothing
+        res = run(["geometry", "build", "-h"])
+        assert res.exit_code == 0 and not res.error
+        assert res.text.startswith("usage: qproj geometry build [-h] "
+                                   "(--projective Q N | --boolean N) [--budget BUDGET]")
+        assert "  --boolean N " in res.text and "  --json " in res.text
+        res = run(["qbinom", "x", "2"])
+        assert res.exit_code == 2 and not res.text
+        usage, message = res.error.split("\n")
+        assert usage.startswith("usage: qproj qbinom [-h]") and usage.endswith(" n k")
+        assert message.startswith("qproj qbinom: error: argument n: ")
 
-        assert outcome(cli._build_parser(argv)) == outcome(cli._build_parser())
-
-    def test_only_the_named_subparsers_are_built(self, monkeypatch):
-        built = []
-        add_parser = argparse._SubParsersAction.add_parser
-
-        def counting(self, name, **kwargs):
-            built.append(name)
-            return add_parser(self, name, **kwargs)
-
-        monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counting)
-        cli._build_parser(["geometry", "check", "g.json"])
-        assert built == ["geometry", "check"]
-        built.clear()
-        cli._build_parser(["bogus"])
-        assert len(built) == 16  # every parser but the top one
+    def test_argv_outcomes_match_the_argparse_table(self):
+        # cli_argv_table.json was written from argparse's parse_args(argv) on
+        # the argparse parser the table-driven one replaced: per argv, the
+        # namespace minus the handler, or the exit code.  Its rows: usage
+        # errors and help at each level, the argv of every golden_cli.json
+        # command and of the README CLI block, and the grammar's edges
+        # (--flag=value, prefixes, '--', negative numbers, int() spellings,
+        # repeated and exclusive flags, -h anywhere).
+        table = json.loads((Path(__file__).parent / "cli_argv_table.json").read_text())
+        assert len(table) == 260
+        wrong = []
+        for argv, expected in table:
+            got = cli._parse(argv)
+            if isinstance(got, cli.CommandResult):
+                got = got.exit_code
+            else:
+                got = {k: v for k, v in vars(got).items() if k != "handler"}
+            if got != expected:
+                wrong.append((argv, expected, got))
+        assert not wrong
 
 
 class TestCapFlags:
@@ -689,13 +698,14 @@ class TestCapFlags:
         ["geometry", "build", "--projective", "2", "2", "--budget"],
         ["geometry", "collineations", "fano.json", "--max-points"],
         ["paths", "gf", "2", "2", "--max-steps"]])
-    def test_negative_cap_is_usage_error(self, argv, tmp_path, capsys):
+    def test_negative_cap_is_usage_error(self, argv, tmp_path):
         if "collineations" in argv:
             fano = tmp_path / "fano.json"
             fano.write_text(run(["geometry", "build", "--projective", "2", "2"]).text)
             argv = [str(fano) if a == "fano.json" else a for a in argv]
-        assert run(argv + ["-1"]).exit_code == 2
-        assert "must be nonnegative, got -1" in capsys.readouterr().err
+        res = run(argv + ["-1"])
+        assert res.exit_code == 2
+        assert f"argument {argv[-1]}: must be nonnegative, got -1" in res.error
         assert run(argv + ["0"]).exit_code == 3
 
 
@@ -745,6 +755,15 @@ def test_unexpected_exception_is_internal_error(monkeypatch):
     assert res.error == "internal error: RuntimeError: boom"
 
 
+def test_unserialisable_json_payload_is_internal_error(monkeypatch):
+    # the --json document is written inside run's guard, so a payload that
+    # json cannot write is a bug (exit 4), not a traceback read as exit 1
+    monkeypatch.setattr(cli, "_cmd_qbinom", lambda args: (0, [], {"x": {1}}))
+    res = run(["qbinom", "4", "2", "--json"])
+    assert res.exit_code == cli.EXIT_INTERNAL
+    assert res.error.startswith("internal error: TypeError: ")
+
+
 # --- argv fuzzing: every subcommand, small ints, junk tokens and files -------
 
 # each command with the kinds of its positionals: n a number, f a file, g a family
@@ -756,7 +775,8 @@ _FUZZ_COMMANDS = [(["qbinom"], "nn"), (["expand"], "n"), (["subspaces"], "nnn"),
                   (["group", "an"], "n")]
 _FUZZ_FLAGS = ["--json", "--list", "--at", "--budget", "--projective", "--boolean",
                "--max-points", "--max-steps", "--brute-force", "--help"]
-_FUZZ_JUNK = ["", "x", "-", "--", "1.5", "0x10", "nan", "1e3", "-7", "10000000"]
+_FUZZ_JUNK = ["", "x", "-", "--", "1.5", "0x10", "nan", "1e3", "-7", "10000000",
+              "--at=3", "--json=1", "--bud", "--proj", "-h"]
 
 
 @pytest.fixture(scope="module")
