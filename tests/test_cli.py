@@ -755,6 +755,14 @@ def test_unexpected_exception_is_internal_error(monkeypatch):
     assert res.error == "internal error: RuntimeError: boom"
 
 
+def test_double_dash_after_double_dash_is_a_positional():
+    # every word after the first '--' is a positional, a second '--' too;
+    # dropped from n's values, it left n empty and crashed the handler
+    res = run(["paths", "gf", "2", "--", "--"])
+    assert res.exit_code == 2
+    assert "argument n: " in res.error
+
+
 def test_unserialisable_json_payload_is_internal_error(monkeypatch):
     # the --json document is written inside run's guard, so a payload that
     # json cannot write is a bug (exit 4), not a traceback read as exit 1
