@@ -647,6 +647,9 @@ class TestStartup:
         assert not added & {"argparse", "gettext", "locale"}
 
 
+_ARGV_TABLE = json.loads((Path(__file__).parent / "cli_argv_table.json").read_text())
+
+
 class TestUsage:
     def test_no_command(self):
         assert run([]).exit_code == 2
@@ -670,7 +673,12 @@ class TestUsage:
         assert usage.startswith("usage: qproj qbinom [-h]") and usage.endswith(" n k")
         assert message.startswith("qproj qbinom: error: argument n: ")
 
-    def test_argv_outcomes_match_the_argparse_table(self):
+    def test_argv_table_holds_every_row(self):
+        assert len(_ARGV_TABLE) == 260
+
+    @pytest.mark.parametrize("argv,expected", _ARGV_TABLE,
+                             ids=[f"row{i}" for i in range(len(_ARGV_TABLE))])
+    def test_argv_outcomes_match_the_argparse_table(self, argv, expected):
         # cli_argv_table.json was written from argparse's parse_args(argv) on
         # the argparse parser the table-driven one replaced: per argv, the
         # namespace minus the handler, or the exit code.  Its rows: usage
@@ -678,18 +686,12 @@ class TestUsage:
         # command and of the README CLI block, and the grammar's edges
         # (--flag=value, prefixes, '--', negative numbers, int() spellings,
         # repeated and exclusive flags, -h anywhere).
-        table = json.loads((Path(__file__).parent / "cli_argv_table.json").read_text())
-        assert len(table) == 260
-        wrong = []
-        for argv, expected in table:
-            got = cli._parse(argv)
-            if isinstance(got, cli.CommandResult):
-                got = got.exit_code
-            else:
-                got = {k: v for k, v in vars(got).items() if k != "handler"}
-            if got != expected:
-                wrong.append((argv, expected, got))
-        assert not wrong
+        got = cli._parse(argv)
+        if isinstance(got, cli.CommandResult):
+            got = got.exit_code
+        else:
+            got = {k: v for k, v in vars(got).items() if k != "handler"}
+        assert got == expected
 
 
 class TestCapFlags:
