@@ -42,9 +42,13 @@ class _Lattice:
       below[i]  the members inside i: all members minus the OR of up[p]
                 over the points outside i.
 
-    join_of and meet_of map above[u] and below[u] back to u.  Distinct
-    members have distinct up-sets and down-sets, since each member lies
-    in its own.
+    Both are built eight points at a time (the Four Russians method of
+    Arlazarov, Dinic, Kronrod and Faradzev, 1970): the AND and the OR of
+    up[p] over each subset of a block's points fill two 256-entry tables,
+    and member i reads the AND at its byte b in the block and the OR at
+    the block's full byte ^ b.  join_of and meet_of map above[u] and
+    below[u] back to u; distinct members have distinct up-sets and
+    down-sets, since each member lies in its own.
 
     The join u of i and j, when it exists, lies in every common upper
     bound, so above[u] is exactly the set above[i] & above[j] of common
@@ -56,23 +60,17 @@ class _Lattice:
     common bounds matches no member.  Fast path: if the plain union
     (resp. intersection) of i and j is in L it is the join (resp. meet).
 
-    Cost: building the sets takes |L|*|P| ANDs and ORs of |L|-bit ints,
-    and they hold 2*|L|^2 bits; a meet or join is then one AND and one
-    dict lookup, and no table of them is stored.  At |L| = 4096
-    (Boolean(12), 2-core VM) the build takes about 0.03-0.05 s with a
-    tracemalloc peak of 5.4 MB, where a stored |L|^2 table took 3.5-4.7 s
-    and 59 MB.  On a geometry that passes, the axiom pass then certifies
-    axioms 1 and 5 from the sets in about 0.13 s on Boolean(12) and
-    0.15 s on P4(F3).  Failing input reads pairs only until both axioms
-    are settled: P4(F3) with a line's dim bumped takes about 0.1 s,
-    since every intersection is still in L; P4(F3) without a line about
-    0.15 s, the rows after the first missing meet being screened
-    (_screened_row); Boolean(12) without a line about 1.1-1.4 s.  Input
-    that fails axiom 2 reads full rows (_full_row) until both witnesses
-    are found, and every pair when axiom 5 has no witness; LATTICE_CAP
-    bounds those |L|^2/2 pairs.  With every dim set to 0, where L stays
-    closed and no pair breaks the modular law, reading them all takes
-    about 2.6-3.3 s on P4(F3) and 2.2-3.0 s on Boolean(12).
+    Cost: the build is |L|*|P|/8 ANDs and ORs of |L|-bit ints and fills
+    64*|P| table entries; the sets hold 2*|L|^2 bits, and a meet or join
+    is then one AND and one dict lookup.  On a 2-core VM the build takes
+    about 10 ms on Boolean(12) (|L| = 4096, tracemalloc peak 5.6 MB; a
+    stored |L|^2 table took 3.5-4.7 s and 59 MB) and 19 ms on P4(F3)
+    (2.5 MB), and the whole axiom pass about 0.11 s on either.  Failing
+    input reads pairs only until both axioms are settled: P4(F3) takes
+    about 0.07 s with a line's dim bumped and 0.1 s without a line (rows
+    screened by _screened_row), Boolean(12) without a line 0.5-0.7 s.
+    With every dim 0 full rows (_full_row) read every pair, which
+    LATTICE_CAP bounds: about 2.5-2.9 s on P4(F3), 2.0-2.3 s on Boolean(12).
     """
 
     def __init__(self, g: IncidenceGeometry):
@@ -89,18 +87,20 @@ class _Lattice:
             for p in _bits(m):
                 up[p] |= 1 << k
         everything = (1 << ns) - 1
-        full = (1 << len(g.points)) - 1
-        self.above: list[int] = []
-        self.below: list[int] = []
-        for m in masks:
-            a = everything
-            for p in _bits(m):
-                a &= up[p]
-            outside = 0
-            for p in _bits(full ^ m):
-                outside |= up[p]
-            self.above.append(a)
-            self.below.append(everything ^ outside)
+        self.above = above = [everything] * ns
+        self.below = below = [0] * ns  # the OR over the points outside, until flipped
+        for lo in range(0, len(up), 8):
+            ands, ors = [everything], [0]  # entry b: over the points of byte b
+            for u in up[lo:lo + 8]:
+                ands += [a & u for a in ands]
+                ors += [o | u for o in ors]
+            rest = len(ands) - 1
+            for k, m in enumerate(masks):
+                b = m >> lo & rest
+                above[k] &= ands[b]
+                below[k] |= ors[rest ^ b]
+        for k, outside in enumerate(below):
+            below[k] = everything ^ outside
         self.join_of = {a: u for u, a in enumerate(self.above)}
         self.meet_of = {b: u for u, b in enumerate(self.below)}
 

@@ -392,6 +392,35 @@ class TestLatticeEdges:
 
         check()
 
+    def test_up_and_down_sets_equal_plain_containment(self):
+        # the sets are built from tables over blocks of eight points: the
+        # point counts 1-10, 7, 15, 21, 85 and 91 end on and off a block's
+        # edge, and each member order is checked again shuffled
+        def check(g):
+            masks, lat = g.subspaces, g._lattice
+            for i, s in enumerate(masks):
+                above = below = 0
+                for j, t in enumerate(masks):
+                    if s & t == s:
+                        above |= 1 << j
+                    if s & t == t:
+                        below |= 1 << j
+                assert (lat.above[i], lat.below[i]) == (above, below), g.describe_subspace(i)
+
+        corpus = [build_boolean_geometry(n) for n in range(1, 11)]
+        corpus += [build_projective_space(q, n) for q, n in ((2, 2), (2, 3), (4, 2), (4, 3), (9, 2))]
+        for seed, g in enumerate(corpus):
+            check(g)
+            check(shuffle_members(g, seed))
+
+        @settings(max_examples=200, deadline=None)
+        @given(derived_mutants(), st.integers(0, 2 ** 32))
+        def check_mutant(g, seed):
+            check(g)
+            check(shuffle_members(g, seed))
+
+        check_mutant()
+
     def test_a_mask_listed_twice_is_refused(self):
         # L is a set of subsets: the copy is named with the member it
         # repeats, in the words of the JSON reader
