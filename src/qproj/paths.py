@@ -80,5 +80,6 @@ def area_generating_function(m: int, n: int,
         for s_left, c_left in left.items():
             for s_right, c_right in right.items():
                 counts[s_left + s_right - offset] += c_left * c_right
-    assert sum(counts) == math.comb(m + n, m)
+    if sum(counts) != math.comb(m + n, m):
+        raise AssertionError("paths counted differ from C(m + n, m)")
     return QPoly(counts)

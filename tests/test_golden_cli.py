@@ -87,6 +87,11 @@ product of degree about 7,000), ``qbinom 66 36``, ``qbinom 40 39 --at 3``
 and ``group order PSL 60 3``, whose formula takes [60]! from
 ``q_factorial``.
 
+Two cases were written from the code before the brute-force oracle
+shared the last-row cofactors of each first n-1 rows among their q^n
+completions: ``group order PSL 2 11 --brute-force`` and ``group order
+PSL 3 3 --brute-force``, the latter exactly at the cap of 3^9 matrices.
+
 To extend the corpus, add the new cases here and write the new entries
 from a commit whose output is trusted:
 
@@ -210,7 +215,7 @@ def _cases():
         base[f"paths gf {m} {n}"] = (["paths", "gf", str(m), str(n)], None)
     base["group order SL 3 4"] = (["group", "order", "SL", "3", "4"], None)
     base["group order PGL 4 3"] = (["group", "order", "PGL", "4", "3"], None)
-    for n, q in ((2, 3), (3, 2), (2, 4)):
+    for n, q in ((2, 3), (3, 2), (2, 4), (2, 11), (3, 3)):
         base[f"group order PSL {n} {q} --brute-force"] = (
             ["group", "order", "PSL", str(n), str(q), "--brute-force"], None)
     for n in (0, 1, 2, 5, 12, 30, 121):

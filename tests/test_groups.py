@@ -1,4 +1,9 @@
+import itertools
 import math
+import os
+import random
+import subprocess
+import sys
 
 import pytest
 
@@ -6,8 +11,9 @@ from qproj import groups
 from qproj import (BudgetExceeded, DegenerateQ, NotAPrimePower,
                    alternating_group_comparison, brute_force_psl_order,
                    build_boolean_geometry, collineation_order,
-                   count_independent_tuples, gl_order, group_order, pgl_order,
-                   psl_order, q_factorial, sl_order)
+                   count_independent_tuples, gl_order, group_order, make_field,
+                   pgl_order, psl_order, q_factorial, sl_order)
+from qproj.cli import run
 
 
 class TestGlOrder:
@@ -39,6 +45,11 @@ class TestGlOrder:
 
 
 class TestDerivedFamilies:
+    def test_sl_divisibility_is_checked(self, monkeypatch):
+        monkeypatch.setattr(groups, "gl_order", lambda n, q: 7)
+        with pytest.raises(AssertionError, match="does not divide"):
+            sl_order(2, 3)
+
     def test_sl_pgl_relations(self):
         for n in (2, 3):
             for q in (2, 3, 4, 5):
@@ -87,12 +98,81 @@ class TestPslOrder:
         assert psl_order(3, 2) == 168 and calls == [3]
 
 
+# every (n, q) with n >= 2 whose q^(n^2) matrices the default cap admits
+UNDER_CAP = [(2, 2, 6), (2, 3, 12), (3, 2, 168), (2, 4, 60), (2, 8, 504), (2, 9, 360),
+             (2, 5, 60), (2, 7, 168), (2, 11, 660), (3, 3, 5616)]
+
+
+def _leibniz_det(rows, field):
+    # sum over permutations p of sign(p) * prod_i rows[i][p(i)], on element codes
+    add, mul, neg = field.add_table, field.mul_table, field.neg_table
+    total = 0
+    for perm in itertools.permutations(range(len(rows))):
+        term = 1
+        for i, j in enumerate(perm):
+            term = mul[term][rows[i][j]]
+        inversions = sum(a > b for a, b in itertools.combinations(perm, 2))
+        total = add[total][neg[term] if inversions % 2 else term]
+    return total
+
+
+def _check_completions(n, q, prefixes):
+    field = make_field(q)
+    last_rows = list(itertools.product(range(q), repeat=n))
+    for prefix in prefixes:
+        dets = groups._completion_dets(prefix, field)
+        assert len(dets) == q ** n
+        for x, det in zip(last_rows, dets):
+            assert det == _leibniz_det(prefix + (x,), field), (prefix, x)
+
+
 class TestBruteForce:
-    @pytest.mark.parametrize("n,q,expected", [(2, 2, 6), (2, 3, 12), (3, 2, 168),
-                                              (2, 4, 60), (2, 8, 504), (2, 9, 360)])
+    @pytest.mark.parametrize("n,q,expected", UNDER_CAP)
     def test_matches_formula(self, n, q, expected):
         assert brute_force_psl_order(n, q) == expected
         assert brute_force_psl_order(n, q) == psl_order(n, q)
+
+    def test_formula_cases_are_all_the_cap_admits(self):
+        prime_powers = (2, 3, 4, 5, 7, 8, 9, 11, 13, 16)
+        admitted = {(n, q) for n in (2, 3, 4) for q in prime_powers
+                    if q ** (n * n) <= groups.DEFAULT_BRUTE_CAP}
+        assert admitted == {(n, q) for n, q, _ in UNDER_CAP}
+
+    @pytest.mark.parametrize("n,q", [(2, 3), (2, 4), (2, 11), (3, 2)])
+    def test_every_determinant_matches_leibniz(self, n, q):
+        # the counts cannot see a sign error: over the nonzero values the
+        # determinant's fibres have equal size, so each det is checked
+        rows = itertools.product(range(q), repeat=n)
+        _check_completions(n, q, itertools.product(rows, repeat=n - 1))
+
+    def test_sampled_3x3_determinants_over_f3_match_leibniz(self):
+        rng = random.Random(33)
+        rows = list(itertools.product(range(3), repeat=3))
+        _check_completions(3, 3, [(rng.choice(rows), rng.choice(rows)) for _ in range(80)])
+
+    def test_missing_completion_is_an_internal_error(self, monkeypatch):
+        # the walk must form q^(n^2) determinants; run reports the miss as exit 4
+        complete = groups._completion_dets
+        monkeypatch.setattr(groups, "_completion_dets", lambda p, f: complete(p, f)[1:])
+        with pytest.raises(AssertionError, match="determinants"):
+            brute_force_psl_order(2, 3)
+        res = run(["group", "order", "PSL", "2", "3", "--brute-force"])
+        assert res.exit_code == 4 and "AssertionError" in res.error
+
+    def test_checks_survive_optimize_flag(self):
+        # python -O strips assert statements; the oracle's checks are raises
+        script = ("from qproj import groups\n"
+                  "complete = groups._completion_dets\n"
+                  "groups._completion_dets = lambda p, f: complete(p, f)[1:]\n"
+                  "try:\n"
+                  "    groups.brute_force_psl_order(2, 3)\n"
+                  "except AssertionError as e:\n"
+                  "    print('raised', e)\n")
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(groups.__file__)))
+        res = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                             capture_output=True, text=True, timeout=60)
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.startswith("raised ")
 
     def test_gl1_center(self):
         # n = 1: every nonzero scalar has det = itself; only det 1 counts,

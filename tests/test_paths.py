@@ -107,6 +107,13 @@ def test_generating_function_lists_half_paths_only(monkeypatch):
     assert 0 < drawn <= 2 * 2 ** 12
 
 
+def test_lost_half_path_is_an_internal_error(monkeypatch):
+    # a raise, not an assert, so python -O keeps the check
+    monkeypatch.setattr(qproj.paths, "Counter", lambda sums: Counter(list(sums)[1:]))
+    with pytest.raises(AssertionError, match="paths counted"):
+        area_generating_function(3, 3)
+
+
 def test_palindromic_coefficients():
     # reversing a path and swapping R/U sends area a to mn - a
     for m in range(1, 6):
